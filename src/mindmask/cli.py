@@ -123,7 +123,7 @@ def _cmd_mask(args):
         masked = mask_chain(
             artifacts.omniscient, [artifacts.character_graph(c) for c in q.chain_names]
         )
-    view = retrieve_events(masked, artifacts.view_texts(cfg.inject_knowledge), chain=q.chain_names)
+    view = retrieve_events(masked, artifacts.view_texts(cfg.inject_knowledge))
     if args.dump_graphs:
         graphs = {"omniscient": artifacts.omniscient.to_json(), "masked": masked.to_json()}
         for name in q.chain_names:

@@ -1,21 +1,22 @@
 """Entity-state knowledge backends.
 
 A state backend answers three queries about a story: which entity/attribute
-pairs matter for a set of questions, what state each entity reaches after
-each event, and which enterable places the story mentions. Records render as
-``"<attribute> of <entity> becomes <state>"``.
+pairs matter for a set of questions, which enterable places the story
+mentions, and, in one call per story, what state each entity reaches after
+each event. Records render as ``"<attribute> of <entity> becomes <state>"``.
 
 :class:`RuleBackend` resolves all three symbolically from the story grammar
-(enter/exit/move/declare productions); :class:`mindmask.remote.RemoteBackend`
-asks a chat model with the shipped prompt templates. Both sides honor the
-same protocol, so the masking pipeline cannot tell them apart.
+(enter/exit/move/declare productions), replaying the story once;
+:class:`mindmask.remote.RemoteBackend` asks a chat model with the shipped
+prompt templates, one state prompt per story. Both sides honor the same
+protocol, so the masking pipeline cannot tell them apart.
 """
 
 from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Protocol, runtime_checkable
 
 from .errors import ExtractionError, ProtocolError, ValidationError
@@ -84,11 +85,8 @@ class StateBackend(Protocol):
     def location_names(self, story: Story) -> list[str]:
         ...
 
-    def event_states(
-        self, story: Story, index: int, targets: list[EntityAttribute]
-    ) -> list[tuple[str, str, str]]:
-        """(entity, attribute, state) triples for the event at `index`, the
-        backend seeing the cumulative event prefix 1..index."""
+    def story_states(self, story: Story, targets: list[EntityAttribute]) -> list[EntityStateRecord]:
+        """State records for every event of the story, in any order."""
         ...
 
 
@@ -121,18 +119,19 @@ def build_anchors(names: Iterable[str]) -> list[LocationAnchor]:
 def canonicalize_location(raw: str, anchors: list[LocationAnchor]) -> LocationAnchor | None:
     """Map a free-text place phrase onto an anchor, or None for the null node.
 
-    Negated phrases ("outside the porch", "absent") always resolve to None;
-    after normalization an exact alias match wins, then a unique substring
-    match; ambiguity resolves to None and is logged.
+    After normalization an exact alias match wins, so a room named "left
+    wing" or "outside patio" still resolves. Otherwise negated phrases
+    ("outside the porch", "absent") resolve to None, then a unique substring
+    match wins; ambiguity resolves to None and is logged.
     """
-    if is_negated_place(raw):
-        return None
     normalized = normalize_place(raw)
     if not normalized:
         return None
     for anchor in anchors:
         if normalized in anchor.aliases:
             return anchor
+    if is_negated_place(raw):
+        return None
     matches = []
     for anchor in anchors:
         for alias in anchor.aliases:
@@ -162,7 +161,7 @@ _LEAVE_RE = re.compile(rf"^({_PERSON}) left the conversation\.$")
 _STAY_RE = re.compile(rf"^({_PERSON}) made no movements and stayed in the ({_PLACE}) for")
 
 
-@dataclass(frozen=True)
+@dataclass
 class RuleWorldState:
     """Ground truth tracked by the rule backend while replaying events.
 
@@ -170,19 +169,14 @@ class RuleWorldState:
     None once it exited. ``inside`` maps an entity to its current container.
     """
 
-    places: dict[str, str | None]
-    inside: dict[str, str]
-    display: dict[str, str]
-
-    @classmethod
-    def initial(cls) -> RuleWorldState:
-        return cls(places={}, inside={}, display={})
+    places: dict[str, str | None] = field(default_factory=dict)
+    inside: dict[str, str] = field(default_factory=dict)
+    display: dict[str, str] = field(default_factory=dict)
 
 
-def rule_backend_apply(
-    world: RuleWorldState, event, dialogue: bool = False
-) -> tuple[RuleWorldState, list[EntityStateRecord]]:
-    """Apply one event to the rule world; unrecognized text is a no-op.
+def rule_backend_apply(world: RuleWorldState, event, dialogue: bool = False) -> list[EntityStateRecord]:
+    """Apply one event to the rule world in place and return its records;
+    unrecognized text is a no-op.
 
     Emitted record shapes:
       enter   -> location of <Name> becomes in the <place>
@@ -193,9 +187,7 @@ def rule_backend_apply(
       declare -> location of <obj> becomes in the <container>
     """
     text = event.text.strip()
-    places = dict(world.places)
-    inside = dict(world.inside)
-    display = dict(world.display)
+    places, inside, display = world.places, world.inside, world.display
     records: list[EntityStateRecord] = []
 
     def remember(name: str) -> str:
@@ -223,14 +215,14 @@ def rule_backend_apply(
         for name in split_name_list(m.group(1)):
             move_person(name, place)
             emit(name.casefold(), LOCATION, f"in the {place}")
-        return RuleWorldState(places, inside, display), records
+        return records
 
     m = _EXIT_RE.match(text)
     if m:
         name, place = m.group(1), m.group(2)
         move_person(name, None)
         emit(name.casefold(), LOCATION, f"outside the {place}")
-        return RuleWorldState(places, inside, display), records
+        return records
 
     m = _MOVE_RE.match(text)
     if m:
@@ -243,7 +235,7 @@ def rule_backend_apply(
         if old is not None and old.casefold() != cont_key:
             remember(old)
             emit(old.casefold(), CONTENT, "empty")
-        return RuleWorldState(places, inside, display), records
+        return records
 
     m = _DECLARE_RE.match(text)
     if m:
@@ -252,7 +244,7 @@ def rule_backend_apply(
         remember(container)
         inside[obj_key] = container
         emit(obj_key, LOCATION, f"in the {container}")
-        return RuleWorldState(places, inside, display), records
+        return records
 
     if dialogue:
         m = _JOIN_RE.match(text)
@@ -260,20 +252,28 @@ def rule_backend_apply(
             for name in split_name_list(m.group(1)):
                 move_person(name, CONVERSATION)
                 emit(name.casefold(), LOCATION, f"in the {CONVERSATION}")
-            return RuleWorldState(places, inside, display), records
+            return records
         m = _LEAVE_RE.match(text)
         if m:
             name = m.group(1)
             move_person(name, None)
             emit(name.casefold(), LOCATION, f"outside the {CONVERSATION}")
-            return RuleWorldState(places, inside, display), records
+            return records
         if event.speaker is not None and places.get(event.speaker.casefold()) is None:
             # A speaker's first utterance implies presence in the conversation.
             move_person(event.speaker, CONVERSATION)
             emit(event.speaker.casefold(), LOCATION, f"in the {CONVERSATION}")
-            return RuleWorldState(places, inside, display), records
+    return records
 
-    return world, records
+
+def _replay(story: Story, count: int) -> list[EntityStateRecord]:
+    """Records of the first `count` events, replayed on one fresh world."""
+    world = RuleWorldState()
+    dialogue = story.kind == DIALOGUE_KIND
+    records: list[EntityStateRecord] = []
+    for event in story.events[:count]:
+        records.extend(rule_backend_apply(world, event, dialogue))
+    return records
 
 
 class RuleBackend:
@@ -281,33 +281,17 @@ class RuleBackend:
 
     info = BackendInfo(name="rule", deterministic=True)
 
-    def __init__(self):
-        self._traces: dict[str, list] = {}
-
-    def _trace(self, story: Story):
-        """Worlds after each event; _trace(story)[i] = world after events 1..i."""
-        key = story.key()
-        cached = self._traces.get(key)
-        if cached is not None:
-            return cached
-        dialogue = story.kind == DIALOGUE_KIND
-        worlds = [RuleWorldState.initial()]
-        per_event: list[list[EntityStateRecord]] = [[]]
-        for event in story.events:
-            world, records = rule_backend_apply(worlds[-1], event, dialogue)
-            worlds.append(world)
-            per_event.append(records)
-        trace = [worlds, per_event]
-        self._traces[key] = trace
-        return trace
-
     # -- StateBackend protocol ------------------------------------------------
 
+    def story_states(self, story, targets):
+        return _replay(story, len(story.events))
+
     def event_states(self, story, index, targets):
-        _, per_event = self._trace(story)
+        """(entity, attribute, state) triples of event `index` alone: a
+        per-event view of :meth:`story_states` that replays events 1..index."""
         if not 1 <= index <= len(story.events):
             raise ProtocolError(f"event index {index} outside story range 1..{len(story.events)}")
-        return [(r.entity, r.attribute, r.state) for r in per_event[index]]
+        return [(r.entity, r.attribute, r.state) for r in _replay(story, index) if r.event_index == index]
 
     def location_names(self, story):
         if story.kind == DIALOGUE_KIND:
@@ -428,21 +412,17 @@ def identify_key_entities(
 def generate_states(
     story: Story, targets: list[EntityAttribute], backend: StateBackend
 ) -> list[EntityStateRecord]:
-    """Per-event state records for the whole story, sorted and deduplicated.
+    """State records for the whole story, sorted and deduplicated.
 
-    The backend is queried once per event with the cumulative prefix; only
+    The backend is asked once per story, through ``story_states``; only
     events with a state change contribute records. Duplicate assertions for
     the same (event, entity, attribute) keep the last emission.
     """
     if not targets:
         raise ValidationError("generate_states needs a non-empty target list")
     merged: dict[tuple[int, str, str], EntityStateRecord] = {}
-    for index in range(1, len(story.events) + 1):
-        for entity, attribute, state in backend.event_states(story, index, list(targets)):
-            record = EntityStateRecord(
-                event_index=index, entity=entity, attribute=attribute, state=state
-            )
-            merged[(index, entity.casefold(), attribute.casefold())] = record
+    for record in backend.story_states(story, list(targets)):
+        merged[(record.event_index, record.entity.casefold(), record.attribute.casefold())] = record
     return sorted(
         merged.values(),
         key=lambda r: (r.event_index, r.entity.casefold(), r.attribute.casefold()),

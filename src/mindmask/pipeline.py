@@ -67,7 +67,6 @@ class StoryArtifacts:
     """Everything computable once per story and shared across its questions."""
 
     story: Story
-    targets: list
     records: list[EntityStateRecord]
     anchors: list
     augmented: list[AugmentedEvent]
@@ -104,7 +103,6 @@ def prepare_story(story: Story, questions: list[ToMQuestion], cfg: PipelineConfi
     omniscient = build_omniscient_graph(story, records, anchors)
     return StoryArtifacts(
         story=story,
-        targets=targets,
         records=records,
         anchors=anchors,
         augmented=augmented,
@@ -118,7 +116,7 @@ def answer_question(artifacts: StoryArtifacts, q: ToMQuestion, cfg: PipelineConf
         masked = mask_chain(
             artifacts.omniscient, [artifacts.character_graph(c) for c in q.chain_names]
         )
-    view = retrieve_events(masked, artifacts.view_texts(cfg.inject_knowledge), chain=q.chain_names)
+    view = retrieve_events(masked, artifacts.view_texts(cfg.inject_knowledge))
     empty_view = not view.surviving
 
     asked = q

@@ -21,7 +21,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import BackendError, ExtractionError, ProtocolError
-from .nkb import BackendInfo, EntityAttribute
+from .nkb import BackendInfo, EntityAttribute, EntityStateRecord
 from .story import Story
 
 log = logging.getLogger(__name__)
@@ -131,9 +131,10 @@ class RecordCache:
 class RemoteBackend:
     """State backend that queries a chat model with the shipped prompts.
 
-    State generation is one prompt per (story, targets) pair; the response
-    lists records for every event index at once, so the per-event protocol is
-    served from the parsed buckets. Responses are cached when a cache is
+    ``story_states`` sends one prompt per (story, targets) pair; the response
+    lists records for every event index at once. Every index is checked
+    before the rows are used or cached, so a response naming a nonexistent
+    event is never persisted. Responses are cached when a cache is
     configured, keyed by story, targets, and backend name.
     """
 
@@ -142,7 +143,6 @@ class RemoteBackend:
         self.cache = cache
         self.info = BackendInfo(name=f"remote:{client.model}", deterministic=False)
         self.skipped_lines = 0
-        self._buckets: dict[tuple[str, str], dict[int, list]] = {}
 
     # -- StateBackend protocol ------------------------------------------------
 
@@ -179,19 +179,10 @@ class RemoteBackend:
             raise ExtractionError(f"no rooms in backend response: {response[:500]!r}")
         return names
 
-    def event_states(self, story, index, targets):
-        buckets = self._records(story, targets)
-        return buckets.get(index, [])
-
-    # -- internals -------------------------------------------------------------
-
-    def _records(self, story, targets) -> dict[int, list]:
-        key = (story.key(), _targets_key(targets))
-        if key in self._buckets:
-            return self._buckets[key]
-
+    def story_states(self, story, targets):
         rows = self.cache.load(story, targets, self.info.name) if self.cache else None
-        if rows is None:
+        fresh = rows is None
+        if fresh:
             prompt = fill_prompt(
                 load_prompt("generate_states"),
                 {
@@ -199,21 +190,28 @@ class RemoteBackend:
                     "eoi list": "\n".join(f"- {t.render()}" for t in targets),
                 },
             )
-            response = self.client.complete(prompt)
-            rows = self._parse_records(response, len(story.events))
-            if self.cache:
-                self.cache.store(story, targets, self.info.name, rows)
+            rows = self._parse_records(self.client.complete(prompt))
+        records = [EntityStateRecord(**row) for row in rows]
+        for r in records:
+            if not 1 <= r.event_index <= len(story.events):
+                raise ProtocolError(f"backend asserted a state for unknown event {r.event_index}")
+        if fresh and self.cache:
+            self.cache.store(story, targets, self.info.name, rows)
+        return records
 
-        buckets: dict[int, list] = {}
-        for row in rows:
-            index = int(row["event_index"])
-            if not 1 <= index <= len(story.events):
-                raise ProtocolError(f"backend asserted a state for unknown event {index}")
-            buckets.setdefault(index, []).append((row["entity"], row["attribute"], row["state"]))
-        self._buckets[key] = buckets
-        return buckets
+    def event_states(self, story, index, targets):
+        """(entity, attribute, state) triples of event `index` alone: a
+        per-event view of :meth:`story_states`; each call costs a whole
+        ``story_states`` call, one state prompt unless the cache holds it."""
+        return [
+            (r.entity, r.attribute, r.state)
+            for r in self.story_states(story, targets)
+            if r.event_index == index
+        ]
 
-    def _parse_records(self, response: str, num_events: int) -> list[dict]:
+    # -- internals -------------------------------------------------------------
+
+    def _parse_records(self, response: str) -> list[dict]:
         rows = []
         for line in response.splitlines():
             if not line.strip():

@@ -12,6 +12,7 @@ the events the whole chain observed.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -50,10 +51,9 @@ class SceneGraph:
 
 @dataclass(frozen=True)
 class MaskedView:
-    """Events that survived masking, with the chain that produced the mask."""
+    """Events that survived masking, with their (augmented) texts."""
 
     surviving: tuple[int, ...]
-    chain: tuple[str, ...]
     texts: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -61,36 +61,41 @@ class MaskedView:
             raise ValidationError("surviving indices must be strictly increasing")
 
 
-class _LocationReplay:
-    """Per-event resolved character locations, derived from records."""
+def _location_tracks(
+    story: Story,
+    records: list[EntityStateRecord],
+    anchors: list[LocationAnchor],
+    names: Iterable[str],
+) -> dict[str, list[str | None]]:
+    """Each named character's room after every event, from its own records.
 
-    def __init__(self, story: Story, records: list[EntityStateRecord], anchors: list[LocationAnchor]):
-        person = {c.casefold() for c in story.characters}
-        by_event: dict[int, list[EntityStateRecord]] = {}
-        for r in records:
-            if not 1 <= r.event_index <= len(story.events):
-                raise ValidationError(f"record references unknown event index {r.event_index}")
-            by_event.setdefault(r.event_index, []).append(r)
-
-        current: dict[str, str | None] = {c: None for c in person}
-        self.after: list[dict[str, str | None]] = [dict(current)]
-        for index in range(1, len(story.events) + 1):
-            for r in by_event.get(index, ()):
-                if r.attribute == LOCATION and r.entity.casefold() in person:
-                    anchor = canonicalize_location(r.state, anchors)
-                    current[r.entity.casefold()] = anchor.name if anchor else None
-            self.after.append(dict(current))
-        self.by_event = by_event
-        self.person = person
-
-    def location(self, name: str, index: int) -> str | None:
-        """Location after the records of event `index` applied (index 0 = start)."""
-        return self.after[index][name.casefold()]
+    Keys are casefolded names. ``track[i]`` is the room once the records of
+    event `i` apply; ``track[0]``, before the story, is the null node.
+    """
+    n = len(story.events)
+    moves: dict[str, dict[int, str | None]] = {name.casefold(): {} for name in names}
+    for r in records:
+        if not 1 <= r.event_index <= n:
+            raise ValidationError(f"record references unknown event index {r.event_index}")
+        own = moves.get(r.entity.casefold()) if r.attribute == LOCATION else None
+        if own is not None:
+            anchor = canonicalize_location(r.state, anchors)
+            own[r.event_index] = anchor.name if anchor else None
+    tracks: dict[str, list[str | None]] = {}
+    for key, own in moves.items():
+        room = None
+        track = [room]
+        for index in range(1, n + 1):
+            room = own.get(index, room)
+            track.append(room)
+        tracks[key] = track
+    return tracks
 
 
 def _container_rooms(
     story: Story,
-    replay: _LocationReplay,
+    located: dict[int, list[EntityStateRecord]],
+    tracks: dict[str, list[str | None]],
     anchors: list[LocationAnchor],
 ) -> dict[str, str]:
     """Room of each container, resolved story-wide.
@@ -100,15 +105,13 @@ def _container_rooms(
     the container is in that room).
     """
     rooms: dict[str, str] = {}
-    for index in range(1, len(story.events) + 1):
-        event = story.event(index)
-        actor_room = None
-        actors = [n for n in leading_subjects(event.text) if n.casefold() in replay.person]
-        if actors:
-            actor_room = replay.location(actors[0], index)
-        for r in replay.by_event.get(index, ()):
-            if r.attribute != LOCATION or r.entity.casefold() in replay.person:
-                continue
+    for index, event in enumerate(story.events, start=1):
+        objects = [r for r in located.get(index, ()) if r.entity.casefold() not in tracks]
+        if not objects:
+            continue
+        actors = [n for n in leading_subjects(event.text) if n.casefold() in tracks]
+        actor_room = tracks[actors[0].casefold()][index] if actors else None
+        for r in objects:
             anchor = canonicalize_location(r.state, anchors)
             if anchor is not None:
                 rooms[normalize_place(r.entity)] = anchor.name
@@ -131,49 +134,38 @@ def build_omniscient_graph(
     """
     if not anchors:
         raise ValidationError("cannot build a scene graph without location anchors")
-    replay = _LocationReplay(story, records, anchors)
-    container_rooms = _container_rooms(story, replay, anchors)
+    tracks = _location_tracks(story, records, anchors, story.characters)
+    located: dict[int, list[EntityStateRecord]] = {}
+    for r in records:
+        if r.attribute == LOCATION:
+            located.setdefault(r.event_index, []).append(r)
+    container_rooms = _container_rooms(story, located, tracks, anchors)
 
     assignment: list[str | None] = []
     previous: str | None = None
-    for index in range(1, len(story.events) + 1):
-        event = story.event(index)
+    for index, event in enumerate(story.events, start=1):
         room: str | None = None
-
-        person_records = [
-            r
-            for r in replay.by_event.get(index, ())
-            if r.attribute == LOCATION and r.entity.casefold() in replay.person
-        ]
-        actors = [n for n in leading_subjects(event.text) if n.casefold() in replay.person]
+        here = located.get(index, ())
+        movers = [r.entity.casefold() for r in here if r.entity.casefold() in tracks]
+        actors = [n for n in leading_subjects(event.text) if n.casefold() in tracks]
         if story.kind == DIALOGUE_KIND and event.speaker is not None:
             actors = [event.speaker] + actors
 
-        if person_records:
-            arrived = next(
-                (a for r in person_records if (a := canonicalize_location(r.state, anchors))), None
-            )
-            if arrived is not None:
-                room = arrived.name
-            else:
-                # All movement records negate: an exit. The room being exited
-                # is where the mover stood before this event.
-                room = replay.location(person_records[0].entity, index - 1)
+        if movers:
+            # A mover's arrival names the room; when every mover leaves (an
+            # exit), the room being exited is where the first stood before.
+            room = next((tracks[m][index] for m in movers if tracks[m][index] is not None), None)
+            if room is None:
+                room = tracks[movers[0]][index - 1]
         elif actors:
-            room = replay.location(actors[0], index)
-        else:
-            object_records = [
-                r
-                for r in replay.by_event.get(index, ())
-                if r.attribute == LOCATION and r.entity.casefold() not in replay.person
-            ]
-            if object_records:
-                state = object_records[0].state
-                anchor = canonicalize_location(state, anchors)
-                if anchor is not None:
-                    room = anchor.name
-                else:
-                    room = container_rooms.get(normalize_place(state), previous)
+            room = tracks[actors[0].casefold()][index]
+        elif here:
+            state = here[0].state
+            anchor = canonicalize_location(state, anchors)
+            if anchor is not None:
+                room = anchor.name
+            else:
+                room = container_rooms.get(normalize_place(state), previous)
 
         assignment.append(room)
         if room is not None:
@@ -201,18 +193,12 @@ def build_character_graph(
         raise ValidationError(f"{character!r} is not a character of the story")
     if len(omniscient) != len(story.events):
         raise ValidationError("omniscient graph does not cover the story")
-    replay = _LocationReplay(story, records, anchors)
-    assignment: list[str | None] = []
-    for index in range(1, len(story.events) + 1):
-        room = omniscient.room(index)
-        if room is not None and room in (
-            replay.location(character, index),
-            replay.location(character, index - 1),
-        ):
-            assignment.append(room)
-        else:
-            assignment.append(NULL)
-    return SceneGraph(assignment=tuple(assignment), location_set=omniscient.location_set)
+    track = _location_tracks(story, records, anchors, [character])[character.casefold()]
+    assignment = tuple(
+        room if room is not None and room in (track[index], track[index - 1]) else NULL
+        for index, room in enumerate(omniscient.assignment, start=1)
+    )
+    return SceneGraph(assignment=assignment, location_set=omniscient.location_set)
 
 
 def mask(g: SceneGraph, gc: SceneGraph) -> SceneGraph:
@@ -234,17 +220,13 @@ def mask_chain(g: SceneGraph, chain: list[SceneGraph]) -> SceneGraph:
     return masked
 
 
-def retrieve_events(
-    masked: SceneGraph, augmented_texts: list[str], chain: tuple[str, ...] = ()
-) -> MaskedView:
+def retrieve_events(masked: SceneGraph, augmented_texts: list[str]) -> MaskedView:
     """Surviving event indices with their (augmented) texts, in story order."""
     if len(augmented_texts) != len(masked):
         raise ValidationError("augmented texts are not aligned with the graph")
     surviving = masked.surviving()
     return MaskedView(
-        surviving=surviving,
-        chain=chain,
-        texts=tuple(augmented_texts[i - 1] for i in surviving),
+        surviving=surviving, texts=tuple(augmented_texts[i - 1] for i in surviving)
     )
 
 

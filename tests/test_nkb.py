@@ -24,11 +24,10 @@ RECORD_SHAPE = re.compile(r"^.+ of .+ becomes .+$")
 
 
 def _apply_lines(lines):
-    world = RuleWorldState.initial()
+    world = RuleWorldState()
     records = []
     for i, text in enumerate(lines, start=1):
-        world, emitted = rule_backend_apply(world, Event(index=i, text=text))
-        records.extend(emitted)
+        records.extend(rule_backend_apply(world, Event(index=i, text=text)))
     return world, records
 
 
@@ -128,21 +127,35 @@ def test_generate_states_requires_targets(cupboard_story, backend):
 def test_character_location_persistence(cupboard_setup):
     # Without a location record at event i, a character's resolved location
     # at i equals its location at i-1; before any record it is null.
-    from mindmask.scene import _LocationReplay
+    from mindmask.scene import _location_tracks
 
     story, _, records, anchors, _ = cupboard_setup
-    replay = _LocationReplay(story, records, anchors)
+    tracks = _location_tracks(story, records, anchors, story.characters)
     recorded = {
         (r.event_index, r.entity.casefold()) for r in records if r.attribute == "location"
     }
     for name in story.characters:
-        assert replay.location(name, 0) is None
+        track = tracks[name.casefold()]
+        assert len(track) == len(story.events) + 1
+        assert track[0] is None
         for index in range(1, len(story.events) + 1):
             if (index, name.casefold()) not in recorded:
-                assert replay.location(name, index) == replay.location(name, index - 1)
-    assert replay.location("Emily", 0) is None
-    assert replay.location("Emily", 3) == "crawlspace"
-    assert replay.location("Emily", 10) is None
+                assert track[index] == track[index - 1]
+        # One character's track alone matches its slice of the full set.
+        assert _location_tracks(story, records, anchors, [name]) == {name.casefold(): track}
+    emily = tracks["emily"]
+    assert emily[0] is None
+    assert emily[3] == "crawlspace"
+    assert emily[10] is None
+
+
+def test_event_states_is_a_slice_of_story_states(cupboard_story, melon_story, backend):
+    for story in (cupboard_story, melon_story):
+        targets = [EntityAttribute(c, "location") for c in story.characters]
+        records = backend.story_states(story, targets)
+        for i in range(1, len(story.events) + 1):
+            expected = [(r.entity, r.attribute, r.state) for r in records if r.event_index == i]
+            assert backend.event_states(story, i, targets) == expected
 
 
 def test_identify_key_entities_cupboard(cupboard_setup):

@@ -21,7 +21,7 @@ from mindmask.pipeline import (
 )
 from mindmask.question import parse_question
 from mindmask.scene import MaskedView
-from mindmask.nkb import EntityStateRecord
+from mindmask.nkb import BackendInfo, EntityStateRecord, RuleBackend, StateBackend
 from mindmask.worldgen import GrammarConfig, generate_story
 
 
@@ -61,7 +61,7 @@ def test_no_ki_does_not_change_symbolic_answers(melon_story, melon_question):
 
 def test_symbolic_reader_masked_view(melon_setup):
     story, q, records, anchors, omniscient = melon_setup
-    view = MaskedView(surviving=(1, 2, 3, 4, 5, 6, 7, 14), chain=q.chain_names)
+    view = MaskedView(surviving=(1, 2, 3, 4, 5, 6, 7, 14))
     from mindmask.question import reduce_order
 
     assert symbolic_reader(view, reduce_order(q), records) == "blue pantry"
@@ -71,7 +71,7 @@ def test_symbolic_reader_partial_observer_view(cupboard_setup):
     # Abigail's view misses the move at event 7, so the last record she saw
     # still places the t-shirt in the cupboard.
     story, questions, records, _, _ = cupboard_setup
-    view = MaskedView(surviving=(2, 3, 4, 5, 6, 11), chain=("Abigail",))
+    view = MaskedView(surviving=(2, 3, 4, 5, 6, 11))
     q = parse_question("Where does Abigail think the t-shirt is?", story)
     assert symbolic_reader(view, q, records) == "cupboard"
 
@@ -87,20 +87,20 @@ def test_symbolic_reader_normalizes_against_answer_space(cupboard_story):
     records = [EntityStateRecord(1, "ball", "location", "in the Wooden-Box")]
     q = parse_question("Where is the ball really?", cupboard_story)
     q = dataclasses.replace(q, answer_space=("wooden box", "tin can"))
-    view = MaskedView(surviving=(1,), chain=())
+    view = MaskedView(surviving=(1,))
     assert symbolic_reader(view, q, records) == "wooden box"
 
 
 def test_symbolic_reader_declaration_fallback(cupboard_story):
     records = [EntityStateRecord(1, "ball", "location", "in the box")]
     q = parse_question("Where is the ball really?", cupboard_story)
-    view = MaskedView(surviving=(), chain=())
+    view = MaskedView(surviving=())
     assert symbolic_reader(view, q, records) == "box"
 
 
 def test_symbolic_reader_abstains_without_records(cupboard_story):
     q = parse_question("Where is the ball really?", cupboard_story)
-    view = MaskedView(surviving=(1,), chain=())
+    view = MaskedView(surviving=(1,))
     assert symbolic_reader(view, q, []) == ABSTAIN
 
 
@@ -303,6 +303,55 @@ def test_off_grammar_lines_never_crash_the_pipeline():
         story = parse_story("\n".join(lines))
         q = parse_question("Where does Ava think the coin is?", story)
         assert isinstance(run_pipeline(story, q, PipelineConfig()), str)
+
+
+@pytest.mark.parametrize("room", ["kitchen", "left wing", "outside patio"])
+def test_room_names_with_negation_words_match_the_oracle(room):
+    # Entering "the left wing" must place Mia there even though "left" is a
+    # negation word; only the exit records resolve to the null node.
+    from mindmask.story import parse_story
+    from mindmask.worldgen import simulate_beliefs
+
+    story = parse_story(
+        f"Mia entered the {room}.\nBen entered the {room}.\nThe ball is in the box.\n"
+        f"Ben moved the ball to the basket.\nMia exited the {room}.\nBen exited the {room}."
+    )
+    q = parse_question("Where does Mia think the ball is?", story)
+    gold = simulate_beliefs(story, q.chain_names, q.target_entity)
+    assert gold == "basket"
+    assert run_pipeline(story, q, PipelineConfig()) == gold
+
+
+class StoryStatesOnly:
+    """A state backend with nothing but the protocol's three queries."""
+
+    info = BackendInfo(name="story-states-only", deterministic=True)
+
+    def __init__(self):
+        self.rule = RuleBackend()
+        self.state_calls = []
+
+    def key_entities(self, story, questions):
+        return self.rule.key_entities(story, questions)
+
+    def location_names(self, story):
+        return self.rule.location_names(story)
+
+    def story_states(self, story, targets):
+        self.state_calls.append(story)
+        return self.rule.story_states(story, targets)
+
+
+def test_pipeline_asks_for_states_once_per_story():
+    items = _dataset(4, num_characters=3, max_order=2, allow_reentry=True)
+    backend = StoryStatesOnly()
+    assert isinstance(backend, StateBackend)
+    cfg = PipelineConfig(nkb_backend=backend)
+    for story, questions in items:
+        artifacts = prepare_story(story, questions, cfg)
+        for q in questions:
+            assert answers_match(answer_question(artifacts, q, cfg).predicted, q.gold)
+    assert backend.state_calls == [story for story, _ in items]
 
 
 def test_complexity_renderers():

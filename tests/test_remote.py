@@ -160,6 +160,22 @@ def test_remote_unknown_event_index_is_protocol_error(cupboard_story):
         generate_states(cupboard_story, [EntityAttribute("t-shirt", "location")], backend)
 
 
+def test_unknown_event_index_is_never_cached(cupboard_story, tmp_path):
+    targets = [EntityAttribute("t-shirt", "location")]
+    client, _ = make_client(["- 99: location of ball becomes in basket"])
+    backend = RemoteBackend(client, cache=RecordCache(tmp_path))
+    with pytest.raises(ProtocolError):
+        generate_states(cupboard_story, targets, backend)
+    assert list(tmp_path.glob("*.jsonl")) == []
+
+    # A fresh backend on the same directory asks the model again.
+    client2, transport2 = make_client(["- 4: location of T-shirt becomes in the cupboard"])
+    backend2 = RemoteBackend(client2, cache=RecordCache(tmp_path))
+    records = generate_states(cupboard_story, targets, backend2)
+    assert len(transport2.requests) == 1
+    assert [r.event_index for r in records] == [4]
+
+
 def test_record_cache_round_trip(cupboard_story, tmp_path):
     reply = "- 4: location of T-shirt becomes in the cupboard"
     targets = [EntityAttribute("t-shirt", "location")]
@@ -197,7 +213,7 @@ def test_remote_answerer_prompt(melon_setup):
     story, q, records, anchors, omniscient = melon_setup
     client, transport = make_client(["<answer>blue pantry</answer>"])
     answerer = RemoteAnswerer(client)
-    view = MaskedView(surviving=(1, 2), chain=(), texts=("1: a", "2: b"))
+    view = MaskedView(surviving=(1, 2), texts=("1: a", "2: b"))
     raw = answerer.answer(view, q, ("blue pantry", "red bucket"))
     assert raw == "<answer>blue pantry</answer>"
     prompt = transport.requests[0]["payload"]["messages"][0]["content"]

@@ -143,7 +143,7 @@ def test_retrieve_events(melon_setup):
     graphs = [build_character_graph(story, records, anchors, c, omniscient) for c in q.chain_names]
     masked = mask_chain(omniscient, graphs)
     texts = [e.text for e in story.events]
-    view = retrieve_events(masked, texts, chain=q.chain_names)
+    view = retrieve_events(masked, texts)
     assert view.surviving == (1, 2, 3, 4, 5, 6, 7, 14)
     assert view.texts[0] == story.events[0].text
     assert view.texts[-1] == story.events[13].text
