@@ -16,9 +16,9 @@ from .pipeline import (
     complexity_report,
     complexity_table,
     evaluate,
+    mask_question,
     prepare_story,
 )
-from .scene import mask_chain, retrieve_events
 from .worldgen import GrammarConfig, generate_story
 
 
@@ -118,12 +118,7 @@ def _cmd_mask(args):
     if not 0 <= args.question < len(questions):
         sys.exit(f"question index {args.question} out of range 0..{len(questions) - 1}")
     q = questions[args.question]
-    masked = artifacts.omniscient
-    if q.order >= 1:
-        masked = mask_chain(
-            artifacts.omniscient, [artifacts.character_graph(c) for c in q.chain_names]
-        )
-    view = retrieve_events(masked, artifacts.view_texts(cfg.inject_knowledge))
+    masked, view = mask_question(artifacts, q, cfg)
     if args.dump_graphs:
         graphs = {"omniscient": artifacts.omniscient.to_json(), "masked": masked.to_json()}
         for name in q.chain_names:

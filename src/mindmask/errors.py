@@ -31,3 +31,7 @@ class ProtocolError(MindmaskError):
 
 class QuestionParseError(MindmaskError):
     """A question matched no supported template."""
+
+
+class CacheFormatError(MindmaskError):
+    """A record cache file holds a line that does not decode; names the file and line."""

@@ -90,9 +90,12 @@ class StateBackend(Protocol):
         ...
 
 
+# Single-letter hyphenations (t-shirt, x-ray) conventionally capitalize.
+_HYPHENATED_LETTER_RE = re.compile(r"^[a-z]-")
+
+
 def display_name(name: str) -> str:
-    # Single-letter hyphenations (t-shirt, x-ray) conventionally capitalize.
-    if re.match(r"^[a-z]-", name):
+    if _HYPHENATED_LETTER_RE.match(name):
         return name[0].upper() + name[1:]
     return name
 

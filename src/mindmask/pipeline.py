@@ -72,6 +72,7 @@ class StoryArtifacts:
     augmented: list[AugmentedEvent]
     omniscient: SceneGraph
     _char_graphs: dict[str, SceneGraph] = field(default_factory=dict)
+    _texts: dict[bool, list[str]] = field(default_factory=dict)
 
     def character_graph(self, name: str) -> SceneGraph:
         key = name.casefold()
@@ -82,9 +83,15 @@ class StoryArtifacts:
         return self._char_graphs[key]
 
     def view_texts(self, with_knowledge: bool) -> list[str]:
-        if with_knowledge:
-            return [a.render(numbered=True) for a in self.augmented]
-        return [f"{e.index}: {e.text}" for e in self.story.events]
+        """Numbered event texts, with injected bullets when `with_knowledge`;
+        rendered once per story."""
+        if with_knowledge not in self._texts:
+            if with_knowledge:
+                texts = [a.render(numbered=True) for a in self.augmented]
+            else:
+                texts = [f"{e.index}: {e.text}" for e in self.story.events]
+            self._texts[with_knowledge] = texts
+        return self._texts[with_knowledge]
 
 
 @dataclass(frozen=True)
@@ -110,13 +117,25 @@ def prepare_story(story: Story, questions: list[ToMQuestion], cfg: PipelineConfi
     )
 
 
-def answer_question(artifacts: StoryArtifacts, q: ToMQuestion, cfg: PipelineConfig) -> QuestionOutcome:
+def mask_question(
+    artifacts: StoryArtifacts, q: ToMQuestion, cfg: PipelineConfig
+) -> tuple[SceneGraph, MaskedView]:
+    """The question's masked graph and the events that survive it.
+
+    With masking on, a question of order 1 or more folds its chain's
+    character graphs over the omniscient graph; otherwise the omniscient
+    graph stands and every event with a room survives.
+    """
     masked = artifacts.omniscient
     if cfg.apply_masking and q.order >= 1:
         masked = mask_chain(
             artifacts.omniscient, [artifacts.character_graph(c) for c in q.chain_names]
         )
-    view = retrieve_events(masked, artifacts.view_texts(cfg.inject_knowledge))
+    return masked, retrieve_events(masked, artifacts.view_texts(cfg.inject_knowledge))
+
+
+def answer_question(artifacts: StoryArtifacts, q: ToMQuestion, cfg: PipelineConfig) -> QuestionOutcome:
+    _, view = mask_question(artifacts, q, cfg)
     empty_view = not view.surviving
 
     asked = q

@@ -14,13 +14,14 @@ import json
 import logging
 import os
 import re
+import tempfile
 import urllib.error
 import urllib.request
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .errors import BackendError, ExtractionError, ProtocolError
+from .errors import BackendError, CacheFormatError, ExtractionError, ProtocolError
 from .nkb import BackendInfo, EntityAttribute, EntityStateRecord
 from .story import Story
 
@@ -121,11 +122,28 @@ class RecordCache:
         path = self._path(story, targets, backend_name)
         if not path.exists():
             return None
-        return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines() if line]
+        rows = []
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+            if not line:
+                continue
+            try:
+                rows.append(json.loads(line))
+            except json.JSONDecodeError as exc:
+                raise CacheFormatError(f"{path}: line {lineno} does not decode: {exc}") from exc
+        return rows
 
     def store(self, story, targets, backend_name, rows: list[dict]) -> None:
+        """Write the rows to a temporary file beside the entry, then rename it
+        over the entry, so an interrupted store never leaves a partial file."""
         path = self._path(story, targets, backend_name)
-        path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=f".{path.name}.", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write("".join(json.dumps(row) + "\n" for row in rows))
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
 
 class RemoteBackend:

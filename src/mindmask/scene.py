@@ -1,19 +1,26 @@
 """Spatial scene graphs and the iterative masking operator.
 
 A scene graph assigns every event of a story to the room where it happens,
-or to the null node (``None``) when the room is unknown. The omniscient
-graph resolves rooms from entity-state records; a character-centric graph
-keeps only the events whose room the character shared at the time. Masking
-one graph by another nulls every event the second graph cannot see, so
-folding a belief chain's graphs over the omniscient graph leaves exactly
-the events the whole chain observed.
+or to the null node (``None``) when the room is unknown. Its ``bits`` holds
+the same graph as an integer: bit i-1 is set when event i has a room.
+
+:func:`build_omniscient_graph` does a story's scene work in one pass over
+its records. It resolves each distinct location string once, computes
+every character's room track, and assigns each event its room. The graph it
+returns carries one observation bitset per character: bit i-1 is set when
+event i's room is the character's room before or after the event. A
+character-centric graph is a view of that bitset. Masking one graph by
+another nulls every event the second graph cannot see, which is an integer
+AND, so folding a belief chain's graphs over the omniscient graph leaves
+exactly the events the whole chain observed.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import ValidationError
 from .nkb import LOCATION, EntityStateRecord, LocationAnchor, canonicalize_location
@@ -25,19 +32,40 @@ NULL = None
 
 
 @dataclass(frozen=True)
+class _Observations:
+    """Each character's observation bitset, by casefolded name, and the
+    records and anchors the bitsets were computed from."""
+
+    records: list[EntityStateRecord]
+    anchors: list[LocationAnchor]
+    bits: dict[str, int]
+
+
+@dataclass(frozen=True)
 class SceneGraph:
     """Total assignment of 1-based event indices to rooms (or the null node)."""
 
     assignment: tuple[str | None, ...]
     location_set: frozenset[str]
+    # Set on graphs from build_omniscient_graph only.
+    _observations: _Observations | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
-        for room in self.assignment:
-            if room is not None and room not in self.location_set:
-                raise ValidationError(f"assignment uses {room!r}, not in the location set")
+        rooms = set(self.assignment)
+        rooms.discard(NULL)
+        if not rooms <= self.location_set:
+            room = next(r for r in self.assignment if r is not None and r not in self.location_set)
+            raise ValidationError(f"assignment uses {room!r}, not in the location set")
 
     def __len__(self) -> int:
         return len(self.assignment)
+
+    @cached_property
+    def bits(self) -> int:
+        """The events with a room, as an integer: bit i-1 stands for event i."""
+        return _bits(room is not None for room in self.assignment)
 
     def room(self, index: int) -> str | None:
         return self.assignment[index - 1]
@@ -47,6 +75,20 @@ class SceneGraph:
 
     def to_json(self) -> dict:
         return {"assignment": {str(i): room for i, room in enumerate(self.assignment, start=1)}}
+
+
+def _bits(flags) -> int:
+    """The integer whose bit i-1 is the i-th flag."""
+    return int("".join(["1" if flag else "0" for flag in flags][::-1]) or "0", 2)
+
+
+def _view(graph: SceneGraph, bits: int) -> SceneGraph:
+    """`graph` with every event outside `bits` nulled, its bits already set."""
+    flags = format(bits, "b").zfill(len(graph))[::-1]
+    assignment = tuple(room if flag == "1" else NULL for room, flag in zip(graph.assignment, flags))
+    view = SceneGraph(assignment=assignment, location_set=graph.location_set)
+    view.__dict__["bits"] = bits  # seeds the cached property
+    return view
 
 
 @dataclass(frozen=True)
@@ -61,17 +103,33 @@ class MaskedView:
             raise ValidationError("surviving indices must be strictly increasing")
 
 
+def _resolver(anchors: list[LocationAnchor]):
+    """Room name (or None) of a location string, resolved once per string."""
+    rooms: dict[str, str | None] = {}
+
+    def resolve(state: str) -> str | None:
+        if state not in rooms:
+            anchor = canonicalize_location(state, anchors)
+            rooms[state] = anchor.name if anchor else None
+        return rooms[state]
+
+    return resolve
+
+
 def _location_tracks(
     story: Story,
     records: list[EntityStateRecord],
     anchors: list[LocationAnchor],
     names: Iterable[str],
+    resolve=None,
 ) -> dict[str, list[str | None]]:
     """Each named character's room after every event, from its own records.
 
     Keys are casefolded names. ``track[i]`` is the room once the records of
     event `i` apply; ``track[0]``, before the story, is the null node.
+    `resolve` is a :func:`_resolver` of the anchors, made here when absent.
     """
+    resolve = resolve or _resolver(anchors)
     n = len(story.events)
     moves: dict[str, dict[int, str | None]] = {name.casefold(): {} for name in names}
     for r in records:
@@ -79,8 +137,7 @@ def _location_tracks(
             raise ValidationError(f"record references unknown event index {r.event_index}")
         own = moves.get(r.entity.casefold()) if r.attribute == LOCATION else None
         if own is not None:
-            anchor = canonicalize_location(r.state, anchors)
-            own[r.event_index] = anchor.name if anchor else None
+            own[r.event_index] = resolve(r.state)
     tracks: dict[str, list[str | None]] = {}
     for key, own in moves.items():
         room = None
@@ -92,11 +149,19 @@ def _location_tracks(
     return tracks
 
 
+def _observed(assignment: tuple[str | None, ...], track: list[str | None]) -> int:
+    """Bitset of the events whose room is the track's room before or after."""
+    return _bits(
+        room is not None and (room == after or room == before)
+        for room, after, before in zip(assignment, track[1:], track)
+    )
+
+
 def _container_rooms(
-    story: Story,
     located: dict[int, list[EntityStateRecord]],
+    actors: list[list[str]],
     tracks: dict[str, list[str | None]],
-    anchors: list[LocationAnchor],
+    resolve,
 ) -> dict[str, str]:
     """Room of each container, resolved story-wide.
 
@@ -105,16 +170,16 @@ def _container_rooms(
     the container is in that room).
     """
     rooms: dict[str, str] = {}
-    for index, event in enumerate(story.events, start=1):
-        objects = [r for r in located.get(index, ()) if r.entity.casefold() not in tracks]
+    for index, here in sorted(located.items()):
+        objects = [r for r in here if r.entity.casefold() not in tracks]
         if not objects:
             continue
-        actors = [n for n in leading_subjects(event.text) if n.casefold() in tracks]
-        actor_room = tracks[actors[0].casefold()][index] if actors else None
+        actor = actors[index - 1]
+        actor_room = tracks[actor[0].casefold()][index] if actor else None
         for r in objects:
-            anchor = canonicalize_location(r.state, anchors)
-            if anchor is not None:
-                rooms[normalize_place(r.entity)] = anchor.name
+            room = resolve(r.state)
+            if room is not None:
+                rooms[normalize_place(r.entity)] = room
             else:
                 place = normalize_place(r.state)
                 if place and actor_room is not None:
@@ -130,16 +195,23 @@ def build_omniscient_graph(
     Events with an acting character take the actor's resolved room (an exit
     keeps the room being exited). Object declarations take the room holding
     the container, resolved after the whole story is read, falling back to
-    the previous event's room. Unresolvable events get the null node.
+    the previous event's room. Unresolvable events get the null node. The
+    graph carries every character's observation bitset, for
+    :func:`build_character_graph`.
     """
     if not anchors:
         raise ValidationError("cannot build a scene graph without location anchors")
-    tracks = _location_tracks(story, records, anchors, story.characters)
+    resolve = _resolver(anchors)
+    tracks = _location_tracks(story, records, anchors, story.characters, resolve)
     located: dict[int, list[EntityStateRecord]] = {}
     for r in records:
         if r.attribute == LOCATION:
             located.setdefault(r.event_index, []).append(r)
-    container_rooms = _container_rooms(story, located, tracks, anchors)
+    actors = [
+        [n for n in leading_subjects(event.text) if n.casefold() in tracks]
+        for event in story.events
+    ]
+    container_rooms = _container_rooms(located, actors, tracks, resolve)
 
     assignment: list[str | None] = []
     previous: str | None = None
@@ -147,9 +219,9 @@ def build_omniscient_graph(
         room: str | None = None
         here = located.get(index, ())
         movers = [r.entity.casefold() for r in here if r.entity.casefold() in tracks]
-        actors = [n for n in leading_subjects(event.text) if n.casefold() in tracks]
+        acting = actors[index - 1]
         if story.kind == DIALOGUE_KIND and event.speaker is not None:
-            actors = [event.speaker] + actors
+            acting = [event.speaker] + acting
 
         if movers:
             # A mover's arrival names the room; when every mover leaves (an
@@ -157,22 +229,23 @@ def build_omniscient_graph(
             room = next((tracks[m][index] for m in movers if tracks[m][index] is not None), None)
             if room is None:
                 room = tracks[movers[0]][index - 1]
-        elif actors:
-            room = tracks[actors[0].casefold()][index]
+        elif acting:
+            room = tracks[acting[0].casefold()][index]
         elif here:
             state = here[0].state
-            anchor = canonicalize_location(state, anchors)
-            if anchor is not None:
-                room = anchor.name
-            else:
+            room = resolve(state)
+            if room is None:
                 room = container_rooms.get(normalize_place(state), previous)
 
         assignment.append(room)
         if room is not None:
             previous = room
-    return SceneGraph(
+    graph = SceneGraph(
         assignment=tuple(assignment), location_set=frozenset(a.name for a in anchors)
     )
+    observed = {key: _observed(graph.assignment, track) for key, track in tracks.items()}
+    object.__setattr__(graph, "_observations", _Observations(records, anchors, observed))
+    return graph
 
 
 def build_character_graph(
@@ -187,37 +260,40 @@ def build_character_graph(
     A character witnesses an event when the event's room matches the place
     the character was in immediately before or after the event's records
     apply; the "after" side makes arrivals self-observed, the "before" side
-    makes departures self-observed.
+    makes departures self-observed. The witnessed events are the observation
+    bitset the omniscient graph carries when it was built from these same
+    records and anchors; otherwise the character's track is computed here.
     """
     if not story.has_character(character):
         raise ValidationError(f"{character!r} is not a character of the story")
     if len(omniscient) != len(story.events):
         raise ValidationError("omniscient graph does not cover the story")
-    track = _location_tracks(story, records, anchors, [character])[character.casefold()]
-    assignment = tuple(
-        room if room is not None and room in (track[index], track[index - 1]) else NULL
-        for index, room in enumerate(omniscient.assignment, start=1)
-    )
-    return SceneGraph(assignment=assignment, location_set=omniscient.location_set)
+    key = character.casefold()
+    seen = omniscient._observations
+    if seen is not None and seen.records is records and seen.anchors is anchors:
+        bits = seen.bits[key]
+    else:
+        track = _location_tracks(story, records, anchors, [character])[key]
+        bits = _observed(omniscient.assignment, track)
+    return _view(omniscient, bits)
 
 
 def mask(g: SceneGraph, gc: SceneGraph) -> SceneGraph:
     """Null every event of `g` that is null in `gc`; the masking operator."""
-    if len(g) != len(gc):
-        raise ValidationError(f"cannot mask graphs of different sizes ({len(g)} vs {len(gc)})")
-    assignment = tuple(
-        room if room is not None and other is not None else NULL
-        for room, other in zip(g.assignment, gc.assignment)
-    )
-    return SceneGraph(assignment=assignment, location_set=g.location_set)
+    return mask_chain(g, [gc])
 
 
 def mask_chain(g: SceneGraph, chain: list[SceneGraph]) -> SceneGraph:
-    """Left fold of :func:`mask` over the chain; the empty chain is identity."""
-    masked = g
+    """Left fold of :func:`mask` over the chain, as one AND of the graphs'
+    bits; the empty chain is identity."""
+    if not chain:
+        return g
+    bits = g.bits
     for gc in chain:
-        masked = mask(masked, gc)
-    return masked
+        if len(g) != len(gc):
+            raise ValidationError(f"cannot mask graphs of different sizes ({len(g)} vs {len(gc)})")
+        bits &= gc.bits
+    return _view(g, bits)
 
 
 def retrieve_events(masked: SceneGraph, augmented_texts: list[str]) -> MaskedView:

@@ -41,6 +41,7 @@ _NAME = r"[A-Z][a-z]+"
 _NAME_LIST = rf"{_NAME}(?:\s*,\s*{_NAME})*(?:,? and {_NAME})?"
 _SUBJECT_RE = re.compile(rf"^({_NAME_LIST})\s+([a-z]+)")
 _SPEAKER_RE = re.compile(r"^([A-Z][A-Za-z .'-]{0,40}?):\s+(\S.*)$")
+_NAME_SEP_RE = re.compile(r"\s*,\s*(?:and\s+)?|\s+and\s+")
 
 
 @dataclass(frozen=True)
@@ -103,7 +104,7 @@ class Story:
 
 def split_name_list(subject: str) -> list[str]:
     """Break ``"Ava, Ben and Cleo"`` into names; Oxford commas welcome."""
-    return [n for n in re.split(r"\s*,\s*(?:and\s+)?|\s+and\s+", subject) if n]
+    return [n for n in _NAME_SEP_RE.split(subject) if n]
 
 
 def leading_subjects(text: str, verbs=AGENTIVE_VERBS) -> list[str]:

@@ -12,13 +12,14 @@ LEADING_PREPOSITIONS = {"in", "at", "on", "inside", "into", "within", "near"}
 NEGATION_TOKENS = {"outside", "absent", "left", "away"}
 _NOT_IN_RE = re.compile(r"\bnot\s+in\b")
 _WORD_RE = re.compile(r"[a-z]+")
+_PUNCT_RE = re.compile(r"[^\w\s]")
 
 
 def normalize_place(raw: str) -> str:
     """Lowercase a place phrase and drop punctuation, hyphens, articles, and
     leading prepositions: ``"in the Waiting-Room."`` -> ``"waiting room"``."""
     s = raw.casefold().replace("-", " ")
-    s = re.sub(r"[^\w\s]", " ", s)
+    s = _PUNCT_RE.sub(" ", s)
     tokens = s.split()
     while tokens and tokens[0] in LEADING_PREPOSITIONS:
         tokens.pop(0)
@@ -36,6 +37,6 @@ def is_negated_place(raw: str) -> bool:
 def normalize_answer(raw: str) -> str:
     """Answer-matching normal form: lowercase, no punctuation, no articles."""
     s = raw.casefold().replace("-", " ")
-    s = re.sub(r"[^\w\s]", " ", s)
+    s = _PUNCT_RE.sub(" ", s)
     tokens = [t for t in s.split() if t not in ARTICLES]
     return " ".join(tokens)

@@ -71,6 +71,38 @@ def test_mask_command_dumps_graphs(dataset_path, capsys):
     assert '"omniscient"' in printed
 
 
+def _surviving(printed):
+    line = next(l for l in printed.splitlines() if l.startswith("surviving events: "))
+    return json.loads(line.split(": ", 1)[1])
+
+
+def test_mask_no_im_keeps_every_event(tmp_path, capsys):
+    path = tmp_path / "one.jsonl"
+    main(
+        [
+            "generate",
+            "--seed", "7",
+            "--count", "1",
+            "--characters", "3",
+            "--rooms", "2",
+            "--max-order", "2",
+            "--reentry",
+            "-o", str(path),
+        ]
+    )
+    story, questions = load_dataset(path)[0]
+    index = next(i for i, q in enumerate(questions) if q.order >= 1)
+    base = ["mask", "--dataset", str(path), "--question", str(index)]
+    capsys.readouterr()
+
+    main(base)
+    masked = _surviving(capsys.readouterr().out)
+    main(base + ["--no-im"])
+    unmasked = _surviving(capsys.readouterr().out)
+    assert unmasked == list(range(1, len(story.events) + 1))
+    assert len(masked) < len(unmasked)
+
+
 def test_inject_command(dataset_path, capsys):
     main(["inject", "--dataset", str(dataset_path), "--story", "1"])
     printed = capsys.readouterr().out

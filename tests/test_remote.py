@@ -5,7 +5,13 @@ import logging
 
 import pytest
 
-from mindmask.errors import BackendError, ExtractionError, ProtocolError
+from mindmask.errors import (
+    BackendError,
+    CacheFormatError,
+    ExtractionError,
+    MindmaskError,
+    ProtocolError,
+)
 from mindmask.nkb import (
     EntityAttribute,
     extract_locations,
@@ -207,6 +213,37 @@ def test_cache_files_are_jsonl(cupboard_story, tmp_path):
     assert len(files) == 1
     row = json.loads(files[0].read_text().splitlines()[0])
     assert set(row) == {"event_index", "entity", "attribute", "state"}
+
+
+def test_interrupted_store_leaves_no_entry(cupboard_story, tmp_path, monkeypatch):
+    import mindmask.remote as remote
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(remote.os, "replace", failing_replace)
+    client, _ = make_client(["- 4: location of T-shirt becomes in the cupboard"])
+    backend = RemoteBackend(client, cache=RecordCache(tmp_path))
+    with pytest.raises(OSError):
+        generate_states(cupboard_story, [EntityAttribute("t-shirt", "location")], backend)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_truncated_cache_raises_typed_error(cupboard_story, tmp_path):
+    targets = [EntityAttribute("t-shirt", "location")]
+    reply = "- 4: location of T-shirt becomes in the cupboard\n- 5: location of cupboard becomes in the crawlspace"
+    client, _ = make_client([reply])
+    generate_states(cupboard_story, targets, RemoteBackend(client, cache=RecordCache(tmp_path)))
+    [entry] = tmp_path.glob("*.jsonl")
+    text = entry.read_text()
+    entry.write_text(text[: len(text) - 10])
+
+    client2, transport2 = make_client([])
+    backend2 = RemoteBackend(client2, cache=RecordCache(tmp_path))
+    with pytest.raises(CacheFormatError, match=rf"{entry.name}: line 2 "):
+        generate_states(cupboard_story, targets, backend2)
+    assert isinstance(CacheFormatError("x"), MindmaskError)
+    assert transport2.requests == []
 
 
 def test_remote_answerer_prompt(melon_setup):
