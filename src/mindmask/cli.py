@@ -7,6 +7,7 @@ import json
 import sys
 
 from .dataset import dump_dataset, load_dataset
+from .errors import MindmaskError
 from .inject import render_augmented
 from .nkb import RuleBackend, extract_locations, generate_states, identify_key_entities
 from .pipeline import (
@@ -235,7 +236,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    args.func(args)
+    try:
+        args.func(args)
+    except MindmaskError as exc:
+        print(f"mindmask: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

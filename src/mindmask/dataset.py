@@ -6,7 +6,7 @@ import json
 import logging
 from pathlib import Path
 
-from .errors import StoryFormatError
+from .errors import MindmaskError, StoryFormatError
 from .question import ToMQuestion, parse_question
 from .story import Story, parse_story, serialize_story
 
@@ -16,26 +16,43 @@ DatasetItem = tuple[Story, list[ToMQuestion]]
 
 
 def load_dataset(path: str | Path) -> list[DatasetItem]:
+    """Read a JSONL dataset. A malformed line raises :class:`StoryFormatError`
+    whose message starts ``<path>:<line>:``, chained to the underlying error."""
     items: list[DatasetItem] = []
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            doc = json.loads(line)
+            items.append(_parse_item(json.loads(line), path, lineno))
         except json.JSONDecodeError as exc:
             raise StoryFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-        story = parse_story(doc)
-        questions = []
-        for q in doc.get("questions", ()):
-            parsed = parse_question(q["text"], story, gold=q.get("gold"))
-            if "order" in q and q["order"] != parsed.order:
-                log.warning(
-                    "%s:%d: declared order %s disagrees with parsed order %s for %r",
-                    path, lineno, q["order"], parsed.order, q["text"],
-                )
-            questions.append(parsed)
-        items.append((story, questions))
+        except MindmaskError as exc:
+            raise StoryFormatError(f"{path}:{lineno}: {exc}") from exc
     return items
+
+
+def _parse_item(doc, path, lineno) -> DatasetItem:
+    if not isinstance(doc, dict):
+        raise StoryFormatError(f"expected a JSON object, got {type(doc).__name__}")
+    story = parse_story(doc)
+    raw_questions = doc.get("questions", [])
+    if not isinstance(raw_questions, list):
+        raise StoryFormatError("'questions' must be a list")
+    questions = []
+    for pos, q in enumerate(raw_questions, start=1):
+        if not isinstance(q, dict) or not isinstance(q.get("text"), str):
+            raise StoryFormatError(f"question {pos} must be an object with a string 'text'")
+        gold = q.get("gold")
+        if gold is not None and not isinstance(gold, str):
+            raise StoryFormatError(f"question {pos}: 'gold' must be a string")
+        parsed = parse_question(q["text"], story, gold=gold)
+        if "order" in q and q["order"] != parsed.order:
+            log.warning(
+                "%s:%d: declared order %s disagrees with parsed order %s for %r",
+                path, lineno, q["order"], parsed.order, q["text"],
+            )
+        questions.append(parsed)
+    return story, questions
 
 
 def dump_dataset(items: list[DatasetItem], path: str | Path) -> None:

@@ -9,6 +9,7 @@ network (tests use this; so can offline replay).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -37,7 +38,9 @@ _BULLET_LINE = re.compile(r"^\s*-\s*(.+?)\s*$")
 _ENTITIES_BLOCK = re.compile(r"<entities>(.*?)</entities>", re.IGNORECASE | re.DOTALL)
 
 
+@functools.cache
 def load_prompt(name: str) -> str:
+    """A shipped prompt template; package data, so each is read once."""
     return resources.files("mindmask").joinpath(f"prompts/{name}.txt").read_text(encoding="utf-8")
 
 
@@ -102,13 +105,18 @@ class ChatClient:
             ) from exc
 
 
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
 def _targets_key(targets: list[EntityAttribute]) -> str:
-    rendered = "\n".join(sorted(t.render().casefold() for t in targets))
-    return hashlib.sha256(rendered.encode("utf-8")).hexdigest()[:16]
+    return _digest("\n".join(sorted(t.render().casefold() for t in targets)))
 
 
 class RecordCache:
-    """JSONL record lists keyed by (story, targets, backend name)."""
+    """JSONL record lists keyed by (story, targets, state prompt template,
+    backend name). An edited ``generate_states`` template misses every entry
+    stored under the old one."""
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
@@ -116,7 +124,8 @@ class RecordCache:
 
     def _path(self, story: Story, targets, backend_name: str) -> Path:
         safe = re.sub(r"[^\w.-]", "_", backend_name)
-        return self.directory / f"{story.key()}-{_targets_key(targets)}-{safe}.jsonl"
+        template = _digest(load_prompt("generate_states"))
+        return self.directory / f"{story.key()}-{_targets_key(targets)}-{template}-{safe}.jsonl"
 
     def load(self, story, targets, backend_name) -> list[dict] | None:
         path = self._path(story, targets, backend_name)
@@ -153,7 +162,8 @@ class RemoteBackend:
     lists records for every event index at once. Every index is checked
     before the rows are used or cached, so a response naming a nonexistent
     event is never persisted. Responses are cached when a cache is
-    configured, keyed by story, targets, and backend name.
+    configured, keyed by story, targets, state prompt template, and backend
+    name.
     """
 
     def __init__(self, client: ChatClient, cache: RecordCache | None = None):

@@ -171,6 +171,8 @@ def _events_from_lines(lines: list[str]) -> tuple[list[Event], str]:
 
 
 def _events_from_json(raw_events, source: str) -> list[Event]:
+    if not isinstance(raw_events, (list, tuple)):
+        raise StoryFormatError(f"{source}: 'events' must be a list")
     events: list[Event] = []
     for pos, item in enumerate(raw_events, start=1):
         if not isinstance(item, dict) or "text" not in item:
@@ -206,8 +208,13 @@ def parse_story(raw: str | dict) -> Story:
             raise StoryFormatError(f"story document: unknown kind {kind!r}")
         events = _events_from_json(doc["events"], "story document")
         if doc.get("characters") is not None:
+            if not isinstance(doc["characters"], (list, tuple)):
+                raise StoryFormatError("story document: 'characters' must be a list")
             declared = [str(c) for c in doc["characters"]]
-        metadata = dict(doc.get("metadata", {}))
+        metadata = doc.get("metadata", {})
+        if not isinstance(metadata, dict):
+            raise StoryFormatError("story document: 'metadata' must be an object")
+        metadata = dict(metadata)
     else:
         events, kind = _events_from_lines(raw.splitlines())
 

@@ -10,6 +10,15 @@ The oracle replays the raw event text (never the pipeline's state records)
 and answers nested-belief questions by updating a belief store at every chain
 prefix whose characters all witnessed the event. It is the ground truth the
 masking pipeline is measured against.
+
+The oracle builds one trace per story: the rooms, whereabouts and object
+effects of every event, from one regex pass over the text. Consecutive
+``simulate_beliefs``, ``belief_store`` and ``observed_set`` calls on the same
+``Story`` object share it, as ``generate_story`` (one call per question) and
+a per-character ``observed_set`` sweep make them. The match is by identity
+(``is``): a ``Story`` holds a dict and cannot be hashed, and stories are
+frozen, so a trace found this way is never stale. An equal story that is a
+different object builds its own trace.
 """
 
 from __future__ import annotations
@@ -195,18 +204,34 @@ def _config_metadata(config: GrammarConfig) -> dict:
 
 
 class _Trace:
-    """Rooms, per-character whereabouts, and object effects per event."""
+    """Rooms, per-character whereabouts, and object effects per event.
+
+    Each event is matched once against the enter, exit, move and declare
+    patterns (one text can match two of them, so all four are tried), and
+    each distinct place string is normalized once. ``pre[i]`` and
+    ``post[i]`` are read-only snapshots; a new one is made only when an
+    enter or exit changes someone's room, so consecutive entries share it.
+    """
 
     def __init__(self, story: Story):
         self.story = story
         self.characters = {c.casefold() for c in story.characters}
 
-        self.rooms: set[str] = set()
-        for event in story.events:
-            for pattern in (_ENTER, _EXIT):
-                m = pattern.match(event.text)
-                if m:
-                    self.rooms.add(normalize_place(m.group(2)))
+        places: dict[str, str] = {}
+
+        def place(raw: str) -> str:
+            norm = places.get(raw)
+            if norm is None:
+                norm = places[raw] = normalize_place(raw)
+            return norm
+
+        texts = [event.text for event in story.events]
+        matches = [
+            (_ENTER.match(t), _EXIT.match(t), _MOVE.match(t), _DECLARE.match(t)) for t in texts
+        ]
+        self.rooms: set[str] = {
+            place(m.group(2)) for enter, exit_, _, _ in matches for m in (enter, exit_) if m
+        }
 
         n = len(story.events)
         self.pre: list[dict[str, str | None]] = [dict()] * (n + 1)
@@ -215,35 +240,39 @@ class _Trace:
         self.effects: list[tuple[str, str] | None] = [None] * (n + 1)
 
         current = {c: None for c in self.characters}
+        snapshot = dict(current)
         container_room: dict[str, str] = {}
         parent: dict[str, str] = {}
 
         # First pass: whereabouts, containment edges, container rooms.
         moves: list[tuple[int, str, str]] = []
-        for event in story.events:
-            i = event.index
-            self.pre[i] = dict(current)
-            m = _ENTER.match(event.text)
-            if m:
-                room = normalize_place(m.group(2))
-                for name in split_name_list(m.group(1)):
-                    if name.casefold() in self.characters:
-                        current[name.casefold()] = room
-            m = _EXIT.match(event.text)
-            if m and m.group(1).casefold() in self.characters:
-                current[m.group(1).casefold()] = None
-            m = _MOVE.match(event.text)
-            if m:
-                obj, dest = m.group(2), m.group(3)
+        for i, (enter, exit_, move, declare) in enumerate(matches, start=1):
+            self.pre[i] = snapshot
+            changed = False
+            if enter:
+                room = place(enter.group(2))
+                for name in split_name_list(enter.group(1)):
+                    key = name.casefold()
+                    if key in self.characters and current[key] != room:
+                        current[key] = room
+                        changed = True
+            if exit_:
+                key = exit_.group(1).casefold()
+                if key in self.characters and current[key] is not None:
+                    current[key] = None
+                    changed = True
+            if move:
+                obj, dest = move.group(2), move.group(3)
                 self.effects[i] = (obj.casefold(), dest)
-                parent[obj.casefold()] = normalize_place(dest)
-                moves.append((i, m.group(1).casefold(), normalize_place(dest)))
-            m = _DECLARE.match(event.text)
-            if m:
-                obj, container = m.group(1), m.group(2)
+                parent[obj.casefold()] = place(dest)
+                moves.append((i, move.group(1).casefold(), place(dest)))
+            if declare:
+                obj, container = declare.group(1), declare.group(2)
                 self.effects[i] = (obj.casefold(), container)
-                parent[obj.casefold()] = normalize_place(container)
-            self.post[i] = dict(current)
+                parent[obj.casefold()] = place(container)
+            if changed:
+                snapshot = dict(current)
+            self.post[i] = snapshot
 
         for i, mover, destination in moves:
             room = self.post[i].get(mover)
@@ -253,24 +282,22 @@ class _Trace:
             if holder in self.rooms:
                 container_room[child] = holder
 
-        # Second pass: the room where each event takes place.
+        # Second pass: the room where each event takes place. A text that
+        # reads both as a stay or distract line and as a declaration counts
+        # as the former, so those two are tried before the declaration.
         previous: str | None = None
-        for event in story.events:
-            i = event.index
+        for i, (text, (enter, exit_, move, declare)) in enumerate(zip(texts, matches), start=1):
             room: str | None = None
-            m = _ENTER.match(event.text)
-            if m:
-                room = normalize_place(m.group(2))
-            elif (m := _EXIT.match(event.text)) is not None:
-                room = self.pre[i].get(m.group(1).casefold())
-            elif (m := _MOVE.match(event.text)) is not None:
+            if enter:
+                room = place(enter.group(2))
+            elif exit_:
+                room = self.pre[i].get(exit_.group(1).casefold())
+            elif move:
+                room = self.post[i].get(move.group(1).casefold())
+            elif (m := _STAY.match(text) or _DISTRACT.match(text)) is not None:
                 room = self.post[i].get(m.group(1).casefold())
-            elif (m := _STAY.match(event.text)) is not None:
-                room = self.post[i].get(m.group(1).casefold())
-            elif (m := _DISTRACT.match(event.text)) is not None:
-                room = self.post[i].get(m.group(1).casefold())
-            elif (m := _DECLARE.match(event.text)) is not None:
-                holder = normalize_place(m.group(2))
+            elif declare:
+                holder = place(declare.group(2))
                 if holder in self.rooms:
                     room = holder
                 else:
@@ -287,12 +314,28 @@ class _Trace:
         return room in (self.pre[index].get(key), self.post[index].get(key))
 
 
+_last_trace: _Trace | None = None
+
+
+def _trace_of(story: Story) -> _Trace:
+    """The trace of `story`, reusing the last one built when it was built
+    for this very object. Stories are frozen, so an identity match is never
+    stale. The last trace is one module-level reference, replaced whole, so
+    a concurrent caller never reads another story's trace; at worst it
+    builds one again."""
+    global _last_trace
+    trace = _last_trace
+    if trace is None or trace.story is not story:
+        trace = _last_trace = _Trace(story)
+    return trace
+
+
 def observed_set(story: Story, character: str) -> set[int]:
     """Indices of events the character could witness: events in its room,
     arrivals and departures included on both sides of the door."""
     if not story.has_character(character):
         raise ValidationError(f"{character!r} is not a character of the story")
-    trace = _Trace(story)
+    trace = _trace_of(story)
     return {i for i in range(1, len(story.events) + 1) if trace.observes(character, i)}
 
 
@@ -305,7 +348,7 @@ def _chain_names(chain) -> tuple[str, ...]:
 
 
 def _checked_trace(story: Story, names: tuple[str, ...]) -> _Trace:
-    trace = _Trace(story)
+    trace = _trace_of(story)
     for name in names:
         if name.casefold() not in trace.characters:
             raise ValidationError(f"{name!r} is not a character of the story")

@@ -128,3 +128,14 @@ def test_complexity_command(tmp_path, capsys):
 def test_remote_flags_require_model(dataset_path):
     with pytest.raises(SystemExit):
         main(["answer", "--dataset", str(dataset_path), "--nkb", "remote"])
+
+
+def test_malformed_dataset_prints_the_line_not_a_traceback(dataset_path, capsys):
+    with dataset_path.open("a", encoding="utf-8") as handle:
+        handle.write('{"events": [{"text": "Mia entered the den."}], "questions": 5}\n')
+    capsys.readouterr()
+    assert main(["eval", "--dataset", str(dataset_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"mindmask: {dataset_path}:5: ")
+    assert "'questions' must be a list" in captured.err

@@ -1,0 +1,60 @@
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from mindmask.dataset import load_dataset
+from mindmask.errors import QuestionParseError, StoryFormatError
+
+EVENTS = [{"text": "Mia entered the den."}, {"text": "The ball is in the box."}]
+QUESTION = "Where does Mia think the ball is?"
+GOOD = {"events": EVENTS, "questions": [{"text": QUESTION, "gold": "box"}]}
+
+
+def line(**doc) -> str:
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "bad, cause",
+    [
+        pytest.param("[1, 2]", StoryFormatError, id="not-an-object"),
+        pytest.param(
+            line(events=EVENTS, questions=[{"gold": "box"}]),
+            StoryFormatError,
+            id="question-without-text",
+        ),
+        pytest.param(line(events=EVENTS, questions=5), StoryFormatError, id="questions-not-a-list"),
+        pytest.param(line(questions=[]), StoryFormatError, id="no-events"),
+        pytest.param(
+            line(events=EVENTS, questions=[{"text": "Why is the ball red?"}]),
+            QuestionParseError,
+            id="unsupported-question",
+        ),
+        pytest.param(line(events=5), StoryFormatError, id="events-not-a-list"),
+        pytest.param(line(events=EVENTS, characters=5), StoryFormatError, id="characters-not-a-list"),
+        pytest.param(line(events=EVENTS, metadata=5), StoryFormatError, id="metadata-not-an-object"),
+        pytest.param(
+            line(events=EVENTS, questions=[{"text": QUESTION, "gold": 5}]),
+            StoryFormatError,
+            id="gold-not-a-string",
+        ),
+        pytest.param("{", json.JSONDecodeError, id="invalid-json"),
+    ],
+)
+def test_malformed_line_names_its_line(tmp_path, bad, cause):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(GOOD) + "\n\n" + bad + "\n", encoding="utf-8")
+    with pytest.raises(StoryFormatError) as info:
+        load_dataset(path)
+    assert str(info.value).startswith(f"{path}:3: ")
+    assert isinstance(info.value.__cause__, cause)
+
+
+def test_well_formed_dataset_loads(tmp_path):
+    path = tmp_path / "good.jsonl"
+    path.write_text(json.dumps(GOOD) + "\n", encoding="utf-8")
+    [(story, questions)] = load_dataset(path)
+    assert story.characters == ("Mia",)
+    assert [q.gold for q in questions] == ["box"]

@@ -283,3 +283,24 @@ def test_indexed_narrative_marks_speakers():
 
     story = parse_story("Ava: hi there.\nNoah: hello.")
     assert indexed_narrative(story) == "1: Ava: hi there.\n2: Noah: hello."
+
+
+def test_edited_state_prompt_misses_the_cache(cupboard_story, tmp_path, monkeypatch):
+    import mindmask.remote as remote
+
+    reply = "- 4: location of T-shirt becomes in the cupboard"
+    targets = [EntityAttribute("t-shirt", "location")]
+    client, _ = make_client([reply])
+    generate_states(cupboard_story, targets, RemoteBackend(client, cache=RecordCache(tmp_path)))
+
+    shipped = remote.load_prompt
+
+    def edited(name):
+        text = shipped(name)
+        return text + "\nAnswer tersely." if name == "generate_states" else text
+
+    monkeypatch.setattr(remote, "load_prompt", edited)
+    client2, transport2 = make_client([reply])
+    generate_states(cupboard_story, targets, RemoteBackend(client2, cache=RecordCache(tmp_path)))
+    assert len(transport2.requests) == 1
+    assert len(list(tmp_path.glob("*.jsonl"))) == 2
