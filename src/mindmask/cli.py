@@ -9,7 +9,7 @@ import sys
 from .dataset import dump_dataset, load_dataset
 from .errors import MindmaskError
 from .inject import render_augmented
-from .nkb import RuleBackend, extract_locations, generate_states, identify_key_entities
+from .nkb import generate_states, identify_key_entities
 from .pipeline import (
     PipelineConfig,
     answer_question,
@@ -31,7 +31,6 @@ def _add_backend_flags(parser):
     parser.add_argument("--cache-dir", default=None, help="record cache directory")
     parser.add_argument("--no-ki", action="store_true", help="disable knowledge injection")
     parser.add_argument("--no-im", action="store_true", help="disable iterative masking")
-    parser.add_argument("--no-reduce", action="store_true", help="disable question order reduction")
 
 
 def _pipeline_config(args) -> PipelineConfig:
@@ -53,7 +52,6 @@ def _pipeline_config(args) -> PipelineConfig:
         answer_backend=answer_backend,
         inject_knowledge=not args.no_ki,
         apply_masking=not args.no_im,
-        reduce_orders=not args.no_reduce,
     )
 
 
@@ -149,9 +147,7 @@ def _cmd_eval(args):
     items = load_dataset(args.dataset)
     cfg = _pipeline_config(args)
     seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [args.seed]
-    report = evaluate(
-        items, cfg, seeds=seeds, subset_size=args.subset_size, workers=args.workers
-    )
+    report = evaluate(items, cfg, seeds=seeds, subset_size=args.subset_size)
     print(report.table())
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
@@ -218,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--seeds", default=None, help="comma-separated seeds, e.g. 12,42,96")
     p.add_argument("--subset-size", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--json", default=None, help="write the full JSON report here")
     _add_backend_flags(p)
     p.set_defaults(func=_cmd_eval)
@@ -238,7 +233,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except MindmaskError as exc:
+    except (MindmaskError, OSError) as exc:
         print(f"mindmask: {exc}", file=sys.stderr)
         return 1
     return 0

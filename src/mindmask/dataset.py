@@ -16,10 +16,11 @@ DatasetItem = tuple[Story, list[ToMQuestion]]
 
 
 def load_dataset(path: str | Path) -> list[DatasetItem]:
-    """Read a JSONL dataset. A malformed line raises :class:`StoryFormatError`
-    whose message starts ``<path>:<line>:``, chained to the underlying error."""
+    """Read a JSONL dataset. A malformed line, or one that is not UTF-8, raises
+    :class:`StoryFormatError` whose message starts ``<path>:<line>:``, chained
+    to the underlying error."""
     items: list[DatasetItem] = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(_read_lines(path), start=1):
         if not line.strip():
             continue
         try:
@@ -29,6 +30,15 @@ def load_dataset(path: str | Path) -> list[DatasetItem]:
         except MindmaskError as exc:
             raise StoryFormatError(f"{path}:{lineno}: {exc}") from exc
     return items
+
+
+def _read_lines(path) -> list[str]:
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        lineno = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise StoryFormatError(f"{path}:{lineno}: not UTF-8 text: {exc}") from exc
 
 
 def _parse_item(doc, path, lineno) -> DatasetItem:

@@ -34,4 +34,4 @@ class QuestionParseError(MindmaskError):
 
 
 class CacheFormatError(MindmaskError):
-    """A record cache file holds a line that does not decode; names the file and line."""
+    """A record cache file holds a line that is not a state record; names the file and line."""

@@ -72,7 +72,6 @@ class LocationAnchor:
 @dataclass(frozen=True)
 class BackendInfo:
     name: str
-    deterministic: bool
 
 
 @runtime_checkable
@@ -282,7 +281,7 @@ def _replay(story: Story, count: int) -> list[EntityStateRecord]:
 class RuleBackend:
     """Deterministic backend that replays the story grammar symbolically."""
 
-    info = BackendInfo(name="rule", deterministic=True)
+    info = BackendInfo(name="rule")
 
     # -- StateBackend protocol ------------------------------------------------
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import re
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
@@ -54,7 +53,6 @@ class PipelineConfig:
     answer_backend: object = None  # None = the symbolic reader
     inject_knowledge: bool = True  # off = the "w/o KI" ablation
     apply_masking: bool = True  # off = the "w/o IM" ablation
-    reduce_orders: bool = True
 
     def backend(self) -> StateBackend:
         if self.nkb_backend is None:
@@ -138,17 +136,13 @@ def answer_question(artifacts: StoryArtifacts, q: ToMQuestion, cfg: PipelineConf
     _, view = mask_question(artifacts, q, cfg)
     empty_view = not view.surviving
 
-    asked = q
-    if cfg.reduce_orders and q.order >= 1:
-        asked = reduce_order(q)
+    asked = reduce_order(q) if q.order >= 1 else q
 
     if cfg.answer_backend is None:
         predicted = symbolic_reader(view, asked, artifacts.records)
         flagged = predicted == ABSTAIN
     else:
-        space = asked.answer_space or tuple(
-            answer_space_for(asked, artifacts.story, artifacts.records)
-        )
+        space = tuple(answer_space_for(asked, artifacts.story, artifacts.records))
         raw = cfg.answer_backend.answer(view, asked, space)
         parsed = parse_answer(raw, space or None)
         predicted, flagged = parsed.value, parsed.flagged or parsed.ambiguous
@@ -164,8 +158,7 @@ def run_pipeline(story: Story, q: ToMQuestion, cfg: PipelineConfig | None = None
 
 def symbolic_reader(view: MaskedView, q: ToMQuestion, records: list[EntityStateRecord]) -> str:
     """Deterministic reader: the last surviving state of the question's
-    target, falling back to its initial declaration, normalized against the
-    answer space when one is present."""
+    target, falling back to its initial declaration."""
     target = q.target_entity.casefold()
     relevant = [
         r
@@ -180,12 +173,7 @@ def symbolic_reader(view: MaskedView, q: ToMQuestion, records: list[EntityStateR
         surviving = set(view.surviving)
         in_view = [r for r in relevant if r.event_index in surviving]
         chosen = in_view[-1] if in_view else relevant[0]
-    value = _state_to_answer(chosen.state, q.target_attribute)
-    if q.answer_space:
-        matched, ambiguous = match_candidates(value, q.answer_space)
-        if matched is not None and not ambiguous:
-            return matched
-    return value
+    return _state_to_answer(chosen.state, q.target_attribute)
 
 
 def _state_to_answer(state: str, attribute: str) -> str:
@@ -342,7 +330,6 @@ def evaluate(
     cfg: PipelineConfig | None = None,
     seeds: list[int] | None = None,
     subset_size: int | None = None,
-    workers: int = 1,
 ) -> EvalReport:
     """Run the pipeline over seeded story subsets and report accuracy.
 
@@ -366,16 +353,17 @@ def evaluate(
         if subset_size is not None and subset_size < len(indexed):
             indexed = random.Random(seed).sample(indexed, subset_size)
 
-        def eval_story(pair):
-            story_index, (story, questions) = pair
+        seed_rows = []
+        for story_index, (story, questions) in indexed:
+            max_m = max(max_m, len(story.characters))
+            max_k = max([max_k] + [q.order for q in questions])
             artifacts = prepare_story(story, questions, cfg)
-            story_rows = []
             for q in questions:
                 if q.gold is None:
-                    story_rows.append(None)
+                    skipped += 1
                     continue
                 outcome = answer_question(artifacts, q, cfg)
-                story_rows.append(
+                seed_rows.append(
                     QuestionRow(
                         seed=seed,
                         story_index=story_index,
@@ -388,29 +376,10 @@ def evaluate(
                         flagged=outcome.flagged,
                     )
                 )
-            return story_rows
-
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(eval_story, indexed))
-        else:
-            results = [eval_story(pair) for pair in indexed]
-
-        seed_rows = []
-        for story_rows in results:
-            for row in story_rows:
-                if row is None:
-                    skipped += 1
-                else:
-                    seed_rows.append(row)
         rows.extend(seed_rows)
-        scored = [r for r in seed_rows if r.correct is not None]
         seed_accuracies[seed] = (
-            sum(r.correct for r in scored) / len(scored) if scored else 0.0
+            sum(r.correct for r in seed_rows) / len(seed_rows) if seed_rows else 0.0
         )
-        for story_index, (story, questions) in indexed:
-            max_m = max(max_m, len(story.characters))
-            max_k = max([max_k] + [q.order for q in questions])
 
     per_order: dict[int, float] = {}
     for order in sorted({r.order for r in rows}):

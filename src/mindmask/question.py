@@ -8,7 +8,7 @@ datasets and of the synthetic generator:
     Where will A search/look for the X?
     Where is the X really? / Where is the X in the beginning? / Where is the X?
 
-Anything else needs an LLM transformer (see :mod:`mindmask.remote`).
+Anything else raises :class:`QuestionParseError` listing these templates.
 """
 
 from __future__ import annotations
@@ -72,7 +72,6 @@ class ToMQuestion:
     chain: BeliefChain | None
     target_entity: str
     target_attribute: str = "location"
-    answer_space: tuple[str, ...] | None = None
     asks_initial: bool = False
     gold: str | None = None
 

@@ -109,6 +109,21 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
+_RECORD_KEYS = {"event_index", "entity", "attribute", "state"}
+
+
+def _is_record_row(row) -> bool:
+    """The exact shape `RemoteBackend` stores: an int index and three strings."""
+    return (
+        type(row) is dict
+        and row.keys() == _RECORD_KEYS
+        and type(row["event_index"]) is int
+        and type(row["entity"]) is str
+        and type(row["attribute"]) is str
+        and type(row["state"]) is str
+    )
+
+
 def _targets_key(targets: list[EntityAttribute]) -> str:
     return _digest("\n".join(sorted(t.render().casefold() for t in targets)))
 
@@ -136,9 +151,14 @@ class RecordCache:
             if not line:
                 continue
             try:
-                rows.append(json.loads(line))
+                row = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CacheFormatError(f"{path}: line {lineno} does not decode: {exc}") from exc
+            if not _is_record_row(row):
+                raise CacheFormatError(
+                    f"{path}: line {lineno} is not a state record: {line[:200]!r}"
+                )
+            rows.append(row)
         return rows
 
     def store(self, story, targets, backend_name, rows: list[dict]) -> None:
@@ -169,7 +189,7 @@ class RemoteBackend:
     def __init__(self, client: ChatClient, cache: RecordCache | None = None):
         self.client = client
         self.cache = cache
-        self.info = BackendInfo(name=f"remote:{client.model}", deterministic=False)
+        self.info = BackendInfo(name=f"remote:{client.model}")
         self.skipped_lines = 0
 
     # -- StateBackend protocol ------------------------------------------------
@@ -280,19 +300,3 @@ class RemoteAnswerer:
             },
         )
         return self.client.complete(prompt)
-
-
-def transform_question(text: str, story: Story, client: ChatClient):
-    """Rewrite an unsupported question with the model, then rule-parse it."""
-    from .question import parse_question
-
-    prompt = fill_prompt(load_prompt("reduce_question"), {"question": text.strip()})
-    response = _first_line(client.complete(prompt))
-    return parse_question(response, story)
-
-
-def _first_line(text: str) -> str:
-    for line in text.splitlines():
-        if line.strip():
-            return line.strip()
-    return text.strip()

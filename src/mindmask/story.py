@@ -21,7 +21,7 @@ EVENT_KIND = "event"
 DIALOGUE_KIND = "dialogue"
 
 # Verbs whose grammatical subject is treated as a character by the fallback
-# identification heuristic. Callers may pass their own list.
+# identification heuristic (`leading_subjects`).
 AGENTIVE_VERBS = (
     "entered",
     "exited",
@@ -107,17 +107,17 @@ def split_name_list(subject: str) -> list[str]:
     return [n for n in _NAME_SEP_RE.split(subject) if n]
 
 
-def leading_subjects(text: str, verbs=AGENTIVE_VERBS) -> list[str]:
+def leading_subjects(text: str) -> list[str]:
     """Names at the start of an event whose verb marks them as agents."""
     m = _SUBJECT_RE.match(text.strip())
     if not m:
         return []
-    if m.group(2) not in verbs:
+    if m.group(2) not in AGENTIVE_VERBS:
         return []
     return split_name_list(m.group(1))
 
 
-def guess_characters(events, kind: str = EVENT_KIND, verbs=AGENTIVE_VERBS) -> tuple[str, ...]:
+def guess_characters(events, kind: str = EVENT_KIND) -> tuple[str, ...]:
     """Character names in first-appearance order, without a declaration.
 
     Event stories use the agentive-subject heuristic; dialogue stories take
@@ -136,7 +136,7 @@ def guess_characters(events, kind: str = EVENT_KIND, verbs=AGENTIVE_VERBS) -> tu
         if kind == DIALOGUE_KIND and event.speaker:
             add(event.speaker)
         if kind == EVENT_KIND or event.speaker is None:
-            for name in leading_subjects(event.text, verbs):
+            for name in leading_subjects(event.text):
                 add(name)
     return tuple(found)
 
@@ -175,12 +175,14 @@ def _events_from_json(raw_events, source: str) -> list[Event]:
         raise StoryFormatError(f"{source}: 'events' must be a list")
     events: list[Event] = []
     for pos, item in enumerate(raw_events, start=1):
-        if not isinstance(item, dict) or "text" not in item:
-            raise StoryFormatError(f"{source}: event {pos} must be an object with a 'text' field")
-        text = str(item["text"]).strip()
+        if not isinstance(item, dict) or not isinstance(item.get("text"), str):
+            raise StoryFormatError(f"{source}: event {pos} must be an object with a string 'text'")
+        text = item["text"].strip()
         if not text:
             raise StoryFormatError(f"{source}: event {pos} has empty text")
         speaker = item.get("speaker")
+        if speaker is not None and not isinstance(speaker, str):
+            raise StoryFormatError(f"{source}: event {pos}: 'speaker' must be a string")
         events.append(Event(index=pos, text=text, speaker=speaker))
     return events
 
@@ -207,10 +209,10 @@ def parse_story(raw: str | dict) -> Story:
         if kind not in (EVENT_KIND, DIALOGUE_KIND):
             raise StoryFormatError(f"story document: unknown kind {kind!r}")
         events = _events_from_json(doc["events"], "story document")
-        if doc.get("characters") is not None:
-            if not isinstance(doc["characters"], (list, tuple)):
-                raise StoryFormatError("story document: 'characters' must be a list")
-            declared = [str(c) for c in doc["characters"]]
+        declared = doc.get("characters")
+        if declared is not None:
+            if not isinstance(declared, (list, tuple)) or not all(isinstance(c, str) for c in declared):
+                raise StoryFormatError("story document: 'characters' must be a list of strings")
         metadata = doc.get("metadata", {})
         if not isinstance(metadata, dict):
             raise StoryFormatError("story document: 'metadata' must be an object")

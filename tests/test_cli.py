@@ -139,3 +139,22 @@ def test_malformed_dataset_prints_the_line_not_a_traceback(dataset_path, capsys)
     assert captured.out == ""
     assert captured.err.startswith(f"mindmask: {dataset_path}:5: ")
     assert "'questions' must be a list" in captured.err
+
+
+def test_missing_dataset_prints_a_message_not_a_traceback(tmp_path, capsys):
+    missing = tmp_path / "missing.jsonl"
+    assert main(["eval", "--dataset", str(missing)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("mindmask: ")
+    assert str(missing) in captured.err
+
+
+@pytest.mark.parametrize(
+    "flags", [["--workers", "2"], ["--no-reduce"]], ids=["workers", "no-reduce"]
+)
+def test_removed_eval_flags_are_usage_errors(dataset_path, flags, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["eval", "--dataset", str(dataset_path), *flags])
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -41,6 +41,15 @@ def line(**doc) -> str:
             id="gold-not-a-string",
         ),
         pytest.param("{", json.JSONDecodeError, id="invalid-json"),
+        pytest.param(
+            line(events=[{"text": "Mia entered the den.", "speaker": 5}]),
+            StoryFormatError,
+            id="speaker-not-a-string",
+        ),
+        pytest.param(line(events=[{"text": None}]), StoryFormatError, id="text-null"),
+        pytest.param(
+            line(events=EVENTS, characters=[["Mia"]]), StoryFormatError, id="character-not-a-string"
+        ),
     ],
 )
 def test_malformed_line_names_its_line(tmp_path, bad, cause):
@@ -50,6 +59,16 @@ def test_malformed_line_names_its_line(tmp_path, bad, cause):
         load_dataset(path)
     assert str(info.value).startswith(f"{path}:3: ")
     assert isinstance(info.value.__cause__, cause)
+
+
+def test_non_utf8_file_names_its_line(tmp_path):
+    path = tmp_path / "latin1.jsonl"
+    latin1 = json.dumps({"events": [{"text": "Zoë entered the den."}]}, ensure_ascii=False)
+    path.write_bytes((json.dumps(GOOD) + "\n").encode("utf-8") + latin1.encode("latin-1") + b"\n")
+    with pytest.raises(StoryFormatError) as info:
+        load_dataset(path)
+    assert str(info.value).startswith(f"{path}:2: ")
+    assert isinstance(info.value.__cause__, UnicodeDecodeError)
 
 
 def test_well_formed_dataset_loads(tmp_path):

@@ -27,7 +27,6 @@ from mindmask.remote import (
     fill_prompt,
     indexed_narrative,
     load_prompt,
-    transform_question,
 )
 from mindmask.scene import MaskedView
 
@@ -230,20 +229,24 @@ def test_interrupted_store_leaves_no_entry(cupboard_story, tmp_path, monkeypatch
 
 
 def test_truncated_cache_raises_typed_error(cupboard_story, tmp_path):
+    """A second line cut short, or one that decodes but is not a record."""
     targets = [EntityAttribute("t-shirt", "location")]
     reply = "- 4: location of T-shirt becomes in the cupboard\n- 5: location of cupboard becomes in the crawlspace"
     client, _ = make_client([reply])
     generate_states(cupboard_story, targets, RemoteBackend(client, cache=RecordCache(tmp_path)))
     [entry] = tmp_path.glob("*.jsonl")
     text = entry.read_text()
-    entry.write_text(text[: len(text) - 10])
-
-    client2, transport2 = make_client([])
-    backend2 = RemoteBackend(client2, cache=RecordCache(tmp_path))
-    with pytest.raises(CacheFormatError, match=rf"{entry.name}: line 2 "):
-        generate_states(cupboard_story, targets, backend2)
+    first, second = text.splitlines()
+    not_a_record = json.dumps({**json.loads(second), "event_index": "5"})
+    shapes = [f"{first}\n{row}\n" for row in ("{}", "[1, 2]", not_a_record)]
+    for bad in [text[: len(text) - 10], *shapes]:
+        entry.write_text(bad)
+        client2, transport2 = make_client([])
+        backend2 = RemoteBackend(client2, cache=RecordCache(tmp_path))
+        with pytest.raises(CacheFormatError, match=rf"{entry.name}: line 2 "):
+            generate_states(cupboard_story, targets, backend2)
+        assert transport2.requests == []
     assert isinstance(CacheFormatError("x"), MindmaskError)
-    assert transport2.requests == []
 
 
 def test_remote_answerer_prompt(melon_setup):
@@ -258,15 +261,6 @@ def test_remote_answerer_prompt(melon_setup):
     assert q.raw in prompt
     assert "Choose one of: blue pantry, red bucket." in prompt
     assert "<answer>" in prompt
-
-
-def test_transform_question(melon_story):
-    client, _ = make_client(["Where does William think the melon is?"])
-    q = transform_question(
-        "According to Emma, where would William expect to find the melon?", melon_story, client
-    )
-    assert q.chain_names == ("William",)
-    assert q.target_entity == "melon"
 
 
 def test_prompt_templates_ship_with_placeholders():
