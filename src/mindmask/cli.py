@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .dataset import dump_dataset, load_dataset
@@ -233,6 +234,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (`mindmask eval ... | head`): nothing is wrong,
+        # so stop quietly. Point stdout at the null device, or the
+        # interpreter's final flush of what is still buffered raises again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except (MindmaskError, OSError) as exc:
         print(f"mindmask: {exc}", file=sys.stderr)
         return 1

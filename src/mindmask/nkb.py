@@ -6,17 +6,17 @@ mentions, and, in one call per story, what state each entity reaches after
 each event. Records render as ``"<attribute> of <entity> becomes <state>"``.
 
 :class:`RuleBackend` resolves all three symbolically from the story grammar
-(enter/exit/move/declare productions), replaying the story once;
-:class:`mindmask.remote.RemoteBackend` asks a chat model with the shipped
-prompt templates, one state prompt per story. Both sides honor the same
-protocol, so the masking pipeline cannot tell them apart.
+(enter/exit/move/declare productions), in one scan per story that the three
+queries share; :class:`mindmask.remote.RemoteBackend` asks a chat model with
+the shipped prompt templates, one state prompt per story. Both sides honor
+the same protocol, so the masking pipeline cannot tell them apart.
 """
 
 from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Protocol, runtime_checkable
 
 from .errors import ExtractionError, ProtocolError, ValidationError
@@ -148,7 +148,7 @@ def canonicalize_location(raw: str, anchors: list[LocationAnchor]) -> LocationAn
 
 
 # ---------------------------------------------------------------------------
-# Rule backend world model
+# Rule backend: one scan of the story grammar
 
 _PLACE = r"[\w' -]+"
 _PERSON = r"[A-Z][a-z]+"
@@ -163,160 +163,136 @@ _LEAVE_RE = re.compile(rf"^({_PERSON}) left the conversation\.$")
 _STAY_RE = re.compile(rf"^({_PERSON}) made no movements and stayed in the ({_PLACE}) for")
 
 
-@dataclass
-class RuleWorldState:
-    """Ground truth tracked by the rule backend while replaying events.
+@dataclass(frozen=True)
+class _Scan:
+    """One pass over a story's text: its state records, its enterable places
+    in first-mention order, and the first container each object
+    (casefolded) was declared in."""
 
-    ``places`` maps a character (casefolded) to the place it last entered, or
-    None once it exited. ``inside`` maps an entity to its current container.
-    """
-
-    places: dict[str, str | None] = field(default_factory=dict)
-    inside: dict[str, str] = field(default_factory=dict)
-    display: dict[str, str] = field(default_factory=dict)
+    story: Story
+    records: tuple[EntityStateRecord, ...]
+    places: tuple[str, ...]
+    containers: dict[str, str]
 
 
-def rule_backend_apply(world: RuleWorldState, event, dialogue: bool = False) -> list[EntityStateRecord]:
-    """Apply one event to the rule world in place and return its records;
-    unrecognized text is a no-op.
+def _scan(story: Story) -> _Scan:
+    """Read every event against the grammar, each pattern at most once.
 
-    Emitted record shapes:
+    An event's records come from the first of enter, exit, move, declare
+    and, in a dialogue, join, leave or a speaker's first utterance (which
+    implies presence in the conversation); unrecognized text has none:
       enter   -> location of <Name> becomes in the <place>
       exit    -> location of <Name> becomes outside the <place>
       move    -> location of <obj> becomes in <container>
                  content of <container> becomes <obj>
                  content of <old container> becomes empty   (when known)
       declare -> location of <obj> becomes in the <container>
+    Enter, exit, move and stay lines start with a name and differ in the
+    verb, so at most one of them matches; a declare line may match any of
+    them as well. Places come from an enter, exit or stay match and
+    containers from a declare match, whatever else the line matches.
     """
-    text = event.text.strip()
-    places, inside, display = world.places, world.inside, world.display
+    dialogue = story.kind == DIALOGUE_KIND
     records: list[EntityStateRecord] = []
+    places: dict[str, str] = {}
+    containers: dict[str, str] = {}
+    inside: dict[str, str] = {}
+    display: dict[str, str] = {}
+    present: set[str] = set()
 
     def remember(name: str) -> str:
         key = name.casefold()
-        display.setdefault(key, display_name(name))
+        if key not in display:
+            display[key] = display_name(name)
         return key
 
-    def emit(entity_key: str, attribute: str, state: str):
-        records.append(
-            EntityStateRecord(
-                event_index=event.index,
-                entity=display.get(entity_key, entity_key),
-                attribute=attribute,
-                state=state,
-            )
-        )
-
-    def move_person(name: str, place: str | None):
+    def emit(index: int, name: str, attribute: str, state: str) -> str:
         key = remember(name)
-        places[key] = place
+        records.append(EntityStateRecord(index, display[key], attribute, state))
+        return key
 
-    m = _ENTER_RE.match(text)
-    if m:
-        place = m.group(2)
-        for name in split_name_list(m.group(1)):
-            move_person(name, place)
-            emit(name.casefold(), LOCATION, f"in the {place}")
-        return records
+    for event in story.events:
+        text, i = event.text.strip(), event.index
+        enter = _ENTER_RE.match(text)
+        exit_ = None if enter else _EXIT_RE.match(text)
+        move = None if enter or exit_ else _MOVE_RE.match(text)
+        declare = _DECLARE_RE.match(text)
+        if declare:
+            containers.setdefault(declare.group(1).casefold(), declare.group(2))
+        if not dialogue and not move:
+            line = enter or exit_ or _STAY_RE.match(text)
+            if line:
+                place = line.group(2)
+                key = normalize_place(place)
+                if key:
+                    places.setdefault(key, place)
 
-    m = _EXIT_RE.match(text)
-    if m:
-        name, place = m.group(1), m.group(2)
-        move_person(name, None)
-        emit(name.casefold(), LOCATION, f"outside the {place}")
-        return records
-
-    m = _MOVE_RE.match(text)
-    if m:
-        obj, container = m.group(2), m.group(3)
-        obj_key, cont_key = remember(obj), remember(container)
-        old = inside.get(obj_key)
-        inside[obj_key] = container
-        emit(obj_key, LOCATION, f"in {container}")
-        emit(cont_key, CONTENT, display[obj_key])
-        if old is not None and old.casefold() != cont_key:
-            remember(old)
-            emit(old.casefold(), CONTENT, "empty")
-        return records
-
-    m = _DECLARE_RE.match(text)
-    if m:
-        obj, container = m.group(1), m.group(2)
-        obj_key = remember(obj)
-        remember(container)
-        inside[obj_key] = container
-        emit(obj_key, LOCATION, f"in the {container}")
-        return records
-
-    if dialogue:
-        m = _JOIN_RE.match(text)
-        if m:
-            for name in split_name_list(m.group(1)):
-                move_person(name, CONVERSATION)
-                emit(name.casefold(), LOCATION, f"in the {CONVERSATION}")
-            return records
-        m = _LEAVE_RE.match(text)
-        if m:
-            name = m.group(1)
-            move_person(name, None)
-            emit(name.casefold(), LOCATION, f"outside the {CONVERSATION}")
-            return records
-        if event.speaker is not None and places.get(event.speaker.casefold()) is None:
-            # A speaker's first utterance implies presence in the conversation.
-            move_person(event.speaker, CONVERSATION)
-            emit(event.speaker.casefold(), LOCATION, f"in the {CONVERSATION}")
-    return records
-
-
-def _replay(story: Story, count: int) -> list[EntityStateRecord]:
-    """Records of the first `count` events, replayed on one fresh world."""
-    world = RuleWorldState()
-    dialogue = story.kind == DIALOGUE_KIND
-    records: list[EntityStateRecord] = []
-    for event in story.events[:count]:
-        records.extend(rule_backend_apply(world, event, dialogue))
-    return records
+        if enter:
+            for name in split_name_list(enter.group(1)):
+                present.add(emit(i, name, LOCATION, f"in the {enter.group(2)}"))
+        elif exit_:
+            present.discard(emit(i, exit_.group(1), LOCATION, f"outside the {exit_.group(2)}"))
+        elif move:
+            container = move.group(3)
+            obj_key = emit(i, move.group(2), LOCATION, f"in {container}")
+            cont_key = emit(i, container, CONTENT, display[obj_key])
+            old = inside.get(obj_key)
+            inside[obj_key] = container
+            if old is not None and old.casefold() != cont_key:
+                emit(i, old, CONTENT, "empty")
+        elif declare:
+            obj, container = declare.group(1), declare.group(2)
+            obj_key = emit(i, obj, LOCATION, f"in the {container}")
+            remember(container)
+            inside[obj_key] = container
+        elif dialogue:
+            join = _JOIN_RE.match(text)
+            leave = None if join else _LEAVE_RE.match(text)
+            if join:
+                for name in split_name_list(join.group(1)):
+                    present.add(emit(i, name, LOCATION, f"in the {CONVERSATION}"))
+            elif leave:
+                present.discard(emit(i, leave.group(1), LOCATION, f"outside the {CONVERSATION}"))
+            elif event.speaker is not None and event.speaker.casefold() not in present:
+                present.add(emit(i, event.speaker, LOCATION, f"in the {CONVERSATION}"))
+    names = (CONVERSATION,) if dialogue else tuple(places.values())
+    return _Scan(story, tuple(records), names, containers)
 
 
 class RuleBackend:
-    """Deterministic backend that replays the story grammar symbolically."""
+    """Deterministic backend that reads the story grammar symbolically.
+
+    The three queries share one scan per story: the backend keeps the last
+    scan and reuses it for the same ``Story`` object (``is``; stories are
+    frozen, so it is never stale). That one reference is replaced whole and
+    holds its story, so a concurrent caller never reads another story's
+    scan; at worst it scans again.
+    """
 
     info = BackendInfo(name="rule")
+    _last: _Scan | None = None
+
+    def _scan_of(self, story: Story) -> _Scan:
+        scan = self._last
+        if scan is None or scan.story is not story:
+            scan = self._last = _scan(story)
+        return scan
 
     # -- StateBackend protocol ------------------------------------------------
 
     def story_states(self, story, targets):
-        return _replay(story, len(story.events))
+        return list(self._scan_of(story).records)
 
     def event_states(self, story, index, targets):
         """(entity, attribute, state) triples of event `index` alone: a
-        per-event view of :meth:`story_states` that replays events 1..index."""
+        per-event view of :meth:`story_states`."""
         if not 1 <= index <= len(story.events):
             raise ProtocolError(f"event index {index} outside story range 1..{len(story.events)}")
-        return [(r.entity, r.attribute, r.state) for r in _replay(story, index) if r.event_index == index]
+        records = self._scan_of(story).records
+        return [(r.entity, r.attribute, r.state) for r in records if r.event_index == index]
 
     def location_names(self, story):
-        if story.kind == DIALOGUE_KIND:
-            return [CONVERSATION]
-        names: list[str] = []
-        seen: set[str] = set()
-
-        def add(place: str):
-            key = normalize_place(place)
-            if key and key not in seen:
-                seen.add(key)
-                names.append(place)
-
-        for event in story.events:
-            text = event.text.strip()
-            for pattern in (_ENTER_RE, _EXIT_RE):
-                m = pattern.match(text)
-                if m:
-                    add(m.group(2))
-            m = _STAY_RE.match(text)
-            if m:
-                add(m.group(2))
-        return names
+        return list(self._scan_of(story).places)
 
     def key_entities(self, story, questions):
         pairs = mandated_pairs(story, questions)
@@ -324,20 +300,12 @@ class RuleBackend:
             pairs.append(EntityAttribute(entity=c, attribute=LOCATION))
         # The first container each questioned entity was declared in carries
         # the content attribute (its emptying is a state change of interest).
-        declared = self._initial_containers(story)
+        declared = self._scan_of(story).containers
         for q in questions:
             container = declared.get(q.target_entity.casefold())
             if container is not None:
                 pairs.append(EntityAttribute(entity=container, attribute=CONTENT))
         return pairs
-
-    def _initial_containers(self, story) -> dict[str, str]:
-        first: dict[str, str] = {}
-        for event in story.events:
-            m = _DECLARE_RE.match(event.text.strip())
-            if m:
-                first.setdefault(m.group(1).casefold(), m.group(2))
-        return first
 
 
 def mandated_pairs(story: Story, questions: list[ToMQuestion]) -> list[EntityAttribute]:

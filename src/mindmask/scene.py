@@ -261,21 +261,18 @@ def build_character_graph(
     the character was in immediately before or after the event's records
     apply; the "after" side makes arrivals self-observed, the "before" side
     makes departures self-observed. The witnessed events are the observation
-    bitset the omniscient graph carries when it was built from these same
-    records and anchors; otherwise the character's track is computed here.
+    bitset the omniscient graph carries, so `omniscient` must come from
+    :func:`build_omniscient_graph` called with these same `records` and
+    `anchors` objects; any other graph raises :class:`ValidationError`.
     """
     if not story.has_character(character):
         raise ValidationError(f"{character!r} is not a character of the story")
     if len(omniscient) != len(story.events):
         raise ValidationError("omniscient graph does not cover the story")
-    key = character.casefold()
     seen = omniscient._observations
-    if seen is not None and seen.records is records and seen.anchors is anchors:
-        bits = seen.bits[key]
-    else:
-        track = _location_tracks(story, records, anchors, [character])[key]
-        bits = _observed(omniscient.assignment, track)
-    return _view(omniscient, bits)
+    if seen is None or seen.records is not records or seen.anchors is not anchors:
+        raise ValidationError("omniscient graph was not built from these records and anchors")
+    return _view(omniscient, seen.bits[character.casefold()])
 
 
 def mask(g: SceneGraph, gc: SceneGraph) -> SceneGraph:

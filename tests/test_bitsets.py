@@ -150,14 +150,16 @@ def test_pipeline_character_graphs_match_reference(shape, seeds):
             assert graph.surviving() == reference_surviving(graph)
 
 
-def test_character_graph_without_observations_reads_the_records(melon_setup):
+def test_character_graph_rejects_a_graph_built_from_other_inputs(melon_setup):
     story, _, records, anchors, omniscient = melon_setup
     bare = SceneGraph(omniscient.assignment, omniscient.location_set)
-    for name in story.characters:
-        want = build_character_graph(story, records, anchors, name, omniscient)
-        got = build_character_graph(story, records, anchors, name, bare)
-        assert got == want
-        assert got.bits == want.bits
+    for graph, recs, anchs in (
+        (bare, records, anchors),
+        (omniscient, list(records), anchors),
+        (omniscient, records, list(anchors)),
+    ):
+        with pytest.raises(ValidationError, match="not built from these records and anchors"):
+            build_character_graph(story, recs, anchs, story.characters[0], graph)
 
 
 # -- work done once per story --------------------------------------------------

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -158,3 +162,19 @@ def test_removed_eval_flags_are_usage_errors(dataset_path, flags, capsys):
         main(["eval", "--dataset", str(dataset_path), *flags])
     assert info.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_closed_pipe_exits_quietly(dataset_path):
+    # The reader closes its end before the command writes anything, as
+    # `mindmask eval ... | head -2` does once it has its lines.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mindmask.cli", "eval", "--dataset", str(dataset_path)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    _, stderr = proc.communicate(timeout=60)
+    assert stderr.decode() == ""
+    assert proc.returncode == 0

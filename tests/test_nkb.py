@@ -9,26 +9,24 @@ from mindmask.nkb import (
     EntityAttribute,
     EntityStateRecord,
     RuleBackend,
-    RuleWorldState,
     build_anchors,
     canonicalize_location,
     extract_locations,
     generate_states,
     identify_key_entities,
-    rule_backend_apply,
 )
 from mindmask.question import parse_question
-from mindmask.story import Event, parse_story
+from mindmask.story import Event, Story, parse_story
 
 RECORD_SHAPE = re.compile(r"^.+ of .+ becomes .+$")
 
 
 def _apply_lines(lines):
-    world = RuleWorldState()
-    records = []
-    for i, text in enumerate(lines, start=1):
-        records.extend(rule_backend_apply(world, Event(index=i, text=text)))
-    return world, records
+    story = Story(
+        events=tuple(Event(index=i, text=text) for i, text in enumerate(lines, start=1)),
+        characters=(),
+    )
+    return story, RuleBackend().story_states(story, [])
 
 
 def test_enter_record():
@@ -62,7 +60,7 @@ def test_move_record_without_source():
 
 
 def test_no_movement_and_distractors_are_noops():
-    world, records = _apply_lines(
+    story, records = _apply_lines(
         [
             "Lily made no movements and stayed in the porch for 1 minute.",
             "Lily likes the green bucket.",
@@ -70,7 +68,8 @@ def test_no_movement_and_distractors_are_noops():
         ]
     )
     assert records == []
-    assert world.places == {}
+    # The stay line moves nobody, but it names a place.
+    assert RuleBackend().location_names(story) == ["porch"]
 
 
 def test_multi_enter_emits_one_record_per_name():
