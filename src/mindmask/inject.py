@@ -8,6 +8,7 @@ records included.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import ValidationError
 from .nkb import LOCATION, EntityStateRecord
@@ -34,28 +35,25 @@ def inject(story: Story, records: list[EntityStateRecord]) -> list[AugmentedEven
     attribute) for determinism, minus character-location records.
     """
     person = {c.casefold() for c in story.characters}
-    per_event: dict[int, list[EntityStateRecord]] = {}
+    n = len(story.events)
+    keyed: list[tuple[tuple[int, str, str], EntityStateRecord]] = []
     for r in records:
-        if not 1 <= r.event_index <= len(story.events):
+        if not 1 <= r.event_index <= n:
             raise ValidationError(f"record references unknown event index {r.event_index}")
-        if r.attribute == LOCATION and r.entity.casefold() in person:
+        entity = r.entity.casefold()
+        if r.attribute == LOCATION and entity in person:
             continue
-        per_event.setdefault(r.event_index, []).append(r)
+        keyed.append(((r.event_index, entity, r.attribute.casefold()), r))
+    # Stable, so records with equal keys keep their input order.
+    keyed.sort(key=itemgetter(0))
 
-    augmented = []
-    for event in story.events:
-        bullets = sorted(
-            per_event.get(event.index, ()),
-            key=lambda r: (r.entity.casefold(), r.attribute.casefold()),
-        )
-        augmented.append(
-            AugmentedEvent(
-                index=event.index,
-                base_text=event.text,
-                injected=tuple(r.render() for r in bullets),
-            )
-        )
-    return augmented
+    bullets: list[list[str]] = [[] for _ in range(n + 1)]
+    for (index, _, _), r in keyed:
+        bullets[index].append(r.render())
+    return [
+        AugmentedEvent(index=event.index, base_text=event.text, injected=tuple(bullets[event.index]))
+        for event in story.events
+    ]
 
 
 def render_augmented(events: list[AugmentedEvent], numbered: bool = True) -> str:

@@ -393,10 +393,7 @@ def generate_states(
     merged: dict[tuple[int, str, str], EntityStateRecord] = {}
     for record in backend.story_states(story, list(targets)):
         merged[(record.event_index, record.entity.casefold(), record.attribute.casefold())] = record
-    return sorted(
-        merged.values(),
-        key=lambda r: (r.event_index, r.entity.casefold(), r.attribute.casefold()),
-    )
+    return [merged[key] for key in sorted(merged)]
 
 
 def extract_locations(story: Story, backend: StateBackend) -> list[LocationAnchor]:

@@ -71,6 +71,19 @@ class StoryArtifacts:
     omniscient: SceneGraph
     _char_graphs: dict[str, SceneGraph] = field(default_factory=dict)
     _texts: dict[bool, list[str]] = field(default_factory=dict)
+    _by_target: dict[tuple[str, str], list[EntityStateRecord]] = field(init=False)
+
+    def __post_init__(self):
+        by_target: dict[tuple[str, str], list[EntityStateRecord]] = {}
+        for r in self.records:
+            by_target.setdefault((r.entity.casefold(), r.attribute.casefold()), []).append(r)
+        self._by_target = by_target
+
+    def target_records(self, q: ToMQuestion) -> list[EntityStateRecord]:
+        """The records of the question's target (entity, attribute), in
+        record order; indexed once per story."""
+        key = (q.target_entity.casefold(), q.target_attribute.casefold())
+        return self._by_target.get(key, [])
 
     def character_graph(self, name: str) -> SceneGraph:
         key = name.casefold()
@@ -139,7 +152,7 @@ def answer_question(artifacts: StoryArtifacts, q: ToMQuestion, cfg: PipelineConf
     asked = reduce_order(q) if q.order >= 1 else q
 
     if cfg.answer_backend is None:
-        predicted = symbolic_reader(view, asked, artifacts.records)
+        predicted = symbolic_reader(view, asked, artifacts.target_records(asked))
         flagged = predicted == ABSTAIN
     else:
         space = tuple(answer_space_for(asked, artifacts.story, artifacts.records))
@@ -158,21 +171,15 @@ def run_pipeline(story: Story, q: ToMQuestion, cfg: PipelineConfig | None = None
 
 def symbolic_reader(view: MaskedView, q: ToMQuestion, records: list[EntityStateRecord]) -> str:
     """Deterministic reader: the last surviving state of the question's
-    target, falling back to its initial declaration."""
-    target = q.target_entity.casefold()
-    relevant = [
-        r
-        for r in records
-        if r.entity.casefold() == target and r.attribute.casefold() == q.target_attribute.casefold()
-    ]
-    if not relevant:
+    target, falling back to its initial declaration. `records` are the
+    target's own, in record order, as :meth:`StoryArtifacts.target_records`
+    gives them."""
+    if not records:
         return ABSTAIN
-    if q.asks_initial:
-        chosen = relevant[0]
-    else:
+    chosen = records[0]
+    if not q.asks_initial:
         surviving = set(view.surviving)
-        in_view = [r for r in relevant if r.event_index in surviving]
-        chosen = in_view[-1] if in_view else relevant[0]
+        chosen = next((r for r in reversed(records) if r.event_index in surviving), chosen)
     return _state_to_answer(chosen.state, q.target_attribute)
 
 

@@ -18,7 +18,6 @@ exactly the events the whole chain observed.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -83,11 +82,14 @@ def _bits(flags) -> int:
 
 
 def _view(graph: SceneGraph, bits: int) -> SceneGraph:
-    """`graph` with every event outside `bits` nulled, its bits already set."""
-    flags = format(bits, "b").zfill(len(graph))[::-1]
-    assignment = tuple(room if flag == "1" else NULL for room, flag in zip(graph.assignment, flags))
-    view = SceneGraph(assignment=assignment, location_set=graph.location_set)
-    view.__dict__["bits"] = bits  # seeds the cached property
+    """`graph` with every event outside `bits` nulled, its bits already set.
+    Its rooms are a subset of valid `graph`'s, so ``__post_init__`` is skipped."""
+    flags = f"{bits:0{len(graph)}b}"[::-1]
+    kept = [room if flag == "1" else NULL for room, flag in zip(graph.assignment, flags)]
+    view = object.__new__(SceneGraph)
+    view.__dict__.update(  # "bits" seeds the cached property
+        assignment=tuple(kept), location_set=graph.location_set, _observations=None, bits=bits
+    )
     return view
 
 
@@ -117,36 +119,37 @@ def _resolver(anchors: list[LocationAnchor]):
 
 
 def _location_tracks(
-    story: Story,
-    records: list[EntityStateRecord],
-    anchors: list[LocationAnchor],
-    names: Iterable[str],
-    resolve=None,
-) -> dict[str, list[str | None]]:
-    """Each named character's room after every event, from its own records.
+    story: Story, records: list[EntityStateRecord], resolve
+) -> tuple[dict[str, list[str | None]], list[list[tuple[str, EntityStateRecord]]]]:
+    """Each character's room after every event, and each event's location
+    records as (casefolded entity, record) pairs, from one pass.
 
-    Keys are casefolded names. ``track[i]`` is the room once the records of
-    event `i` apply; ``track[0]``, before the story, is the null node.
-    `resolve` is a :func:`_resolver` of the anchors, made here when absent.
+    Track keys are casefolded names. ``track[i]`` is the room once the
+    records of event `i` apply; ``track[0]``, before the story, is the null
+    node. `resolve` is a :func:`_resolver` of the story's anchors.
     """
-    resolve = resolve or _resolver(anchors)
     n = len(story.events)
-    moves: dict[str, dict[int, str | None]] = {name.casefold(): {} for name in names}
+    moves: dict[str, dict[int, str | None]] = {c.casefold(): {} for c in story.characters}
+    located: list[list[tuple[str, EntityStateRecord]]] = [[] for _ in range(n + 1)]
     for r in records:
         if not 1 <= r.event_index <= n:
             raise ValidationError(f"record references unknown event index {r.event_index}")
-        own = moves.get(r.entity.casefold()) if r.attribute == LOCATION else None
-        if own is not None:
-            own[r.event_index] = resolve(r.state)
+        if r.attribute == LOCATION:
+            key = r.entity.casefold()
+            located[r.event_index].append((key, r))
+            own = moves.get(key)
+            if own is not None:
+                own[r.event_index] = resolve(r.state)
     tracks: dict[str, list[str | None]] = {}
     for key, own in moves.items():
-        room = None
-        track = [room]
-        for index in range(1, n + 1):
-            room = own.get(index, room)
-            track.append(room)
+        track: list[str | None] = [NULL] * (n + 1)
+        room, start = NULL, 0
+        for index, new in sorted(own.items()):
+            track[start:index] = [room] * (index - start)
+            room, start = new, index
+        track[start:] = [room] * (n + 1 - start)
         tracks[key] = track
-    return tracks
+    return tracks, located
 
 
 def _observed(assignment: tuple[str | None, ...], track: list[str | None]) -> int:
@@ -158,7 +161,7 @@ def _observed(assignment: tuple[str | None, ...], track: list[str | None]) -> in
 
 
 def _container_rooms(
-    located: dict[int, list[EntityStateRecord]],
+    located: list[list[tuple[str, EntityStateRecord]]],
     actors: list[list[str]],
     tracks: dict[str, list[str | None]],
     resolve,
@@ -170,12 +173,12 @@ def _container_rooms(
     the container is in that room).
     """
     rooms: dict[str, str] = {}
-    for index, here in sorted(located.items()):
-        objects = [r for r in here if r.entity.casefold() not in tracks]
+    for index, here in enumerate(located[1:], start=1):
+        objects = [r for key, r in here if key not in tracks]
         if not objects:
             continue
         actor = actors[index - 1]
-        actor_room = tracks[actor[0].casefold()][index] if actor else None
+        actor_room = tracks[actor[0]][index] if actor else None
         for r in objects:
             room = resolve(r.state)
             if room is not None:
@@ -202,13 +205,10 @@ def build_omniscient_graph(
     if not anchors:
         raise ValidationError("cannot build a scene graph without location anchors")
     resolve = _resolver(anchors)
-    tracks = _location_tracks(story, records, anchors, story.characters, resolve)
-    located: dict[int, list[EntityStateRecord]] = {}
-    for r in records:
-        if r.attribute == LOCATION:
-            located.setdefault(r.event_index, []).append(r)
+    tracks, located = _location_tracks(story, records, resolve)
+    # The casefolded names of each event's acting characters.
     actors = [
-        [n for n in leading_subjects(event.text) if n.casefold() in tracks]
+        [key for name in leading_subjects(event.text) if (key := name.casefold()) in tracks]
         for event in story.events
     ]
     container_rooms = _container_rooms(located, actors, tracks, resolve)
@@ -217,11 +217,11 @@ def build_omniscient_graph(
     previous: str | None = None
     for index, event in enumerate(story.events, start=1):
         room: str | None = None
-        here = located.get(index, ())
-        movers = [r.entity.casefold() for r in here if r.entity.casefold() in tracks]
+        here = located[index]
+        movers = [key for key, _ in here if key in tracks]
         acting = actors[index - 1]
         if story.kind == DIALOGUE_KIND and event.speaker is not None:
-            acting = [event.speaker] + acting
+            acting = [event.speaker.casefold()] + acting
 
         if movers:
             # A mover's arrival names the room; when every mover leaves (an
@@ -230,9 +230,9 @@ def build_omniscient_graph(
             if room is None:
                 room = tracks[movers[0]][index - 1]
         elif acting:
-            room = tracks[acting[0].casefold()][index]
+            room = tracks[acting[0]][index]
         elif here:
-            state = here[0].state
+            state = here[0][1].state
             room = resolve(state)
             if room is None:
                 room = container_rooms.get(normalize_place(state), previous)

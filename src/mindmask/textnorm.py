@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import re
 
 ARTICLES = {"the", "a", "an"}
@@ -15,9 +16,11 @@ _WORD_RE = re.compile(r"[a-z]+")
 _PUNCT_RE = re.compile(r"[^\w\s]")
 
 
+@functools.lru_cache(maxsize=4096)
 def normalize_place(raw: str) -> str:
     """Lowercase a place phrase and drop punctuation, hyphens, articles, and
-    leading prepositions: ``"in the Waiting-Room."`` -> ``"waiting room"``."""
+    leading prepositions: ``"in the Waiting-Room."`` -> ``"waiting room"``.
+    Memoized, boundedly: a story names a handful of places many times."""
     s = raw.casefold().replace("-", " ")
     s = _PUNCT_RE.sub(" ", s)
     tokens = s.split()

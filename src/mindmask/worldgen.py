@@ -211,6 +211,8 @@ class _Trace:
     each distinct place string is normalized once. ``pre[i]`` and
     ``post[i]`` are read-only snapshots; a new one is made only when an
     enter or exit changes someone's room, so consecutive entries share it.
+    ``seen`` holds one observation bitset per casefolded character: bit i-1
+    is set when the character observes event i.
     """
 
     def __init__(self, story: Story):
@@ -282,9 +284,10 @@ class _Trace:
             if holder in self.rooms:
                 container_room[child] = holder
 
-        # Second pass: the room where each event takes place. A text that
-        # reads both as a stay or distract line and as a declaration counts
-        # as the former, so those two are tried before the declaration.
+        # Second pass: each event's room and who sees it. A text that reads
+        # both as a stay or distract line and as a declaration counts as the
+        # former, so those two are tried before the declaration.
+        self.seen: dict[str, int] = dict.fromkeys(self.characters, 0)
         previous: str | None = None
         for i, (text, (enter, exit_, move, declare)) in enumerate(zip(texts, matches), start=1):
             room: str | None = None
@@ -305,13 +308,13 @@ class _Trace:
             self.room_of[i] = room
             if room is not None:
                 previous = room
+                before, after = self.pre[i], self.post[i]
+                for key in self.characters:
+                    if before.get(key) == room or after.get(key) == room:
+                        self.seen[key] |= 1 << (i - 1)
 
     def observes(self, name: str, index: int) -> bool:
-        room = self.room_of[index]
-        if room is None:
-            return False
-        key = name.casefold()
-        return room in (self.pre[index].get(key), self.post[index].get(key))
+        return bool(self.seen.get(name.casefold(), 0) >> (index - 1) & 1)
 
 
 _last_trace: _Trace | None = None
@@ -335,8 +338,8 @@ def observed_set(story: Story, character: str) -> set[int]:
     arrivals and departures included on both sides of the door."""
     if not story.has_character(character):
         raise ValidationError(f"{character!r} is not a character of the story")
-    trace = _trace_of(story)
-    return {i for i in range(1, len(story.events) + 1) if trace.observes(character, i)}
+    seen = _trace_of(story).seen[character.casefold()]
+    return {i for i in range(1, len(story.events) + 1) if seen >> (i - 1) & 1}
 
 
 def _chain_names(chain) -> tuple[str, ...]:
@@ -357,16 +360,20 @@ def _checked_trace(story: Story, names: tuple[str, ...]) -> _Trace:
 
 def _fold_beliefs(trace: _Trace, names: tuple[str, ...]) -> list[dict[str, str]]:
     beliefs: list[dict[str, str]] = [dict() for _ in range(len(names) + 1)]
+    # prefix_seen[j]: the events the first j names all observed (all for j=0).
+    prefix_seen = [-1]
+    for name in names:
+        prefix_seen.append(prefix_seen[-1] & trace.seen[name.casefold()])
     for i in range(1, len(trace.story.events) + 1):
         effect = trace.effects[i]
         if effect is None:
             continue
         obj, container = effect
-        for j in range(len(names) + 1):
-            if all(trace.observes(names[jj], i) for jj in range(j)):
-                beliefs[j][obj] = container
-            else:
+        bit = 1 << (i - 1)
+        for j, seen in enumerate(prefix_seen):
+            if not seen & bit:
                 break
+            beliefs[j][obj] = container
     return beliefs
 
 

@@ -126,10 +126,10 @@ def test_generate_states_requires_targets(cupboard_story, backend):
 def test_character_location_persistence(cupboard_setup):
     # Without a location record at event i, a character's resolved location
     # at i equals its location at i-1; before any record it is null.
-    from mindmask.scene import _location_tracks
+    from mindmask.scene import _location_tracks, _resolver
 
     story, _, records, anchors, _ = cupboard_setup
-    tracks = _location_tracks(story, records, anchors, story.characters)
+    tracks, _ = _location_tracks(story, records, _resolver(anchors))
     recorded = {
         (r.event_index, r.entity.casefold()) for r in records if r.attribute == "location"
     }
@@ -140,8 +140,6 @@ def test_character_location_persistence(cupboard_setup):
         for index in range(1, len(story.events) + 1):
             if (index, name.casefold()) not in recorded:
                 assert track[index] == track[index - 1]
-        # One character's track alone matches its slice of the full set.
-        assert _location_tracks(story, records, anchors, [name]) == {name.casefold(): track}
     emily = tracks["emily"]
     assert emily[0] is None
     assert emily[3] == "crawlspace"

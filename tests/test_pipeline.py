@@ -59,12 +59,19 @@ def test_no_ki_does_not_change_symbolic_answers(melon_story, melon_question):
     )
 
 
+def _target_records(records, q):
+    """The records of q's target, as StoryArtifacts.target_records gives them."""
+    key = (q.target_entity.casefold(), q.target_attribute.casefold())
+    return [r for r in records if (r.entity.casefold(), r.attribute.casefold()) == key]
+
+
 def test_symbolic_reader_masked_view(melon_setup):
     story, q, records, anchors, omniscient = melon_setup
     view = MaskedView(surviving=(1, 2, 3, 4, 5, 6, 7, 14))
     from mindmask.question import reduce_order
 
-    assert symbolic_reader(view, reduce_order(q), records) == "blue pantry"
+    asked = reduce_order(q)
+    assert symbolic_reader(view, asked, _target_records(records, asked)) == "blue pantry"
 
 
 def test_symbolic_reader_partial_observer_view(cupboard_setup):
@@ -73,14 +80,14 @@ def test_symbolic_reader_partial_observer_view(cupboard_setup):
     story, questions, records, _, _ = cupboard_setup
     view = MaskedView(surviving=(2, 3, 4, 5, 6, 11))
     q = parse_question("Where does Abigail think the t-shirt is?", story)
-    assert symbolic_reader(view, q, records) == "cupboard"
+    assert symbolic_reader(view, q, _target_records(records, q)) == "cupboard"
 
 
 def test_symbolic_reader_declaration_fallback(cupboard_story):
     records = [EntityStateRecord(1, "ball", "location", "in the box")]
     q = parse_question("Where is the ball really?", cupboard_story)
     view = MaskedView(surviving=())
-    assert symbolic_reader(view, q, records) == "box"
+    assert symbolic_reader(view, q, _target_records(records, q)) == "box"
 
 
 def test_symbolic_reader_abstains_without_records(cupboard_story):
