@@ -34,21 +34,20 @@ def inject(story: Story, records: list[EntityStateRecord]) -> list[AugmentedEven
     Bullets are the rendered records of the event, sorted by (entity,
     attribute) for determinism, minus character-location records.
     """
-    person = {c.casefold() for c in story.characters}
+    person = story.characters_by_key
     n = len(story.events)
-    keyed: list[tuple[tuple[int, str, str], EntityStateRecord]] = []
+    keyed: list[tuple[tuple[int, tuple[str, str]], EntityStateRecord]] = []
     for r in records:
         if not 1 <= r.event_index <= n:
             raise ValidationError(f"record references unknown event index {r.event_index}")
-        entity = r.entity.casefold()
-        if r.attribute == LOCATION and entity in person:
+        if r.attribute == LOCATION and r.key[0] in person:
             continue
-        keyed.append(((r.event_index, entity, r.attribute.casefold()), r))
+        keyed.append(((r.event_index, r.key), r))
     # Stable, so records with equal keys keep their input order.
     keyed.sort(key=itemgetter(0))
 
     bullets: list[list[str]] = [[] for _ in range(n + 1)]
-    for (index, _, _), r in keyed:
+    for (index, _), r in keyed:
         bullets[index].append(r.render())
     return [
         AugmentedEvent(index=event.index, base_text=event.text, injected=tuple(bullets[event.index]))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Iterable, Protocol, runtime_checkable
 
 from .errors import ExtractionError, ProtocolError, ValidationError
@@ -38,24 +38,32 @@ CONVERSATION = "conversation"
 
 @dataclass(frozen=True)
 class EntityAttribute:
+    """An entity and one of its attributes; `key` is the casefolded pair."""
+
     entity: str
     attribute: str
+    key: tuple[str, str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "key", (self.entity.casefold(), self.attribute.casefold()))
 
     def render(self) -> str:
         return f"{self.attribute} of {self.entity}"
 
-    def key(self) -> tuple[str, str]:
-        return (self.entity.casefold(), self.attribute.casefold())
-
 
 @dataclass(frozen=True)
 class EntityStateRecord:
-    """One state assertion tied to one event."""
+    """One state assertion tied to one event. `key`, the casefolded
+    (entity, attribute) pair, is its identity in every layer."""
 
     event_index: int
     entity: str
     attribute: str
     state: str
+    key: tuple[str, str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "key", (self.entity.casefold(), self.attribute.casefold()))
 
     def render(self) -> str:
         return f"{self.attribute} of {self.entity} becomes {self.state}"
@@ -295,9 +303,9 @@ class RuleBackend:
         return list(self._scan_of(story).places)
 
     def key_entities(self, story, questions):
-        pairs = mandated_pairs(story, questions)
-        for c in story.characters:
-            pairs.append(EntityAttribute(entity=c, attribute=LOCATION))
+        """Character locations and container contents; the question-mandated
+        pairs are added by :func:`identify_key_entities`."""
+        pairs = [EntityAttribute(entity=c, attribute=LOCATION) for c in story.characters]
         # The first container each questioned entity was declared in carries
         # the content attribute (its emptying is a state change of interest).
         declared = self._scan_of(story).containers
@@ -336,39 +344,30 @@ def identify_key_entities(
     Question-mandated pairs always survive the cap; the remainder keep
     first-mention order. At least one non-person entity is guaranteed.
     """
-    if not story.events:
-        raise ValidationError("empty story")
     if not questions:
         raise ValidationError("identify_key_entities needs at least one question")
     raw = backend.key_entities(story, list(questions))
 
-    ordered: list[EntityAttribute] = []
-    seen: set[tuple[str, str]] = set()
-
-    def add(pair: EntityAttribute):
-        if pair.key() not in seen:
-            seen.add(pair.key())
-            ordered.append(pair)
-
+    # One pair per key, the first seen.
+    pairs: dict[tuple[str, str], EntityAttribute] = {}
     for pair in mandated_pairs(story, questions):
-        add(pair)
-    mandated_count = len(ordered)
-    extras = [p for p in raw if p.key() not in seen]
+        pairs.setdefault(pair.key, pair)
+    mandated_count = len(pairs)
+    extras = [p for p in raw if p.key not in pairs]
     extras.sort(key=lambda p: _first_mention(story, p.entity))
     for pair in extras:
-        add(pair)
+        pairs.setdefault(pair.key, pair)
+    ordered = list(pairs.values())
 
     capped = ordered[:MAX_KEY_ENTITIES]
-    person = {c.casefold() for c in story.characters}
-    if not any(p.entity.casefold() not in person for p in capped):
-        non_person = next((p for p in ordered if p.entity.casefold() not in person), None)
+    person = story.characters_by_key
+    if not any(p.key[0] not in person for p in capped):
+        non_person = next((p for p in ordered if p.key[0] not in person), None)
         if non_person is not None:
             capped = capped[: MAX_KEY_ENTITIES - 1] + [non_person]
         else:
             # Nothing but people in the story; the preference is unsatisfiable.
             log.debug("no non-person entity available; keeping a person-only extraction")
-    if not capped:
-        raise ExtractionError("entity extraction produced no pairs")
     if mandated_count > MAX_KEY_ENTITIES:
         log.debug(
             "question-mandated pairs (%d) exceed the cap (%d); keeping the first %d",
@@ -386,20 +385,22 @@ def generate_states(
 
     The backend is asked once per story, through ``story_states``; only
     events with a state change contribute records. Duplicate assertions for
-    the same (event, entity, attribute) keep the last emission.
+    the same (event, entity, attribute) keep the last emission. This is where
+    records enter the pipeline, so each leaves with its attribute spelled as
+    its key: a chat model's ``Location`` is a location in every later layer.
     """
     if not targets:
         raise ValidationError("generate_states needs a non-empty target list")
-    merged: dict[tuple[int, str, str], EntityStateRecord] = {}
+    merged: dict[tuple[int, tuple[str, str]], EntityStateRecord] = {}
     for record in backend.story_states(story, list(targets)):
-        merged[(record.event_index, record.entity.casefold(), record.attribute.casefold())] = record
+        if record.attribute != record.key[1]:
+            record = replace(record, attribute=record.key[1])
+        merged[(record.event_index, record.key)] = record
     return [merged[key] for key in sorted(merged)]
 
 
 def extract_locations(story: Story, backend: StateBackend) -> list[LocationAnchor]:
     """Enterable places of the story as anchors; containers are excluded."""
-    if not story.events:
-        raise ValidationError("empty story")
     names = backend.location_names(story)
     anchors = build_anchors(names)
     if not anchors:

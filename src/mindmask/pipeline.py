@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import re
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .errors import ValidationError
 from .inject import AugmentedEvent, inject
@@ -76,7 +76,7 @@ class StoryArtifacts:
     def __post_init__(self):
         by_target: dict[tuple[str, str], list[EntityStateRecord]] = {}
         for r in self.records:
-            by_target.setdefault((r.entity.casefold(), r.attribute.casefold()), []).append(r)
+            by_target.setdefault(r.key, []).append(r)
         self._by_target = by_target
 
     def target_records(self, q: ToMQuestion) -> list[EntityStateRecord]:
@@ -290,20 +290,7 @@ class EvalReport:
             "per_order": {str(k): v for k, v in sorted(self.per_order.items())},
             "graph_counts": self.graph_counts,
             "skipped": self.skipped,
-            "questions": [
-                {
-                    "seed": r.seed,
-                    "story_index": r.story_index,
-                    "question": r.question,
-                    "order": r.order,
-                    "predicted": r.predicted,
-                    "gold": r.gold,
-                    "correct": r.correct,
-                    "empty_view": r.empty_view,
-                    "flagged": r.flagged,
-                }
-                for r in self.rows
-            ],
+            "questions": [asdict(r) for r in self.rows],
         }
         return json.dumps(payload, indent=2, sort_keys=True)
 

@@ -177,7 +177,7 @@ def reduce_order(q: ToMQuestion) -> ToMQuestion:
 def answer_space_for(q: ToMQuestion, story: Story, records: list[EntityStateRecord]) -> list[str]:
     """Candidate answers for a location question: every place the target was
     recorded in, initial declaration included, in first-mention order."""
-    target = q.target_entity.casefold()
+    target = (q.target_entity.casefold(), q.target_attribute.casefold())
     candidates: list[str] = []
     seen: set[str] = set()
 
@@ -188,13 +188,14 @@ def answer_space_for(q: ToMQuestion, story: Story, records: list[EntityStateReco
             candidates.append(place)
 
     for r in records:
-        if r.attribute == q.target_attribute and r.entity.casefold() == target:
+        if r.key == target:
             add(r.state)
     if candidates:
         return candidates
 
-    person = {c.casefold() for c in story.characters}
+    person = story.characters_by_key
     for r in records:
-        if r.attribute == "location" and r.entity.casefold() not in person:
+        entity, attribute = r.key
+        if attribute == "location" and entity not in person:
             add(r.state)
     return candidates

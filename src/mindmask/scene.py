@@ -129,13 +129,13 @@ def _location_tracks(
     node. `resolve` is a :func:`_resolver` of the story's anchors.
     """
     n = len(story.events)
-    moves: dict[str, dict[int, str | None]] = {c.casefold(): {} for c in story.characters}
+    moves: dict[str, dict[int, str | None]] = {key: {} for key in story.characters_by_key}
     located: list[list[tuple[str, EntityStateRecord]]] = [[] for _ in range(n + 1)]
     for r in records:
         if not 1 <= r.event_index <= n:
             raise ValidationError(f"record references unknown event index {r.event_index}")
-        if r.attribute == LOCATION:
-            key = r.entity.casefold()
+        key, attribute = r.key
+        if attribute == LOCATION:
             located[r.event_index].append((key, r))
             own = moves.get(key)
             if own is not None:

@@ -55,12 +55,14 @@ class Event:
 
 @dataclass(frozen=True)
 class Story:
-    """An ordered event sequence with the characters it involves."""
+    """An ordered event sequence with the characters it involves;
+    `characters_by_key` maps each casefolded name to its stored casing."""
 
     events: tuple[Event, ...]
     characters: tuple[str, ...]
     kind: str = EVENT_KIND
     metadata: dict = field(default_factory=dict)
+    characters_by_key: dict[str, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.events:
@@ -72,11 +74,12 @@ class Story:
                 )
             if not event.text.strip():
                 raise ValidationError(f"event {pos} has empty text")
-        folded = [name.casefold() for name in self.characters]
-        if len(set(folded)) != len(folded):
+        by_key = {name.casefold(): name for name in self.characters}
+        if len(by_key) != len(self.characters):
             raise ValidationError("duplicate character names (case-insensitive)")
+        object.__setattr__(self, "characters_by_key", by_key)
         for event in self.events:
-            if event.speaker is not None and event.speaker.casefold() not in folded:
+            if event.speaker is not None and event.speaker.casefold() not in by_key:
                 raise ValidationError(
                     f"speaker {event.speaker!r} of event {event.index} is not a story character"
                 )
@@ -85,14 +88,14 @@ class Story:
         return self.events[index - 1]
 
     def has_character(self, name: str) -> bool:
-        return name.casefold() in {c.casefold() for c in self.characters}
+        return name.casefold() in self.characters_by_key
 
     def canonical_character(self, name: str) -> str:
         """Return the stored casing for a character name."""
-        for c in self.characters:
-            if c.casefold() == name.casefold():
-                return c
-        raise ValidationError(f"unknown character {name!r}")
+        try:
+            return self.characters_by_key[name.casefold()]
+        except KeyError:
+            raise ValidationError(f"unknown character {name!r}") from None
 
     def key(self) -> str:
         """Stable identity over kind and event content, for caching."""

@@ -26,6 +26,7 @@ from mindmask.nkb import (
     EntityStateRecord,
     RuleBackend,
     display_name,
+    identify_key_entities,
     mandated_pairs,
 )
 from mindmask.pipeline import PipelineConfig, answer_question, prepare_story
@@ -142,8 +143,7 @@ def reference_location_names(story: Story) -> list[str]:
 
 
 def reference_key_entities(story: Story, questions) -> list[EntityAttribute]:
-    pairs = mandated_pairs(story, questions)
-    pairs += [EntityAttribute(c, LOCATION) for c in story.characters]
+    pairs = [EntityAttribute(c, LOCATION) for c in story.characters]
     first: dict[str, str] = {}
     for event in story.events:
         m = _DECLARE_RE.match(event.text.strip())
@@ -173,6 +173,22 @@ def assert_matches_reference(story: Story, questions) -> None:
     assert backend.location_names(story) == names
     assert backend.story_states(story, pairs) == records
     assert backend.key_entities(story, questions) == pairs
+    if questions:
+        # The backend leaves the mandated pairs to identify_key_entities,
+        # which picks the same targets as when the backend listed them too.
+        assert identify_key_entities(story, questions, backend) == identify_key_entities(
+            story, questions, WithMandatedPairs(backend)
+        )
+
+
+@dataclass
+class WithMandatedPairs:
+    """A rule backend whose key entities open with the mandated pairs."""
+
+    rule: RuleBackend
+
+    def key_entities(self, story, questions):
+        return mandated_pairs(story, questions) + self.rule.key_entities(story, questions)
 
 
 # -- stories: every grammar knob, then lines the generator never writes --------
