@@ -318,13 +318,18 @@ class RuleBackend:
 
 def mandated_pairs(story: Story, questions: list[ToMQuestion]) -> list[EntityAttribute]:
     """Pairs every extraction must include: each question's target with its
-    attribute, and the location of every character in any belief chain."""
+    attribute, and the location of every character in any belief chain,
+    one pair per character, in first-seen order."""
     pairs: list[EntityAttribute] = []
     for q in questions:
         pairs.append(EntityAttribute(entity=display_name(q.target_entity), attribute=q.target_attribute))
+    seen: set[str] = set()
     for q in questions:
         for name in q.chain_names:
-            pairs.append(EntityAttribute(entity=name, attribute=LOCATION))
+            key = name.casefold()
+            if key not in seen:
+                seen.add(key)
+                pairs.append(EntityAttribute(entity=name, attribute=LOCATION))
     return pairs
 
 

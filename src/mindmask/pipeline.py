@@ -1,12 +1,15 @@
 """End-to-end pipeline: extract, inject, mask, answer, evaluate.
 
 The full path per question: identify key entities, generate state records,
-inject non-spatial knowledge into events, build the omniscient and
-character scene graphs, fold the belief chain's masks, reduce the question
-to first order, and read the answer. Two ablation switches reproduce the
-"no knowledge injection" and "no iterative masking" variants; with masking
-off the reader sees the whole story and fails on false-belief questions,
-which is the point.
+build the omniscient and character scene graphs, fold the belief chain's
+masks, reduce the question to first order, and read the answer. The
+symbolic reader reads the masked bitset: it needs only which of the
+target's records survived. Injected text, the events with their
+non-spatial knowledge bullets, is built only for a text reader (an
+``answer_backend``) and only the first time one asks. Two ablation switches
+reproduce the "no knowledge injection" and "no iterative masking" variants;
+with masking off the reader sees the whole story and fails on false-belief
+questions, which is the point.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import json
 import re
 import statistics
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 from .errors import ValidationError
 from .inject import AugmentedEvent, inject
@@ -34,6 +38,7 @@ from .scene import (
     build_character_graph,
     build_omniscient_graph,
     graph_build_counts,
+    mask_bits,
     mask_chain,
     retrieve_events,
 )
@@ -67,7 +72,6 @@ class StoryArtifacts:
     story: Story
     records: list[EntityStateRecord]
     anchors: list
-    augmented: list[AugmentedEvent]
     omniscient: SceneGraph
     _char_graphs: dict[str, SceneGraph] = field(default_factory=dict)
     _texts: dict[bool, list[str]] = field(default_factory=dict)
@@ -93,6 +97,12 @@ class StoryArtifacts:
             )
         return self._char_graphs[key]
 
+    @cached_property
+    def augmented(self) -> list[AugmentedEvent]:
+        """The story's events with injected bullets; built the first time a
+        text reader asks."""
+        return inject(self.story, self.records)
+
     def view_texts(self, with_knowledge: bool) -> list[str]:
         """Numbered event texts, with injected bullets when `with_knowledge`;
         rendered once per story."""
@@ -117,49 +127,49 @@ def prepare_story(story: Story, questions: list[ToMQuestion], cfg: PipelineConfi
     targets = identify_key_entities(story, questions, backend)
     records = generate_states(story, targets, backend)
     anchors = extract_locations(story, backend)
-    augmented = inject(story, records)
     omniscient = build_omniscient_graph(story, records, anchors)
-    return StoryArtifacts(
-        story=story,
-        records=records,
-        anchors=anchors,
-        augmented=augmented,
-        omniscient=omniscient,
-    )
+    return StoryArtifacts(story=story, records=records, anchors=anchors, omniscient=omniscient)
+
+
+def _chain_graphs(artifacts: StoryArtifacts, q: ToMQuestion, cfg: PipelineConfig) -> list[SceneGraph]:
+    """The character graphs that mask the question: its chain's with masking
+    on and order 1 or more, else none, so the omniscient graph stands."""
+    if cfg.apply_masking and q.order >= 1:
+        return [artifacts.character_graph(c) for c in q.chain_names]
+    return []
 
 
 def mask_question(
     artifacts: StoryArtifacts, q: ToMQuestion, cfg: PipelineConfig
 ) -> tuple[SceneGraph, MaskedView]:
-    """The question's masked graph and the events that survive it.
+    """The question's masked graph and the events that survive it, with
+    their texts, for a text reader.
 
     With masking on, a question of order 1 or more folds its chain's
     character graphs over the omniscient graph; otherwise the omniscient
     graph stands and every event with a room survives.
     """
-    masked = artifacts.omniscient
-    if cfg.apply_masking and q.order >= 1:
-        masked = mask_chain(
-            artifacts.omniscient, [artifacts.character_graph(c) for c in q.chain_names]
-        )
+    masked = mask_chain(artifacts.omniscient, _chain_graphs(artifacts, q, cfg))
     return masked, retrieve_events(masked, artifacts.view_texts(cfg.inject_knowledge))
 
 
 def answer_question(artifacts: StoryArtifacts, q: ToMQuestion, cfg: PipelineConfig) -> QuestionOutcome:
-    _, view = mask_question(artifacts, q, cfg)
-    empty_view = not view.surviving
-
     asked = reduce_order(q) if q.order >= 1 else q
 
     if cfg.answer_backend is None:
-        predicted = symbolic_reader(view, asked, artifacts.target_records(asked))
-        flagged = predicted == ABSTAIN
-    else:
-        space = tuple(answer_space_for(asked, artifacts.story, artifacts.records))
-        raw = cfg.answer_backend.answer(view, asked, space)
-        parsed = parse_answer(raw, space or None)
-        predicted, flagged = parsed.value, parsed.flagged or parsed.ambiguous
-    return QuestionOutcome(predicted=predicted, empty_view=empty_view, flagged=flagged)
+        bits = mask_bits(artifacts.omniscient, _chain_graphs(artifacts, q, cfg))
+        predicted = symbolic_reader(bits, asked, artifacts.target_records(asked))
+        return QuestionOutcome(predicted=predicted, empty_view=bits == 0, flagged=predicted == ABSTAIN)
+
+    _, view = mask_question(artifacts, q, cfg)
+    space = tuple(answer_space_for(asked, artifacts.story, artifacts.records))
+    raw = cfg.answer_backend.answer(view, asked, space)
+    parsed = parse_answer(raw, space or None)
+    return QuestionOutcome(
+        predicted=parsed.value,
+        empty_view=not view.surviving,
+        flagged=parsed.flagged or parsed.ambiguous,
+    )
 
 
 def run_pipeline(story: Story, q: ToMQuestion, cfg: PipelineConfig | None = None) -> str:
@@ -169,17 +179,17 @@ def run_pipeline(story: Story, q: ToMQuestion, cfg: PipelineConfig | None = None
     return answer_question(artifacts, q, cfg).predicted
 
 
-def symbolic_reader(view: MaskedView, q: ToMQuestion, records: list[EntityStateRecord]) -> str:
+def symbolic_reader(bits: int, q: ToMQuestion, records: list[EntityStateRecord]) -> str:
     """Deterministic reader: the last surviving state of the question's
-    target, falling back to its initial declaration. `records` are the
-    target's own, in record order, as :meth:`StoryArtifacts.target_records`
-    gives them."""
+    target, falling back to its initial declaration. `bits` holds the
+    surviving events (bit i-1 for event i), as :func:`scene.mask_bits`
+    gives them; `records` are the target's own, in record order, as
+    :meth:`StoryArtifacts.target_records` gives them."""
     if not records:
         return ABSTAIN
     chosen = records[0]
     if not q.asks_initial:
-        surviving = set(view.surviving)
-        chosen = next((r for r in reversed(records) if r.event_index in surviving), chosen)
+        chosen = next((r for r in reversed(records) if bits >> (r.event_index - 1) & 1), chosen)
     return _state_to_answer(chosen.state, q.target_attribute)
 
 

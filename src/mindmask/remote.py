@@ -146,8 +146,19 @@ class RecordCache:
         path = self._path(story, targets, backend_name)
         if not path.exists():
             return None
+        lines = path.read_text(encoding="utf-8").splitlines()
+        # One decode of the lines joined as an array. When that fails, or
+        # gives other than one record per line, the loop below names the
+        # first bad line.
+        filled = [line for line in lines if line]
+        try:
+            rows = json.loads("[" + ",".join(filled) + "]")
+        except json.JSONDecodeError:
+            rows = []
+        if len(rows) == len(filled) and all(_is_record_row(row) for row in rows):
+            return rows
         rows = []
-        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+        for lineno, line in enumerate(lines, start=1):
             if not line:
                 continue
             try:

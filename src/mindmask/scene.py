@@ -12,7 +12,9 @@ event i's room is the character's room before or after the event. A
 character-centric graph is a view of that bitset. Masking one graph by
 another nulls every event the second graph cannot see, which is an integer
 AND, so folding a belief chain's graphs over the omniscient graph leaves
-exactly the events the whole chain observed.
+exactly the events the whole chain observed. :func:`mask_bits` is that fold;
+the symbolic reader reads its integer, and :func:`mask_chain` wraps it in a
+graph view for callers that want rooms or texts.
 """
 
 from __future__ import annotations
@@ -206,10 +208,15 @@ def build_omniscient_graph(
         raise ValidationError("cannot build a scene graph without location anchors")
     resolve = _resolver(anchors)
     tracks, located = _location_tracks(story, records, resolve)
-    # The casefolded names of each event's acting characters.
+    # The casefolded names of each event's acting characters. Only events
+    # with no character mover, or with an object's location record, read
+    # them; an event whose every location record is a character's is left
+    # unparsed.
     actors = [
-        [key for name in leading_subjects(event.text) if (key := name.casefold()) in tracks]
-        for event in story.events
+        []
+        if here and all(key in tracks for key, _ in here)
+        else [key for name in leading_subjects(event.text) if (key := name.casefold()) in tracks]
+        for event, here in zip(story.events, located[1:])
     ]
     container_rooms = _container_rooms(located, actors, tracks, resolve)
 
@@ -280,17 +287,23 @@ def mask(g: SceneGraph, gc: SceneGraph) -> SceneGraph:
     return mask_chain(g, [gc])
 
 
-def mask_chain(g: SceneGraph, chain: list[SceneGraph]) -> SceneGraph:
-    """Left fold of :func:`mask` over the chain, as one AND of the graphs'
-    bits; the empty chain is identity."""
-    if not chain:
-        return g
+def mask_bits(g: SceneGraph, chain: list[SceneGraph]) -> int:
+    """The events of `g` that every graph of the chain also places, as one
+    AND of the graphs' bits."""
     bits = g.bits
     for gc in chain:
         if len(g) != len(gc):
             raise ValidationError(f"cannot mask graphs of different sizes ({len(g)} vs {len(gc)})")
         bits &= gc.bits
-    return _view(g, bits)
+    return bits
+
+
+def mask_chain(g: SceneGraph, chain: list[SceneGraph]) -> SceneGraph:
+    """Left fold of :func:`mask` over the chain: the graph view of
+    :func:`mask_bits`; the empty chain is identity."""
+    if not chain:
+        return g
+    return _view(g, mask_bits(g, chain))
 
 
 def retrieve_events(masked: SceneGraph, augmented_texts: list[str]) -> MaskedView:

@@ -87,3 +87,26 @@ def cupboard_setup(cupboard_story, cupboard_questions, backend):
     anchors = extract_locations(cupboard_story, backend)
     omniscient = build_omniscient_graph(cupboard_story, records, anchors)
     return cupboard_story, cupboard_questions, records, anchors, omniscient
+
+
+class RecordingAnswerer:
+    """A text reader that keeps every (view, question, space, reply) it
+    sees. It answers the first candidate in tags when the view holds an odd
+    number of events, and with untagged text otherwise, so both parsed and
+    flagged replies occur."""
+
+    def __init__(self):
+        self.calls = []
+
+    def answer(self, view, question, space) -> str:
+        if space and len(view.surviving) % 2:
+            reply = f"<answer>{space[0]}</answer>"
+        else:
+            reply = "I cannot tell."
+        self.calls.append((view, question, space, reply))
+        return reply
+
+
+@pytest.fixture
+def recording_answerer():
+    return RecordingAnswerer()

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mindmask import scene
+from mindmask import pipeline, scene
 from mindmask.errors import ValidationError
 from mindmask.inject import AugmentedEvent
 from mindmask.nkb import canonicalize_location
@@ -19,6 +19,7 @@ from mindmask.scene import (
     SceneGraph,
     build_character_graph,
     mask,
+    mask_bits,
     mask_chain,
     retrieve_events,
 )
@@ -90,6 +91,7 @@ def test_mask_and_mask_chain_match_the_tuple_fold(drawn):
         assert_same_graph(mask(g, gc), reference_mask(g, gc))
     assert_same_graph(mask_chain(g, chain), reference_mask_chain(g, chain))
     masked = mask_chain(g, chain)
+    assert mask_bits(g, chain) == masked.bits
     texts = [f"event {i}" for i in range(1, len(g) + 1)]
     view = retrieve_events(masked, texts)
     assert view.surviving == reference_surviving(reference_mask_chain(g, chain))
@@ -166,7 +168,10 @@ def test_character_graph_rejects_a_graph_built_from_other_inputs(melon_setup):
 
 
 @pytest.mark.parametrize("seed", range(1, 21))
-def test_story_work_is_done_once(seed, monkeypatch):
+def test_story_work_is_done_once(seed, monkeypatch, recording_answerer):
+    """Each location string resolves once per story. The symbolic reader
+    renders no event and never injects; a text reader gets every event
+    rendered exactly once, from one injection."""
     resolved = Counter()
     resolve = scene.canonicalize_location
 
@@ -181,8 +186,16 @@ def test_story_work_is_done_once(seed, monkeypatch):
         rendered[self.index] += 1
         return render(self, numbered)
 
+    injected = Counter()
+    inject = pipeline.inject
+
+    def counting_inject(story, records):
+        injected[id(story)] += 1
+        return inject(story, records)
+
     monkeypatch.setattr(scene, "canonicalize_location", counting_resolve)
     monkeypatch.setattr(AugmentedEvent, "render", counting_render)
+    monkeypatch.setattr(pipeline, "inject", counting_inject)
 
     story, questions = generate_story(GrammarConfig(seed=seed, **DEEP_CHAINS))
     cfg = PipelineConfig()
@@ -193,4 +206,12 @@ def test_story_work_is_done_once(seed, monkeypatch):
     location_states = {r.state for r in artifacts.records if r.attribute == "location"}
     assert set(resolved) <= location_states
     assert max(resolved.values()) == 1
+    assert not rendered
+    assert not injected
+
+    text = PipelineConfig(answer_backend=recording_answerer)
+    artifacts = prepare_story(story, questions, text)
+    for q in questions:
+        answer_question(artifacts, q, text)
     assert rendered == Counter(range(1, len(story.events) + 1))
+    assert injected == Counter({id(story): 1})

@@ -20,7 +20,6 @@ from mindmask.pipeline import (
     symbolic_reader,
 )
 from mindmask.question import parse_question
-from mindmask.scene import MaskedView
 from mindmask.nkb import BackendInfo, EntityStateRecord, RuleBackend, StateBackend
 from mindmask.worldgen import GrammarConfig, generate_story
 
@@ -65,35 +64,38 @@ def _target_records(records, q):
     return [r for r in records if (r.entity.casefold(), r.attribute.casefold()) == key]
 
 
+def _bits(*surviving):
+    """The masked bitset with the given events surviving."""
+    return sum(1 << (i - 1) for i in surviving)
+
+
 def test_symbolic_reader_masked_view(melon_setup):
     story, q, records, anchors, omniscient = melon_setup
-    view = MaskedView(surviving=(1, 2, 3, 4, 5, 6, 7, 14))
+    bits = _bits(1, 2, 3, 4, 5, 6, 7, 14)
     from mindmask.question import reduce_order
 
     asked = reduce_order(q)
-    assert symbolic_reader(view, asked, _target_records(records, asked)) == "blue pantry"
+    assert symbolic_reader(bits, asked, _target_records(records, asked)) == "blue pantry"
 
 
 def test_symbolic_reader_partial_observer_view(cupboard_setup):
     # Abigail's view misses the move at event 7, so the last record she saw
     # still places the t-shirt in the cupboard.
     story, questions, records, _, _ = cupboard_setup
-    view = MaskedView(surviving=(2, 3, 4, 5, 6, 11))
+    bits = _bits(2, 3, 4, 5, 6, 11)
     q = parse_question("Where does Abigail think the t-shirt is?", story)
-    assert symbolic_reader(view, q, _target_records(records, q)) == "cupboard"
+    assert symbolic_reader(bits, q, _target_records(records, q)) == "cupboard"
 
 
 def test_symbolic_reader_declaration_fallback(cupboard_story):
     records = [EntityStateRecord(1, "ball", "location", "in the box")]
     q = parse_question("Where is the ball really?", cupboard_story)
-    view = MaskedView(surviving=())
-    assert symbolic_reader(view, q, _target_records(records, q)) == "box"
+    assert symbolic_reader(_bits(), q, _target_records(records, q)) == "box"
 
 
 def test_symbolic_reader_abstains_without_records(cupboard_story):
     q = parse_question("Where is the ball really?", cupboard_story)
-    view = MaskedView(surviving=(1,))
-    assert symbolic_reader(view, q, []) == ABSTAIN
+    assert symbolic_reader(_bits(1), q, []) == ABSTAIN
 
 
 def test_empty_view_is_flagged_and_falls_back():

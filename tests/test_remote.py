@@ -249,6 +249,22 @@ def test_truncated_cache_raises_typed_error(cupboard_story, tmp_path):
     assert isinstance(CacheFormatError("x"), MindmaskError)
 
 
+def test_cache_line_holding_two_rows_raises_typed_error(cupboard_story, tmp_path):
+    """Joined into one array, these lines would decode to three rows; the
+    entry still fails, naming the line that holds two."""
+    targets = [EntityAttribute("t-shirt", "location")]
+    reply = "- 4: location of T-shirt becomes in the cupboard\n- 5: location of cupboard becomes in the crawlspace"
+    client, _ = make_client([reply])
+    generate_states(cupboard_story, targets, RemoteBackend(client, cache=RecordCache(tmp_path)))
+    [entry] = tmp_path.glob("*.jsonl")
+    first, second = entry.read_text().splitlines()
+    entry.write_text(f"{first}\n\n{second}, {second}\n")
+    client2, transport2 = make_client([])
+    with pytest.raises(CacheFormatError, match=rf"{entry.name}: line 3 does not decode"):
+        generate_states(cupboard_story, targets, RemoteBackend(client2, cache=RecordCache(tmp_path)))
+    assert transport2.requests == []
+
+
 def test_remote_answerer_prompt(melon_setup):
     story, q, records, anchors, omniscient = melon_setup
     client, transport = make_client(["<answer>blue pantry</answer>"])

@@ -50,6 +50,32 @@ def test_omniscient_single_event(backend):
     assert graph.assignment == ("kitchen",)
 
 
+def test_mover_event_with_an_object_record_still_places_the_container(backend):
+    # A chat model may give one event both a character's location and an
+    # object's. The move at event 3 puts the box in Ava's room, the porch,
+    # so the declaration at event 5 is in the porch, not in the hall of the
+    # event before it.
+    from mindmask.nkb import EntityStateRecord, extract_locations
+    from mindmask.story import parse_story
+
+    story = parse_story(
+        "Ava entered the porch.\n"
+        "Ben entered the hall.\n"
+        "Ava moved the ball to the box.\n"
+        "Ben likes the hall.\n"
+        "The apple is in the box."
+    )
+    records = [
+        EntityStateRecord(1, "Ava", "location", "porch"),
+        EntityStateRecord(2, "Ben", "location", "hall"),
+        EntityStateRecord(3, "Ava", "location", "porch"),
+        EntityStateRecord(3, "ball", "location", "box"),
+        EntityStateRecord(5, "apple", "location", "box"),
+    ]
+    graph = build_omniscient_graph(story, records, extract_locations(story, backend))
+    assert graph.assignment == ("porch", "hall", "porch", "hall", "porch")
+
+
 def test_omniscient_requires_anchors(melon_story):
     with pytest.raises(ValidationError):
         build_omniscient_graph(melon_story, [], [])
