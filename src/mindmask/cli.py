@@ -24,19 +24,24 @@ from .pipeline import (
 from .worldgen import GrammarConfig, generate_story
 
 
-def _add_backend_flags(parser):
+def _add_backend_flags(parser, *, ablations: bool, answerer: bool):
+    """The state-backend flags, then the two ablation switches and the
+    answerer choice for the commands that read them; an unread flag is a
+    usage error."""
     parser.add_argument("--nkb", choices=("rule", "remote"), default="rule")
-    parser.add_argument("--answerer", choices=("symbolic", "remote"), default="symbolic")
     parser.add_argument("--model", default=None, help="model name for remote backends")
     parser.add_argument("--base-url", default=None, help="chat endpoint base URL")
     parser.add_argument("--cache-dir", default=None, help="record cache directory")
-    parser.add_argument("--no-ki", action="store_true", help="disable knowledge injection")
-    parser.add_argument("--no-im", action="store_true", help="disable iterative masking")
+    parser.set_defaults(answerer="symbolic", no_ki=False, no_im=False)
+    if ablations:
+        parser.add_argument("--no-ki", action="store_true", help="disable knowledge injection")
+        parser.add_argument("--no-im", action="store_true", help="disable iterative masking")
+    if answerer:
+        parser.add_argument("--answerer", choices=("symbolic", "remote"), default="symbolic")
 
 
 def _pipeline_config(args) -> PipelineConfig:
-    nkb_backend = None
-    answer_backend = None
+    cfg = PipelineConfig(inject_knowledge=not args.no_ki, apply_masking=not args.no_im)
     if args.nkb == "remote" or args.answerer == "remote":
         from .remote import ChatClient, RecordCache, RemoteAnswerer, RemoteBackend
 
@@ -45,15 +50,10 @@ def _pipeline_config(args) -> PipelineConfig:
         client = ChatClient(base_url=args.base_url, model=args.model)
         if args.nkb == "remote":
             cache = RecordCache(args.cache_dir) if args.cache_dir else None
-            nkb_backend = RemoteBackend(client, cache=cache)
+            cfg.nkb_backend = RemoteBackend(client, cache=cache)
         if args.answerer == "remote":
-            answer_backend = RemoteAnswerer(client)
-    return PipelineConfig(
-        nkb_backend=nkb_backend,
-        answer_backend=answer_backend,
-        inject_knowledge=not args.no_ki,
-        apply_masking=not args.no_im,
-    )
+            cfg.answer_backend = RemoteAnswerer(client)
+    return cfg
 
 
 def _cmd_generate(args):
@@ -78,7 +78,7 @@ def _cmd_generate(args):
 def _cmd_extract(args):
     items = load_dataset(args.dataset)
     cfg = _pipeline_config(args)
-    backend = cfg.backend()
+    backend = cfg.nkb_backend
     rows = []
     for story_index, (story, questions) in enumerate(items):
         targets = identify_key_entities(story, questions, backend)
@@ -186,13 +186,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", help="run entity/state extraction, write records")
     p.add_argument("--dataset", required=True)
     p.add_argument("-o", "--output", required=True)
-    _add_backend_flags(p)
+    _add_backend_flags(p, ablations=False, answerer=False)
     p.set_defaults(func=_cmd_extract)
 
     p = sub.add_parser("inject", help="print a story with injected knowledge")
     p.add_argument("--dataset", required=True)
     p.add_argument("--story", type=int, default=0)
-    _add_backend_flags(p)
+    _add_backend_flags(p, ablations=False, answerer=False)
     p.set_defaults(func=_cmd_inject)
 
     p = sub.add_parser("mask", help="show the masked view for a question")
@@ -200,14 +200,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--story", type=int, default=0)
     p.add_argument("--question", type=int, default=0)
     p.add_argument("--dump-graphs", action="store_true")
-    _add_backend_flags(p)
+    _add_backend_flags(p, ablations=True, answerer=False)
     p.set_defaults(func=_cmd_mask)
 
     p = sub.add_parser("answer", help="answer one question end to end")
     p.add_argument("--dataset", required=True)
     p.add_argument("--story", type=int, default=0)
     p.add_argument("--question", type=int, default=0)
-    _add_backend_flags(p)
+    _add_backend_flags(p, ablations=True, answerer=True)
     p.set_defaults(func=_cmd_answer)
 
     p = sub.add_parser("eval", help="evaluate over seeded subsets")
@@ -216,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", default=None, help="comma-separated seeds, e.g. 12,42,96")
     p.add_argument("--subset-size", type=int, default=None)
     p.add_argument("--json", default=None, help="write the full JSON report here")
-    _add_backend_flags(p)
+    _add_backend_flags(p, ablations=True, answerer=True)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("complexity", help="graph-count comparison table")

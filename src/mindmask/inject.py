@@ -21,8 +21,9 @@ class AugmentedEvent:
     base_text: str
     injected: tuple[str, ...]
 
-    def render(self, numbered: bool = False) -> str:
-        head = f"{self.index}: {self.base_text}" if numbered else self.base_text
+    def render(self) -> str:
+        """The numbered event line, then one ``- `` line per bullet."""
+        head = f"{self.index}: {self.base_text}"
         if not self.injected:
             return head
         return head + "\n" + "\n".join(f"- {line}" for line in self.injected)
@@ -55,5 +56,5 @@ def inject(story: Story, records: list[EntityStateRecord]) -> list[AugmentedEven
     ]
 
 
-def render_augmented(events: list[AugmentedEvent], numbered: bool = True) -> str:
-    return "\n".join(e.render(numbered=numbered) for e in events)
+def render_augmented(events: list[AugmentedEvent]) -> str:
+    return "\n".join(e.render() for e in events)

@@ -71,21 +71,15 @@ class EntityStateRecord:
 
 @dataclass(frozen=True)
 class LocationAnchor:
-    """A canonical enterable place plus the surface forms that map to it."""
+    """A canonical enterable place and its normalized form, `alias`, which
+    free-text place phrases are matched against."""
 
     name: str
-    aliases: frozenset[str]
-
-
-@dataclass(frozen=True)
-class BackendInfo:
-    name: str
+    alias: str
 
 
 @runtime_checkable
 class StateBackend(Protocol):
-    info: BackendInfo
-
     def key_entities(self, story: Story, questions: list[ToMQuestion]) -> list[EntityAttribute]:
         ...
 
@@ -112,42 +106,34 @@ def display_name(name: str) -> str:
 
 
 def build_anchors(names: Iterable[str]) -> list[LocationAnchor]:
-    """Anchors with normalized aliases; surface variants of one place merge."""
-    anchors: list[LocationAnchor] = []
-    by_alias: dict[str, str] = {}
+    """One anchor per normalized place, named by its first surface form;
+    later surface forms of the same place ("Attic", "the attic") merge into
+    it. Names that normalize to nothing are dropped."""
+    anchors: dict[str, LocationAnchor] = {}
     for name in names:
         alias = normalize_place(name)
-        if not alias:
-            continue
-        if alias in by_alias:
-            continue
-        by_alias[alias] = name
-        anchors.append(LocationAnchor(name=name.strip(), aliases=frozenset({alias})))
-    return anchors
+        if alias and alias not in anchors:
+            anchors[alias] = LocationAnchor(name=name.strip(), alias=alias)
+    return list(anchors.values())
 
 
 def canonicalize_location(raw: str, anchors: list[LocationAnchor]) -> LocationAnchor | None:
     """Map a free-text place phrase onto an anchor, or None for the null node.
 
-    After normalization an exact alias match wins, so a room named "left
-    wing" or "outside patio" still resolves. Otherwise negated phrases
-    ("outside the porch", "absent") resolve to None, then a unique substring
-    match wins; ambiguity resolves to None and is logged.
+    After normalization an exact match of an anchor's alias wins, so a room
+    named "left wing" or "outside patio" still resolves. Otherwise negated
+    phrases ("outside the porch", "absent") resolve to None, then a unique
+    substring match wins; ambiguity resolves to None and is logged.
     """
     normalized = normalize_place(raw)
     if not normalized:
         return None
     for anchor in anchors:
-        if normalized in anchor.aliases:
+        if normalized == anchor.alias:
             return anchor
     if is_negated_place(raw):
         return None
-    matches = []
-    for anchor in anchors:
-        for alias in anchor.aliases:
-            if alias in normalized or normalized in alias:
-                matches.append(anchor)
-                break
+    matches = [a for a in anchors if a.alias in normalized or normalized in a.alias]
     if len(matches) == 1:
         return matches[0]
     if len(matches) > 1:
@@ -277,7 +263,6 @@ class RuleBackend:
     scan; at worst it scans again.
     """
 
-    info = BackendInfo(name="rule")
     _last: _Scan | None = None
 
     def _scan_of(self, story: Story) -> _Scan:
@@ -317,20 +302,17 @@ class RuleBackend:
 
 
 def mandated_pairs(story: Story, questions: list[ToMQuestion]) -> list[EntityAttribute]:
-    """Pairs every extraction must include: each question's target with its
-    attribute, and the location of every character in any belief chain,
-    one pair per character, in first-seen order."""
-    pairs: list[EntityAttribute] = []
-    for q in questions:
-        pairs.append(EntityAttribute(entity=display_name(q.target_entity), attribute=q.target_attribute))
-    seen: set[str] = set()
-    for q in questions:
-        for name in q.chain_names:
-            key = name.casefold()
-            if key not in seen:
-                seen.add(key)
-                pairs.append(EntityAttribute(entity=name, attribute=LOCATION))
-    return pairs
+    """Pairs every extraction must include: the location of each question's
+    target, then of every character in any belief chain; one pair per
+    (casefolded) entity, the first seen."""
+    names = [display_name(q.target_entity) for q in questions]
+    names += [name for q in questions for name in q.chain_names]
+    pairs: dict[str, EntityAttribute] = {}
+    for name in names:
+        key = name.casefold()
+        if key not in pairs:
+            pairs[key] = EntityAttribute(entity=name, attribute=LOCATION)
+    return list(pairs.values())
 
 
 def _first_mention(story: Story, entity: str) -> int:

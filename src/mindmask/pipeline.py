@@ -33,6 +33,7 @@ from .nkb import (
 )
 from .question import ToMQuestion, answer_space_for, reduce_order
 from .scene import (
+    GraphBuildCounts,
     MaskedView,
     SceneGraph,
     build_character_graph,
@@ -54,15 +55,10 @@ _ANSWER_SPAN = re.compile(r"<answer>((?:(?!</?answer>).)*)</answer>", re.IGNOREC
 class PipelineConfig:
     """Which backends run and which stages stay on."""
 
-    nkb_backend: StateBackend | None = None
+    nkb_backend: StateBackend = field(default_factory=RuleBackend)
     answer_backend: object = None  # None = the symbolic reader
     inject_knowledge: bool = True  # off = the "w/o KI" ablation
     apply_masking: bool = True  # off = the "w/o IM" ablation
-
-    def backend(self) -> StateBackend:
-        if self.nkb_backend is None:
-            self.nkb_backend = RuleBackend()
-        return self.nkb_backend
 
 
 @dataclass
@@ -84,10 +80,9 @@ class StoryArtifacts:
         self._by_target = by_target
 
     def target_records(self, q: ToMQuestion) -> list[EntityStateRecord]:
-        """The records of the question's target (entity, attribute), in
-        record order; indexed once per story."""
-        key = (q.target_entity.casefold(), q.target_attribute.casefold())
-        return self._by_target.get(key, [])
+        """The location records of the question's target, in record order;
+        indexed once per story."""
+        return self._by_target.get((q.target_entity.casefold(), LOCATION), [])
 
     def character_graph(self, name: str) -> SceneGraph:
         key = name.casefold()
@@ -108,7 +103,7 @@ class StoryArtifacts:
         rendered once per story."""
         if with_knowledge not in self._texts:
             if with_knowledge:
-                texts = [a.render(numbered=True) for a in self.augmented]
+                texts = [a.render() for a in self.augmented]
             else:
                 texts = [f"{e.index}: {e.text}" for e in self.story.events]
             self._texts[with_knowledge] = texts
@@ -123,7 +118,7 @@ class QuestionOutcome:
 
 
 def prepare_story(story: Story, questions: list[ToMQuestion], cfg: PipelineConfig) -> StoryArtifacts:
-    backend = cfg.backend()
+    backend = cfg.nkb_backend
     targets = identify_key_entities(story, questions, backend)
     records = generate_states(story, targets, backend)
     anchors = extract_locations(story, backend)
@@ -190,13 +185,15 @@ def symbolic_reader(bits: int, q: ToMQuestion, records: list[EntityStateRecord])
     chosen = records[0]
     if not q.asks_initial:
         chosen = next((r for r in reversed(records) if bits >> (r.event_index - 1) & 1), chosen)
-    return _state_to_answer(chosen.state, q.target_attribute)
+    return _state_to_answer(chosen.state)
 
 
-def _state_to_answer(state: str, attribute: str) -> str:
-    if attribute.casefold() == LOCATION and not is_negated_place(state):
-        return normalize_place(state)
-    return state.strip()
+def _state_to_answer(state: str) -> str:
+    """A location state as an answer: the normalized place, or the state
+    as written when it denies a place ("outside the attic")."""
+    if is_negated_place(state):
+        return state.strip()
+    return normalize_place(state)
 
 
 def match_candidates(value: str, space) -> tuple[str | None, bool]:
@@ -390,17 +387,11 @@ def evaluate(
         scored = [r for r in rows if r.order == order]
         per_order[order] = sum(r.correct for r in scored) / len(scored) if scored else 0.0
 
-    counts = graph_build_counts(max_m, min(max_k, max_m))
     return EvalReport(
         rows=rows,
         seed_accuracies=seed_accuracies,
         per_order=per_order,
-        graph_counts={
-            "m": max_m,
-            "k": min(max_k, max_m),
-            "scene_graphs": counts.scene_graphs,
-            "chain_graphs": counts.chain_graphs,
-        },
+        graph_counts=asdict(graph_build_counts(max_m, min(max_k, max_m))),
         skipped=skipped,
     )
 
@@ -409,40 +400,22 @@ def evaluate(
 # Complexity report
 
 
-@dataclass(frozen=True)
-class ComplexityRow:
-    m: int
-    k: int
-    scene_graphs: int
-    chain_graphs: int
-
-
-def complexity_report(m_range, k_range) -> list[ComplexityRow]:
+def complexity_report(m_range, k_range) -> list[GraphBuildCounts]:
     """Graph-count rows for every (m, k) pair with k <= m."""
-    rows = []
-    for m in m_range:
-        for k in k_range:
-            if k > m:
-                continue
-            counts = graph_build_counts(m, k)
-            rows.append(
-                ComplexityRow(
-                    m=m, k=k, scene_graphs=counts.scene_graphs, chain_graphs=counts.chain_graphs
-                )
-            )
+    rows = [graph_build_counts(m, k) for m in m_range for k in k_range if k <= m]
     if not rows:
         raise ValidationError("empty complexity report: no (m, k) pair with k <= m")
     return rows
 
 
-def complexity_table(rows: list[ComplexityRow]) -> str:
+def complexity_table(rows: list[GraphBuildCounts]) -> str:
     lines = ["  m  k  scene-graphs  per-chain-graphs"]
     for row in rows:
         lines.append(f"{row.m:>3} {row.k:>2} {row.scene_graphs:>13} {row.chain_graphs:>17}")
     return "\n".join(lines)
 
 
-def complexity_csv(rows: list[ComplexityRow]) -> str:
+def complexity_csv(rows: list[GraphBuildCounts]) -> str:
     lines = ["m,k,scene_graphs,chain_graphs"]
     for row in rows:
         lines.append(f"{row.m},{row.k},{row.scene_graphs},{row.chain_graphs}")

@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from .errors import QuestionParseError, ValidationError
+from .nkb import LOCATION
 from .textnorm import normalize_place
 
 if TYPE_CHECKING:
@@ -66,12 +67,13 @@ class BeliefChain:
 
 @dataclass(frozen=True)
 class ToMQuestion:
-    """A parsed question: who is asked about whose belief about what."""
+    """A parsed question: whose belief (the chain, None for a factual
+    question) about where `target_entity` is; every template asks a
+    location."""
 
     raw: str
     chain: BeliefChain | None
     target_entity: str
-    target_attribute: str = "location"
     asks_initial: bool = False
     gold: str | None = None
 
@@ -177,7 +179,7 @@ def reduce_order(q: ToMQuestion) -> ToMQuestion:
 def answer_space_for(q: ToMQuestion, story: Story, records: list[EntityStateRecord]) -> list[str]:
     """Candidate answers for a location question: every place the target was
     recorded in, initial declaration included, in first-mention order."""
-    target = (q.target_entity.casefold(), q.target_attribute.casefold())
+    target = (q.target_entity.casefold(), LOCATION)
     candidates: list[str] = []
     seen: set[str] = set()
 
@@ -196,6 +198,6 @@ def answer_space_for(q: ToMQuestion, story: Story, records: list[EntityStateReco
     person = story.characters_by_key
     for r in records:
         entity, attribute = r.key
-        if attribute == "location" and entity not in person:
+        if attribute == LOCATION and entity not in person:
             add(r.state)
     return candidates

@@ -2,9 +2,9 @@
 
 The wire format is the ubiquitous JSON chat-completion shape: POST
 ``{base_url}/chat/completions`` with a model name, a single user message, and
-temperature 0 for reproducibility. The bearer token is read from an
-environment variable. A custom ``transport`` callable can stand in for the
-network (tests use this; so can offline replay).
+temperature 0 for reproducibility. The bearer token is read from the
+``MINDMASK_API_KEY`` environment variable. A custom ``transport`` callable
+can stand in for the network (tests use this; so can offline replay).
 """
 
 from __future__ import annotations
@@ -23,12 +23,13 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import BackendError, CacheFormatError, ExtractionError, ProtocolError
-from .nkb import BackendInfo, EntityAttribute, EntityStateRecord
+from .nkb import EntityAttribute, EntityStateRecord
 from .story import Story
 
 log = logging.getLogger(__name__)
 
 API_KEY_ENV = "MINDMASK_API_KEY"
+TEMPERATURE = 0.0
 
 _RECORD_LINE = re.compile(
     r"^\s*-?\s*\[?\s*(?:event\s*)?(\d+)\s*\]?\s*:\s*(.+?)\s+of\s+(.+?)\s+becomes\s+(.+?)\s*\.?\s*$",
@@ -79,21 +80,19 @@ class ChatClient:
 
     base_url: str
     model: str
-    api_key_env: str = API_KEY_ENV
-    temperature: float = 0.0
     timeout: float = 120.0
     transport: object = None
 
     def complete(self, prompt: str) -> str:
         url = self.base_url.rstrip("/") + "/chat/completions"
         headers = {"Content-Type": "application/json"}
-        api_key = os.environ.get(self.api_key_env, "")
+        api_key = os.environ.get(API_KEY_ENV, "")
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
         payload = {
             "model": self.model,
             "messages": [{"role": "user", "content": prompt}],
-            "temperature": self.temperature,
+            "temperature": TEMPERATURE,
         }
         transport = self.transport or _default_transport
         data = transport(url, headers, payload, self.timeout)
@@ -200,7 +199,7 @@ class RemoteBackend:
     def __init__(self, client: ChatClient, cache: RecordCache | None = None):
         self.client = client
         self.cache = cache
-        self.info = BackendInfo(name=f"remote:{client.model}")
+        self.name = f"remote:{client.model}"
         self.skipped_lines = 0
 
     # -- StateBackend protocol ------------------------------------------------
@@ -239,7 +238,7 @@ class RemoteBackend:
         return names
 
     def story_states(self, story, targets):
-        rows = self.cache.load(story, targets, self.info.name) if self.cache else None
+        rows = self.cache.load(story, targets, self.name) if self.cache else None
         fresh = rows is None
         if fresh:
             prompt = fill_prompt(
@@ -255,7 +254,7 @@ class RemoteBackend:
             if not 1 <= r.event_index <= len(story.events):
                 raise ProtocolError(f"backend asserted a state for unknown event {r.event_index}")
         if fresh and self.cache:
-            self.cache.store(story, targets, self.info.name, rows)
+            self.cache.store(story, targets, self.name, rows)
         return records
 
     def event_states(self, story, index, targets):
@@ -296,7 +295,6 @@ class RemoteAnswerer:
 
     def __init__(self, client: ChatClient):
         self.client = client
-        self.name = f"remote:{client.model}"
 
     def answer(self, view, question, space) -> str:
         candidates = ""

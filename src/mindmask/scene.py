@@ -68,9 +68,6 @@ class SceneGraph:
         """The events with a room, as an integer: bit i-1 stands for event i."""
         return _bits(room is not None for room in self.assignment)
 
-    def room(self, index: int) -> str | None:
-        return self.assignment[index - 1]
-
     def surviving(self) -> tuple[int, ...]:
         return tuple(i for i, room in enumerate(self.assignment, start=1) if room is not None)
 
@@ -320,6 +317,8 @@ def retrieve_events(masked: SceneGraph, augmented_texts: list[str]) -> MaskedVie
 class GraphBuildCounts:
     """How many graphs each strategy builds for m characters up to order k."""
 
+    m: int
+    k: int
     scene_graphs: int  # one omniscient graph plus one per character
     chain_graphs: int  # one belief graph per ordered character chain
 
@@ -332,4 +331,4 @@ def graph_build_counts(m: int, k: int) -> GraphBuildCounts:
     if k < 0 or k > m:
         raise ValidationError(f"ToM order {k} must lie in 0..{m} (chains cannot repeat)")
     chain_graphs = sum(math.perm(m, i) for i in range(1, k + 1))
-    return GraphBuildCounts(scene_graphs=m + 1, chain_graphs=chain_graphs)
+    return GraphBuildCounts(m=m, k=k, scene_graphs=m + 1, chain_graphs=chain_graphs)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .errors import ValidationError
@@ -187,16 +187,10 @@ def _episode_actions(rng, config, room, obj, containers, first_container, partic
 
 
 def _config_metadata(config: GrammarConfig) -> dict:
-    return {
-        "num_characters": config.num_characters,
-        "num_rooms": config.num_rooms,
-        "num_objects": config.num_objects,
-        "num_containers_per_room": config.num_containers_per_room,
-        "moves_per_room": config.moves_per_room,
-        "max_order": config.max_order,
-        "allow_reentry": config.allow_reentry,
-        "distractor_rate": config.distractor_rate,
-    }
+    """Every grammar field but the seed, which the metadata holds beside it."""
+    fields = asdict(config)
+    del fields["seed"]
+    return fields
 
 
 # ---------------------------------------------------------------------------
@@ -207,32 +201,23 @@ class _Trace:
     """Rooms, per-character whereabouts, and object effects per event.
 
     Each event is matched once against the enter, exit, move and declare
-    patterns (one text can match two of them, so all four are tried), and
-    each distinct place string is normalized once. ``pre[i]`` and
-    ``post[i]`` are read-only snapshots; a new one is made only when an
-    enter or exit changes someone's room, so consecutive entries share it.
-    ``seen`` holds one observation bitset per casefolded character: bit i-1
-    is set when the character observes event i.
+    patterns (one text can match two of them, so all four are tried).
+    ``pre[i]`` and ``post[i]`` are read-only snapshots; a new one is made
+    only when an enter or exit changes someone's room, so consecutive
+    entries share it. ``seen`` holds one observation bitset per casefolded
+    character: bit i-1 is set when the character observes event i.
     """
 
     def __init__(self, story: Story):
         self.story = story
         self.characters = {c.casefold() for c in story.characters}
 
-        places: dict[str, str] = {}
-
-        def place(raw: str) -> str:
-            norm = places.get(raw)
-            if norm is None:
-                norm = places[raw] = normalize_place(raw)
-            return norm
-
         texts = [event.text for event in story.events]
         matches = [
             (_ENTER.match(t), _EXIT.match(t), _MOVE.match(t), _DECLARE.match(t)) for t in texts
         ]
         self.rooms: set[str] = {
-            place(m.group(2)) for enter, exit_, _, _ in matches for m in (enter, exit_) if m
+            normalize_place(m.group(2)) for enter, exit_, _, _ in matches for m in (enter, exit_) if m
         }
 
         n = len(story.events)
@@ -252,7 +237,7 @@ class _Trace:
             self.pre[i] = snapshot
             changed = False
             if enter:
-                room = place(enter.group(2))
+                room = normalize_place(enter.group(2))
                 for name in split_name_list(enter.group(1)):
                     key = name.casefold()
                     if key in self.characters and current[key] != room:
@@ -266,12 +251,12 @@ class _Trace:
             if move:
                 obj, dest = move.group(2), move.group(3)
                 self.effects[i] = (obj.casefold(), dest)
-                parent[obj.casefold()] = place(dest)
-                moves.append((i, move.group(1).casefold(), place(dest)))
+                parent[obj.casefold()] = normalize_place(dest)
+                moves.append((i, move.group(1).casefold(), normalize_place(dest)))
             if declare:
                 obj, container = declare.group(1), declare.group(2)
                 self.effects[i] = (obj.casefold(), container)
-                parent[obj.casefold()] = place(container)
+                parent[obj.casefold()] = normalize_place(container)
             if changed:
                 snapshot = dict(current)
             self.post[i] = snapshot
@@ -292,7 +277,7 @@ class _Trace:
         for i, (text, (enter, exit_, move, declare)) in enumerate(zip(texts, matches), start=1):
             room: str | None = None
             if enter:
-                room = place(enter.group(2))
+                room = normalize_place(enter.group(2))
             elif exit_:
                 room = self.pre[i].get(exit_.group(1).casefold())
             elif move:
@@ -300,7 +285,7 @@ class _Trace:
             elif (m := _STAY.match(text) or _DISTRACT.match(text)) is not None:
                 room = self.post[i].get(m.group(1).casefold())
             elif declare:
-                holder = place(declare.group(2))
+                holder = normalize_place(declare.group(2))
                 if holder in self.rooms:
                     room = holder
                 else:

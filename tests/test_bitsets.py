@@ -182,9 +182,9 @@ def test_story_work_is_done_once(seed, monkeypatch, recording_answerer):
     rendered = Counter()
     render = AugmentedEvent.render
 
-    def counting_render(self, numbered=False):
+    def counting_render(self):
         rendered[self.index] += 1
-        return render(self, numbered)
+        return render(self)
 
     injected = []
     inject = pipeline.inject

@@ -164,6 +164,28 @@ def test_removed_eval_flags_are_usage_errors(dataset_path, flags, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("extract", "--no-ki"),
+        ("extract", "--no-im"),
+        ("extract", "--answerer=symbolic"),
+        ("inject", "--no-ki"),
+        ("inject", "--no-im"),
+        ("inject", "--answerer=symbolic"),
+        ("mask", "--answerer=symbolic"),
+    ],
+)
+def test_flags_a_command_does_not_read_are_usage_errors(
+    dataset_path, tmp_path, command, flag, capsys
+):
+    output = ["-o", str(tmp_path / "records.jsonl")] if command == "extract" else []
+    with pytest.raises(SystemExit) as info:
+        main([command, "--dataset", str(dataset_path), *output, flag])
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_closed_pipe_exits_quietly(dataset_path):
     # The reader closes its end before the command writes anything, as
     # `mindmask eval ... | head -2` does once it has its lines.

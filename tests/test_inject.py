@@ -45,9 +45,9 @@ def test_base_texts_preserved(melon_setup):
 
 def test_stripping_bullets_recovers_story(cupboard_setup):
     story, _, records, _, _ = cupboard_setup
-    rendered = render_augmented(inject(story, records), numbered=False)
+    rendered = render_augmented(inject(story, records))
     kept = [line for line in rendered.splitlines() if not line.startswith("- ")]
-    assert kept == [e.text for e in story.events]
+    assert kept == [f"{e.index}: {e.text}" for e in story.events]
 
 
 def test_empty_records_is_identity(cupboard_story):

@@ -20,7 +20,7 @@ from mindmask.pipeline import (
     symbolic_reader,
 )
 from mindmask.question import parse_question
-from mindmask.nkb import BackendInfo, EntityStateRecord, RuleBackend, StateBackend
+from mindmask.nkb import EntityStateRecord, RuleBackend, StateBackend
 from mindmask.worldgen import GrammarConfig, generate_story
 
 
@@ -60,7 +60,7 @@ def test_no_ki_does_not_change_symbolic_answers(melon_story, melon_question):
 
 def _target_records(records, q):
     """The records of q's target, as StoryArtifacts.target_records gives them."""
-    key = (q.target_entity.casefold(), q.target_attribute.casefold())
+    key = (q.target_entity.casefold(), "location")
     return [r for r in records if (r.entity.casefold(), r.attribute.casefold()) == key]
 
 
@@ -311,8 +311,6 @@ def test_room_names_with_negation_words_match_the_oracle(room):
 
 class StoryStatesOnly:
     """A state backend with nothing but the protocol's three queries."""
-
-    info = BackendInfo(name="story-states-only")
 
     def __init__(self):
         self.rule = RuleBackend()

@@ -18,7 +18,6 @@ def test_parse_third_order_chain(melon_story):
     q = parse_question("Where does Emma think Lily thinks William thinks the melon is?", melon_story)
     assert q.chain_names == ("Emma", "Lily", "William")
     assert q.target_entity == "melon"
-    assert q.target_attribute == "location"
     assert q.order == 3
 
 
@@ -87,7 +86,6 @@ def test_reduce_third_order(melon_story, melon_question):
     assert reduced.raw == "Where does William think the melon is?"
     assert reduced.chain_names == ("William",)
     assert reduced.target_entity == melon_question.target_entity
-    assert reduced.target_attribute == melon_question.target_attribute
 
 
 def test_reduce_first_order_is_identity(melon_story):

@@ -69,7 +69,7 @@ def reference_reader(surviving: tuple[int, ...], q, records: list[EntityStateRec
     relevant = [
         r
         for r in records
-        if r.entity.casefold() == target and r.attribute.casefold() == q.target_attribute.casefold()
+        if r.entity.casefold() == target and r.attribute.casefold() == "location"
     ]
     if not relevant:
         return ABSTAIN
@@ -78,7 +78,7 @@ def reference_reader(surviving: tuple[int, ...], q, records: list[EntityStateRec
     else:
         in_view = [r for r in relevant if r.event_index in surviving]
         chosen = in_view[-1] if in_view else relevant[0]
-    return _state_to_answer(chosen.state, q.target_attribute)
+    return _state_to_answer(chosen.state)
 
 
 # -- strategies ----------------------------------------------------------------
