@@ -40,6 +40,16 @@ def _add_backend_flags(parser, *, ablations: bool, answerer: bool):
         parser.add_argument("--answerer", choices=("symbolic", "remote"), default="symbolic")
 
 
+def _unread_remote_flags(args) -> list[str]:
+    """Remote flags given that nothing reads: ``--model`` and ``--base-url``
+    without a remote backend or answerer, ``--cache-dir`` without --nkb remote."""
+    remote = args.nkb == "remote" or args.answerer == "remote"
+    given = {} if remote else {"--model": args.model, "--base-url": args.base_url}
+    if args.nkb != "remote":
+        given["--cache-dir"] = args.cache_dir
+    return [flag for flag, value in given.items() if value is not None]
+
+
 def _pipeline_config(args) -> PipelineConfig:
     cfg = PipelineConfig(inject_knowledge=not args.no_ki, apply_masking=not args.no_im)
     if args.nkb == "remote" or args.answerer == "remote":
@@ -231,7 +241,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if hasattr(args, "nkb") and (unread := _unread_remote_flags(args)):
+        parser.error(f"nothing reads {', '.join(unread)} without a remote backend (--nkb remote)")
     try:
         args.func(args)
         sys.stdout.flush()

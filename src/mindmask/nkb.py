@@ -201,20 +201,29 @@ def _scan(story: Story) -> _Scan:
         return key
 
     def emit(index: int, name: str, attribute: str, state: str) -> str:
+        # Built with its key in hand, past the dataclass __init__ and its two
+        # casefolds; a display name casefolds to its key.
         key = remember(name)
-        records.append(EntityStateRecord(index, display[key], attribute, state))
+        record = object.__new__(EntityStateRecord)
+        object.__setattr__(record, "__dict__", {
+            "event_index": index, "entity": display[key], "attribute": attribute,
+            "state": state, "key": (key, attribute),
+        })
+        records.append(record)
         return key
 
+    # Each pattern is tried only when its fixed text is present, a necessary
+    # condition for its match.
     for event in story.events:
         text, i = event.text.strip(), event.index
-        enter = _ENTER_RE.match(text)
-        exit_ = None if enter else _EXIT_RE.match(text)
-        move = None if enter or exit_ else _MOVE_RE.match(text)
-        declare = _DECLARE_RE.match(text)
+        enter = _ENTER_RE.match(text) if " entered the " in text else None
+        exit_ = _EXIT_RE.match(text) if not enter and " exited the " in text else None
+        move = _MOVE_RE.match(text) if not (enter or exit_) and " moved the " in text else None
+        declare = _DECLARE_RE.match(text) if text.startswith("The ") else None
         if declare:
             containers.setdefault(declare.group(1).casefold(), declare.group(2))
         if not dialogue and not move:
-            line = enter or exit_ or _STAY_RE.match(text)
+            line = enter or exit_ or (_STAY_RE.match(text) if " stayed in the " in text else None)
             if line:
                 place = line.group(2)
                 key = normalize_place(place)
@@ -326,10 +335,11 @@ def _first_mention(story: Story, entity: str) -> int:
 def identify_key_entities(
     story: Story, questions: list[ToMQuestion], backend: StateBackend
 ) -> list[EntityAttribute]:
-    """Entity/attribute pairs worth tracking, capped at MAX_KEY_ENTITIES.
-
-    Question-mandated pairs always survive the cap; the remainder keep
-    first-mention order. At least one non-person entity is guaranteed.
+    """Entity/attribute pairs worth tracking: every question-mandated pair,
+    then the backend's other pairs in first-mention order while fewer than
+    MAX_KEY_ENTITIES are kept. Mandated pairs are never cut, even past the
+    cap. When no kept pair is a non-person entity, the last pair that is not
+    mandated gives way to the first non-person pair, if the story has one.
     """
     if not questions:
         raise ValidationError("identify_key_entities needs at least one question")
@@ -346,23 +356,15 @@ def identify_key_entities(
         pairs.setdefault(pair.key, pair)
     ordered = list(pairs.values())
 
-    capped = ordered[:MAX_KEY_ENTITIES]
+    kept = ordered[: max(MAX_KEY_ENTITIES, mandated_count)]
     person = story.characters_by_key
-    if not any(p.key[0] not in person for p in capped):
+    if not any(p.key[0] not in person for p in kept):
         non_person = next((p for p in ordered if p.key[0] not in person), None)
-        if non_person is not None:
-            capped = capped[: MAX_KEY_ENTITIES - 1] + [non_person]
+        if non_person is not None and len(kept) > mandated_count:
+            kept[-1] = non_person
         else:
-            # Nothing but people in the story; the preference is unsatisfiable.
-            log.debug("no non-person entity available; keeping a person-only extraction")
-    if mandated_count > MAX_KEY_ENTITIES:
-        log.debug(
-            "question-mandated pairs (%d) exceed the cap (%d); keeping the first %d",
-            mandated_count,
-            MAX_KEY_ENTITIES,
-            MAX_KEY_ENTITIES,
-        )
-    return capped
+            log.debug("no non-person pair can be kept; keeping a person-only extraction")
+    return kept
 
 
 def generate_states(

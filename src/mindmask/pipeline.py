@@ -71,18 +71,15 @@ class StoryArtifacts:
     omniscient: SceneGraph
     _char_graphs: dict[str, SceneGraph] = field(default_factory=dict)
     _texts: dict[bool, list[str]] = field(default_factory=dict)
-    _by_target: dict[tuple[str, str], list[EntityStateRecord]] = field(init=False)
-
-    def __post_init__(self):
-        by_target: dict[tuple[str, str], list[EntityStateRecord]] = {}
-        for r in self.records:
-            by_target.setdefault(r.key, []).append(r)
-        self._by_target = by_target
+    _by_target: dict[tuple[str, str], list[EntityStateRecord]] = field(default_factory=dict)
 
     def target_records(self, q: ToMQuestion) -> list[EntityStateRecord]:
         """The location records of the question's target, in record order;
-        indexed once per story."""
-        return self._by_target.get((q.target_entity.casefold(), LOCATION), [])
+        filtered once per target, the first time a question asks."""
+        key = (q.target_entity.casefold(), LOCATION)
+        if key not in self._by_target:
+            self._by_target[key] = [r for r in self.records if r.key == key]
+        return self._by_target[key]
 
     def character_graph(self, name: str) -> SceneGraph:
         key = name.casefold()

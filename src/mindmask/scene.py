@@ -33,25 +33,15 @@ NULL = None
 
 
 @dataclass(frozen=True)
-class _Observations:
-    """Each character's observation bitset, by casefolded name, and the
-    records and anchors the bitsets were computed from."""
-
-    records: list[EntityStateRecord]
-    anchors: list[LocationAnchor]
-    bits: dict[str, int]
-
-
-@dataclass(frozen=True)
 class SceneGraph:
     """Total assignment of 1-based event indices to rooms (or the null node)."""
 
     assignment: tuple[str | None, ...]
     location_set: frozenset[str]
-    # Set on graphs from build_omniscient_graph only.
-    _observations: _Observations | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    # Set on graphs from build_omniscient_graph only: the records and anchors
+    # it was built from, and each character's observation bitset by
+    # casefolded name.
+    _observations: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rooms = set(self.assignment)
@@ -66,18 +56,14 @@ class SceneGraph:
     @cached_property
     def bits(self) -> int:
         """The events with a room, as an integer: bit i-1 stands for event i."""
-        return _bits(room is not None for room in self.assignment)
+        flags = ["0" if room is None else "1" for room in self.assignment]
+        return int("".join(flags[::-1]) or "0", 2)
 
     def surviving(self) -> tuple[int, ...]:
         return tuple(i for i, room in enumerate(self.assignment, start=1) if room is not None)
 
     def to_json(self) -> dict:
         return {"assignment": {str(i): room for i, room in enumerate(self.assignment, start=1)}}
-
-
-def _bits(flags) -> int:
-    """The integer whose bit i-1 is the i-th flag."""
-    return int("".join(["1" if flag else "0" for flag in flags][::-1]) or "0", 2)
 
 
 def _view(graph: SceneGraph, bits: int) -> SceneGraph:
@@ -104,89 +90,75 @@ class MaskedView:
             raise ValidationError("surviving indices must be strictly increasing")
 
 
-def _resolver(anchors: list[LocationAnchor]):
-    """Room name (or None) of a location string, resolved once per string."""
-    rooms: dict[str, str | None] = {}
+class _Rooms(dict):
+    """Room name (or None) of each location string of a story, resolved the
+    first time it is looked up: an exact alias directly, anything else
+    through :func:`canonicalize_location`."""
 
-    def resolve(state: str) -> str | None:
-        if state not in rooms:
-            anchor = canonicalize_location(state, anchors)
-            rooms[state] = anchor.name if anchor else None
-        return rooms[state]
+    def __init__(self, anchors: list[LocationAnchor]):
+        super().__init__()
+        self.anchors = anchors
+        self.exact = {a.alias: a.name for a in reversed(anchors) if a.alias}  # first wins
 
-    return resolve
+    def __missing__(self, state: str) -> str | None:
+        room = self.exact.get(normalize_place(state))
+        if room is None:
+            anchor = canonicalize_location(state, self.anchors)
+            room = anchor.name if anchor else None
+        self[state] = room
+        return room
 
 
 def _location_tracks(
-    story: Story, records: list[EntityStateRecord], resolve
-) -> tuple[dict[str, list[str | None]], list[list[tuple[str, EntityStateRecord]]]]:
-    """Each character's room after every event, and each event's location
-    records as (casefolded entity, record) pairs, from one pass.
+    story: Story, records: list[EntityStateRecord], rooms: _Rooms
+) -> tuple[dict, dict, list, list]:
+    """Each character's room track and its runs, and each event's movers and
+    object location records, from one pass over the records.
 
     Track keys are casefolded names. ``track[i]`` is the room once the
     records of event `i` apply; ``track[0]``, before the story, is the null
-    node. `resolve` is a :func:`_resolver` of the story's anchors.
+    node. A run ``(room, start, end)`` is a non-null `room` held from track
+    index `start` up to `end`, exclusive. ``movers[i]`` lists the characters
+    with a location record at event `i` and ``objects[i]`` the other
+    location records, both in record order.
     """
     n = len(story.events)
     moves: dict[str, dict[int, str | None]] = {key: {} for key in story.characters_by_key}
-    located: list[list[tuple[str, EntityStateRecord]]] = [[] for _ in range(n + 1)]
+    movers: list[list[str]] = [[] for _ in range(n + 1)]
+    objects: list[list[EntityStateRecord]] = [[] for _ in range(n + 1)]
     for r in records:
         if not 1 <= r.event_index <= n:
             raise ValidationError(f"record references unknown event index {r.event_index}")
         key, attribute = r.key
         if attribute == LOCATION:
-            located[r.event_index].append((key, r))
             own = moves.get(key)
-            if own is not None:
-                own[r.event_index] = resolve(r.state)
-    tracks: dict[str, list[str | None]] = {}
+            if own is None:
+                objects[r.event_index].append(r)
+            else:
+                own[r.event_index] = rooms[r.state]
+                movers[r.event_index].append(key)
+    tracks, runs = {}, {}
     for key, own in moves.items():
         track: list[str | None] = [NULL] * (n + 1)
+        spans = []
         room, start = NULL, 0
-        for index, new in sorted(own.items()):
-            track[start:index] = [room] * (index - start)
+        for index, new in [*sorted(own.items()), (n + 1, NULL)]:
+            if room is not NULL:
+                track[start:index] = [room] * (index - start)
+                spans.append((room, start, index))
             room, start = new, index
-        track[start:] = [room] * (n + 1 - start)
-        tracks[key] = track
-    return tracks, located
+        tracks[key], runs[key] = track, spans
+    return tracks, runs, movers, objects
 
 
-def _observed(assignment: tuple[str | None, ...], track: list[str | None]) -> int:
-    """Bitset of the events whose room is the track's room before or after."""
-    return _bits(
-        room is not None and (room == after or room == before)
-        for room, after, before in zip(assignment, track[1:], track)
-    )
-
-
-def _container_rooms(
-    located: list[list[tuple[str, EntityStateRecord]]],
-    actors: list[list[str]],
-    tracks: dict[str, list[str | None]],
-    resolve,
-) -> dict[str, str]:
-    """Room of each container, resolved story-wide.
-
-    Two sources: a container's own location record whose state names a room,
-    and moves (when a character in a room moves something into a container,
-    the container is in that room).
-    """
-    rooms: dict[str, str] = {}
-    for index, here in enumerate(located[1:], start=1):
-        objects = [r for key, r in here if key not in tracks]
-        if not objects:
-            continue
-        actor = actors[index - 1]
-        actor_room = tracks[actor[0]][index] if actor else None
-        for r in objects:
-            room = resolve(r.state)
-            if room is not None:
-                rooms[normalize_place(r.entity)] = room
-            else:
-                place = normalize_place(r.state)
-                if place and actor_room is not None:
-                    rooms[place] = actor_room
-    return rooms
+def _observed(spans: list[tuple[str, int, int]], room_bits: dict[str, int], n: int) -> int:
+    """Bitset of the events whose room is the track's room before or after:
+    a run of `room` over track indices ``start..end-1`` sees that room's
+    events ``start..end``, since event i reads ``track[i-1]`` and ``track[i]``."""
+    bits = 0
+    for room, start, end in spans:
+        bits |= room_bits.get(room, 0) & ((1 << min(end, n)) - (1 << (start - 1)))
+    return bits
 
 
 def build_omniscient_graph(
@@ -203,52 +175,69 @@ def build_omniscient_graph(
     """
     if not anchors:
         raise ValidationError("cannot build a scene graph without location anchors")
-    resolve = _resolver(anchors)
-    tracks, located = _location_tracks(story, records, resolve)
-    # The casefolded names of each event's acting characters. Only events
-    # with no character mover, or with an object's location record, read
-    # them; an event whose every location record is a character's is left
-    # unparsed.
-    actors = [
-        []
-        if here and all(key in tracks for key, _ in here)
-        else [key for name in leading_subjects(event.text) if (key := name.casefold()) in tracks]
-        for event, here in zip(story.events, located[1:])
-    ]
-    container_rooms = _container_rooms(located, actors, tracks, resolve)
+    rooms = _Rooms(anchors)
+    tracks, runs, movers, objects = _location_tracks(story, records, rooms)
+    n = len(story.events)
 
+    # One pass for each event's acting characters (casefolded), read only
+    # where no character moves or an object's location record names them,
+    # and for each container's room, story-wide: a container's own location
+    # record may name a room, and a character in a room who moves something
+    # into a container puts the container in that room.
+    acting: list[list[str]] = [[] for _ in range(n + 1)]
+    containers: dict[str, str] = {}
+    for index, event in enumerate(story.events, start=1):
+        here = objects[index]
+        if movers[index] and not here:
+            continue
+        actor = acting[index] = [
+            key for name in leading_subjects(event.text) if (key := name.casefold()) in tracks
+        ]
+        actor_room = tracks[actor[0]][index] if actor else None
+        for r in here:
+            room = rooms[r.state]
+            if room is not None:
+                containers[normalize_place(r.entity)] = room
+            else:
+                place = normalize_place(r.state)
+                if place and actor_room is not None:
+                    containers[place] = actor_room
+
+    # Each room's events as a bitset, collected as rooms are assigned.
+    room_bits: dict[str, int] = {}
+    dialogue = story.kind == DIALOGUE_KIND
     assignment: list[str | None] = []
     previous: str | None = None
     for index, event in enumerate(story.events, start=1):
         room: str | None = None
-        here = located[index]
-        movers = [key for key, _ in here if key in tracks]
-        acting = actors[index - 1]
-        if story.kind == DIALOGUE_KIND and event.speaker is not None:
-            acting = [event.speaker.casefold()] + acting
-
-        if movers:
+        moved = movers[index]
+        if moved:
             # A mover's arrival names the room; when every mover leaves (an
             # exit), the room being exited is where the first stood before.
-            room = next((tracks[m][index] for m in movers if tracks[m][index] is not None), None)
+            room = next((tracks[m][index] for m in moved if tracks[m][index] is not None), None)
             if room is None:
-                room = tracks[movers[0]][index - 1]
-        elif acting:
-            room = tracks[acting[0]][index]
-        elif here:
-            state = here[0][1].state
-            room = resolve(state)
+                room = tracks[moved[0]][index - 1]
+        elif dialogue and event.speaker is not None:
+            room = tracks[event.speaker.casefold()][index]
+        elif acting[index]:
+            room = tracks[acting[index][0]][index]
+        elif objects[index]:
+            state = objects[index][0].state
+            room = rooms[state]
             if room is None:
-                room = container_rooms.get(normalize_place(state), previous)
+                room = containers.get(normalize_place(state), previous)
 
         assignment.append(room)
         if room is not None:
             previous = room
+            room_bits[room] = room_bits.get(room, 0) | 1 << (index - 1)
     graph = SceneGraph(
         assignment=tuple(assignment), location_set=frozenset(a.name for a in anchors)
     )
-    observed = {key: _observed(graph.assignment, track) for key, track in tracks.items()}
-    object.__setattr__(graph, "_observations", _Observations(records, anchors, observed))
+    observed = {key: _observed(spans, room_bits, n) for key, spans in runs.items()}
+    graph.__dict__.update(  # "bits" seeds the cached property; rooms' bits are disjoint
+        bits=sum(room_bits.values()), _observations=(records, anchors, observed)
+    )
     return graph
 
 
@@ -274,9 +263,9 @@ def build_character_graph(
     if len(omniscient) != len(story.events):
         raise ValidationError("omniscient graph does not cover the story")
     seen = omniscient._observations
-    if seen is None or seen.records is not records or seen.anchors is not anchors:
+    if seen is None or seen[0] is not records or seen[1] is not anchors:
         raise ValidationError("omniscient graph was not built from these records and anchors")
-    return _view(omniscient, seen.bits[character.casefold()])
+    return _view(omniscient, seen[2][character.casefold()])
 
 
 def mask(g: SceneGraph, gc: SceneGraph) -> SceneGraph:

@@ -107,6 +107,8 @@ class Story:
 
 def split_name_list(subject: str) -> list[str]:
     """Break ``"Ava, Ben and Cleo"`` into names; Oxford commas welcome."""
+    if "," not in subject and "and" not in subject:  # one name: nothing to split on
+        return [subject] if subject else []
     return [n for n in _NAME_SEP_RE.split(subject) if n]
 
 

@@ -9,10 +9,9 @@ ARTICLES = {"the", "a", "an"}
 LEADING_PREPOSITIONS = {"in", "at", "on", "inside", "into", "within", "near"}
 
 # State values carrying any of these deny co-location and resolve to the null
-# node ("outside the crawlspace", "absent", "left the room", "not in ...").
-NEGATION_TOKENS = {"outside", "absent", "left", "away"}
-_NOT_IN_RE = re.compile(r"\bnot\s+in\b")
-_WORD_RE = re.compile(r"[a-z]+")
+# node ("outside the crawlspace", "absent", "left the room", "not in ..."): the
+# phrase "not in", or one of four words standing alone as a run of letters.
+_NEGATED_RE = re.compile(r"\bnot\s+in\b|(?<![a-z])(?:outside|absent|left|away)(?![a-z])")
 _PUNCT_RE = re.compile(r"[^\w\s]")
 
 
@@ -31,10 +30,7 @@ def normalize_place(raw: str) -> str:
 
 
 def is_negated_place(raw: str) -> bool:
-    s = raw.casefold()
-    if _NOT_IN_RE.search(s):
-        return True
-    return bool(set(_WORD_RE.findall(s)) & NEGATION_TOKENS)
+    return _NEGATED_RE.search(raw.casefold()) is not None
 
 
 def normalize_answer(raw: str) -> str:

@@ -186,6 +186,26 @@ def test_flags_a_command_does_not_read_are_usage_errors(
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, flags, unread",
+    [
+        ("extract", ["--cache-dir", "c", "--model", "m"], ["--model", "--cache-dir"]),
+        ("mask", ["--base-url", "http://llm.test/v1"], ["--base-url"]),
+        ("eval", ["--answerer", "remote", "--model", "m", "--cache-dir", "c"], ["--cache-dir"]),
+    ],
+)
+def test_remote_flags_without_a_remote_backend_are_usage_errors(
+    dataset_path, tmp_path, command, flags, unread, capsys
+):
+    output = ["-o", str(tmp_path / "records.jsonl")] if command == "extract" else []
+    with pytest.raises(SystemExit) as info:
+        main([command, "--dataset", str(dataset_path), *output, *flags])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"nothing reads {', '.join(unread)} without a remote backend" in err
+    assert not (tmp_path / "records.jsonl").exists()
+
+
 def test_closed_pipe_exits_quietly(dataset_path):
     # The reader closes its end before the command writes anything, as
     # `mindmask eval ... | head -2` does once it has its lines.

@@ -126,10 +126,10 @@ def test_generate_states_requires_targets(cupboard_story, backend):
 def test_character_location_persistence(cupboard_setup):
     # Without a location record at event i, a character's resolved location
     # at i equals its location at i-1; before any record it is null.
-    from mindmask.scene import _location_tracks, _resolver
+    from mindmask.scene import _location_tracks, _Rooms
 
     story, _, records, anchors, _ = cupboard_setup
-    tracks, _ = _location_tracks(story, records, _resolver(anchors))
+    tracks = _location_tracks(story, records, _Rooms(anchors))[0]
     recorded = {
         (r.event_index, r.entity.casefold()) for r in records if r.attribute == "location"
     }
@@ -253,5 +253,12 @@ def test_record_cap_keeps_mandated_pairs_first(melon_story, backend):
         parse_question("Where does Aiden think the melon is?", melon_story),
     ]
     pairs = identify_key_entities(melon_story, questions, backend)
-    assert len(pairs) == 5
-    assert (pairs[0].entity.casefold(), pairs[0].attribute) == ("melon", "location")
+    # Six mandated pairs, one past the cap: every one is kept, target first.
+    assert [(p.entity.casefold(), p.attribute) for p in pairs] == [
+        ("melon", "location"),
+        ("emma", "location"),
+        ("lily", "location"),
+        ("william", "location"),
+        ("isla", "location"),
+        ("aiden", "location"),
+    ]

@@ -101,6 +101,28 @@ def test_remote_key_entities(cupboard_story, cupboard_questions):
     assert "- Where will Abigail search for the t-shirt?" in prompt
 
 
+def test_state_prompt_names_every_chain_character(melon_story):
+    # Six mandated pairs (the melon and five chain characters), one past the
+    # cap; the model names none of them. The state prompt must still list
+    # every chain character, or their states are never asked for.
+    questions = [
+        parse_question("Where does Emma think Lily thinks William thinks the melon is?", melon_story),
+        parse_question("Where does Isla think the melon is?", melon_story),
+        parse_question("Where does Aiden think the melon is?", melon_story),
+    ]
+    client, transport = make_client(
+        ["<entities>\n- content of bathtub\n</entities>", "- 1: location of Emma becomes in the lounge\n"]
+    )
+    backend = RemoteBackend(client)
+    targets = identify_key_entities(melon_story, questions, backend)
+    generate_states(melon_story, targets, backend)
+    prompt = transport.requests[1]["payload"]["messages"][0]["content"]
+    eoi = [line for line in prompt.splitlines() if line.startswith("- location of ")]
+    for name in ("melon", "Emma", "Lily", "William", "Isla", "Aiden"):
+        assert f"- location of {name}" in eoi
+    assert "- content of bathtub" not in prompt
+
+
 def test_remote_key_entities_empty_is_error(cupboard_story, cupboard_questions):
     client, _ = make_client(["no bullets here"])
     backend = RemoteBackend(client)
