@@ -6,9 +6,11 @@ the same graph as an integer: bit i-1 is set when event i has a room.
 
 :func:`build_omniscient_graph` does a story's scene work in one pass over
 its records. It resolves each distinct location string once, computes
-every character's room track, and assigns each event its room. The graph it
-returns carries one observation bitset per character: bit i-1 is set when
-event i's room is the character's room before or after the event. A
+every character's room track as runs of one room, and assigns each event
+its room, collecting each room's events as a bitset. The graph it returns
+carries one observation bitset per character: bit i-1 is set when event
+i's room is the character's room before or after the event, which is an OR
+over the track's runs of the run's room bits under the run's span. A
 character-centric graph is a view of that bitset. Masking one graph by
 another nulls every event the second graph cannot see, which is an integer
 AND, so folding a belief chain's graphs over the omniscient graph leaves

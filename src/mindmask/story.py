@@ -22,17 +22,8 @@ DIALOGUE_KIND = "dialogue"
 
 # Verbs whose grammatical subject is treated as a character by the fallback
 # identification heuristic (`leading_subjects`).
-AGENTIVE_VERBS = (
-    "entered",
-    "exited",
-    "moved",
-    "said",
-    "likes",
-    "hates",
-    "made",
-    "stayed",
-    "joined",
-    "left",
+AGENTIVE_VERBS = frozenset(
+    {"entered", "exited", "moved", "said", "likes", "hates", "made", "stayed", "joined", "left"}
 )
 
 # "Ava entered ...", "Ava, Ben and Cleo entered ..." (with or without the
