@@ -181,8 +181,8 @@ def build_omniscient_graph(
     tracks, runs, movers, objects = _location_tracks(story, records, rooms)
     n = len(story.events)
 
-    # One pass for each event's acting characters (casefolded), read only
-    # where no character moves or an object's location record names them,
+    # One pass for each event's acting characters (casefolded), parsed only
+    # for events with no character mover or with an object's location record,
     # and for each container's room, story-wide: a container's own location
     # record may name a room, and a character in a room who moves something
     # into a container puts the container in that room.
