@@ -6,7 +6,7 @@ of observers could have witnessed. A synthetic story generator with a
 brute-force belief simulator provides ground truth for the whole machinery.
 """
 
-from .story import Event, Story, parse_story, serialize_story, identify_characters
+from .story import Event, Story, parse_story, serialize_story
 from .question import BeliefChain, ToMQuestion, parse_question, reduce_order
 from .nkb import (
     EntityAttribute,
@@ -44,7 +44,6 @@ __all__ = [
     "generate_states",
     "generate_story",
     "graph_build_counts",
-    "identify_characters",
     "identify_key_entities",
     "inject",
     "mask",

@@ -8,7 +8,7 @@ import os
 import sys
 
 from .dataset import dump_dataset, load_dataset
-from .errors import MindmaskError
+from .errors import MindmaskError, ValidationError
 from .inject import render_augmented
 from .nkb import generate_states, identify_key_entities
 from .pipeline import (
@@ -40,14 +40,33 @@ def _add_backend_flags(parser, *, ablations: bool, answerer: bool):
         parser.add_argument("--answerer", choices=("symbolic", "remote"), default="symbolic")
 
 
-def _unread_remote_flags(args) -> list[str]:
-    """Remote flags given that nothing reads: ``--model`` and ``--base-url``
-    without a remote backend or answerer, ``--cache-dir`` without --nkb remote."""
+def _remote_flag_error(args) -> str | None:
+    """The usage error in the remote flags, if any: a remote backend or
+    answerer needs ``--model`` and ``--base-url`` and nothing else reads them;
+    only --nkb remote reads ``--cache-dir``."""
     remote = args.nkb == "remote" or args.answerer == "remote"
     given = {} if remote else {"--model": args.model, "--base-url": args.base_url}
     if args.nkb != "remote":
         given["--cache-dir"] = args.cache_dir
-    return [flag for flag, value in given.items() if value is not None]
+    unread = [flag for flag, value in given.items() if value is not None]
+    if unread:
+        return f"nothing reads {', '.join(unread)} without a remote backend (--nkb remote)"
+    if remote and not (args.model and args.base_url):
+        return "remote backends need --model and --base-url"
+    return None
+
+
+def _seed_list(text: str) -> list[int]:
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}") from None
+
+
+def _non_negative(text: str) -> int:
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
+    return int(text)
 
 
 def _pipeline_config(args) -> PipelineConfig:
@@ -55,8 +74,6 @@ def _pipeline_config(args) -> PipelineConfig:
     if args.nkb == "remote" or args.answerer == "remote":
         from .remote import ChatClient, RecordCache, RemoteAnswerer, RemoteBackend
 
-        if not args.model or not args.base_url:
-            sys.exit("remote backends need --model and --base-url")
         client = ChatClient(base_url=args.base_url, model=args.model)
         if args.nkb == "remote":
             cache = RecordCache(args.cache_dir) if args.cache_dir else None
@@ -109,25 +126,28 @@ def _cmd_extract(args):
     print(f"wrote {len(rows)} records to {args.output}")
 
 
+def _pick(items: list, index: int, what: str):
+    if not 0 <= index < len(items):
+        raise ValidationError(f"{what} index {index} out of range 0..{len(items) - 1}")
+    return items[index]
+
+
 def _story_artifacts(args):
-    items = load_dataset(args.dataset)
-    if not 0 <= args.story < len(items):
-        sys.exit(f"story index {args.story} out of range 0..{len(items) - 1}")
-    story, questions = items[args.story]
+    """The chosen story's artifacts, with the chosen question for the
+    commands that take ``--question``."""
+    story, questions = _pick(load_dataset(args.dataset), args.story, "story")
+    q = _pick(questions, args.question, "question") if hasattr(args, "question") else None
     cfg = _pipeline_config(args)
-    return story, questions, cfg, prepare_story(story, questions, cfg)
+    return q, cfg, prepare_story(story, questions, cfg)
 
 
 def _cmd_inject(args):
-    _, _, _, artifacts = _story_artifacts(args)
+    _, _, artifacts = _story_artifacts(args)
     print(render_augmented(artifacts.augmented))
 
 
 def _cmd_mask(args):
-    story, questions, cfg, artifacts = _story_artifacts(args)
-    if not 0 <= args.question < len(questions):
-        sys.exit(f"question index {args.question} out of range 0..{len(questions) - 1}")
-    q = questions[args.question]
+    q, cfg, artifacts = _story_artifacts(args)
     masked, view = mask_question(artifacts, q, cfg)
     if args.dump_graphs:
         graphs = {"omniscient": artifacts.omniscient.to_json(), "masked": masked.to_json()}
@@ -141,10 +161,7 @@ def _cmd_mask(args):
 
 
 def _cmd_answer(args):
-    story, questions, cfg, artifacts = _story_artifacts(args)
-    if not 0 <= args.question < len(questions):
-        sys.exit(f"question index {args.question} out of range 0..{len(questions) - 1}")
-    q = questions[args.question]
+    q, cfg, artifacts = _story_artifacts(args)
     outcome = answer_question(artifacts, q, cfg)
     print(f"question: {q.raw}")
     print(f"answer: {outcome.predicted}")
@@ -157,8 +174,7 @@ def _cmd_answer(args):
 def _cmd_eval(args):
     items = load_dataset(args.dataset)
     cfg = _pipeline_config(args)
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [args.seed]
-    report = evaluate(items, cfg, seeds=seeds, subset_size=args.subset_size)
+    report = evaluate(items, cfg, seeds=args.seeds, subset_size=args.subset_size)
     print(report.table())
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
@@ -222,9 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate over seeded subsets")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--seeds", default=None, help="comma-separated seeds, e.g. 12,42,96")
-    p.add_argument("--subset-size", type=int, default=None)
+    p.add_argument("--seeds", type=_seed_list, default="0", help="comma-separated seeds, e.g. 12,42,96")
+    p.add_argument("--subset-size", type=_non_negative, default=None)
     p.add_argument("--json", default=None, help="write the full JSON report here")
     _add_backend_flags(p, ablations=True, answerer=True)
     p.set_defaults(func=_cmd_eval)
@@ -243,8 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "nkb") and (unread := _unread_remote_flags(args)):
-        parser.error(f"nothing reads {', '.join(unread)} without a remote backend (--nkb remote)")
+    if hasattr(args, "nkb") and (error := _remote_flag_error(args)):
+        parser.error(error)
     try:
         args.func(args)
         sys.stdout.flush()

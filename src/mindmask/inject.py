@@ -12,18 +12,17 @@ from operator import itemgetter
 
 from .errors import ValidationError
 from .nkb import LOCATION, EntityStateRecord
-from .story import Story
+from .story import Event, Story
 
 
 @dataclass(frozen=True)
 class AugmentedEvent:
-    index: int
-    base_text: str
+    event: Event
     injected: tuple[str, ...]
 
     def render(self) -> str:
         """The numbered event line, then one ``- `` line per bullet."""
-        head = f"{self.index}: {self.base_text}"
+        head = self.event.render()
         if not self.injected:
             return head
         return head + "\n" + "\n".join(f"- {line}" for line in self.injected)
@@ -51,7 +50,7 @@ def inject(story: Story, records: list[EntityStateRecord]) -> list[AugmentedEven
     for (index, _), r in keyed:
         bullets[index].append(r.render())
     return [
-        AugmentedEvent(index=event.index, base_text=event.text, injected=tuple(bullets[event.index]))
+        AugmentedEvent(event=event, injected=tuple(bullets[event.index]))
         for event in story.events
     ]
 

@@ -262,6 +262,20 @@ def _scan(story: Story) -> _Scan:
     return _Scan(story, tuple(records), names, containers)
 
 
+def event_states(backend: StateBackend, story: Story, index: int, targets) -> list[tuple[str, str, str]]:
+    """(entity, attribute, state) triples of event `index` alone: a per-event
+    view of ``backend.story_states``, which each call runs whole. Bound as
+    ``event_states`` on both backends, where the benchmark's replay and
+    tracer look it up."""
+    if not 1 <= index <= len(story.events):
+        raise ProtocolError(f"event index {index} outside story range 1..{len(story.events)}")
+    return [
+        (r.entity, r.attribute, r.state)
+        for r in backend.story_states(story, targets)
+        if r.event_index == index
+    ]
+
+
 class RuleBackend:
     """Deterministic backend that reads the story grammar symbolically.
 
@@ -285,13 +299,7 @@ class RuleBackend:
     def story_states(self, story, targets):
         return list(self._scan_of(story).records)
 
-    def event_states(self, story, index, targets):
-        """(entity, attribute, state) triples of event `index` alone: a
-        per-event view of :meth:`story_states`."""
-        if not 1 <= index <= len(story.events):
-            raise ProtocolError(f"event index {index} outside story range 1..{len(story.events)}")
-        records = self._scan_of(story).records
-        return [(r.entity, r.attribute, r.state) for r in records if r.event_index == index]
+    event_states = event_states
 
     def location_names(self, story):
         return list(self._scan_of(story).places)

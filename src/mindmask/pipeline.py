@@ -69,9 +69,9 @@ class StoryArtifacts:
     records: list[EntityStateRecord]
     anchors: list
     omniscient: SceneGraph
-    _char_graphs: dict[str, SceneGraph] = field(default_factory=dict)
-    _texts: dict[bool, list[str]] = field(default_factory=dict)
-    _by_target: dict[tuple[str, str], list[EntityStateRecord]] = field(default_factory=dict)
+    _char_graphs: dict[str, SceneGraph] = field(default_factory=dict, init=False)
+    _texts: dict[bool, list[str]] = field(default_factory=dict, init=False)
+    _by_target: dict[tuple[str, str], list[EntityStateRecord]] = field(default_factory=dict, init=False)
 
     def target_records(self, q: ToMQuestion) -> list[EntityStateRecord]:
         """The location records of the question's target, in record order;
@@ -102,7 +102,7 @@ class StoryArtifacts:
             if with_knowledge:
                 texts = [a.render() for a in self.augmented]
             else:
-                texts = [f"{e.index}: {e.text}" for e in self.story.events]
+                texts = [e.render() for e in self.story.events]
             self._texts[with_knowledge] = texts
         return self._texts[with_knowledge]
 
@@ -146,13 +146,15 @@ def mask_question(
 
 
 def answer_question(artifacts: StoryArtifacts, q: ToMQuestion, cfg: PipelineConfig) -> QuestionOutcome:
-    asked = reduce_order(q) if q.order >= 1 else q
-
+    """Answer one question. The symbolic reader reads only the target and
+    `asks_initial`, which order reduction keeps, so only a text reader is
+    handed the reduced question."""
     if cfg.answer_backend is None:
         bits = mask_bits(artifacts.omniscient, _chain_graphs(artifacts, q, cfg))
-        predicted = symbolic_reader(bits, asked, artifacts.target_records(asked))
+        predicted = symbolic_reader(bits, q, artifacts.target_records(q))
         return QuestionOutcome(predicted=predicted, empty_view=bits == 0, flagged=predicted == ABSTAIN)
 
+    asked = reduce_order(q) if q.order >= 1 else q
     _, view = mask_question(artifacts, q, cfg)
     space = tuple(answer_space_for(asked, artifacts.story, artifacts.records))
     raw = cfg.answer_backend.answer(view, asked, space)
@@ -160,7 +162,7 @@ def answer_question(artifacts: StoryArtifacts, q: ToMQuestion, cfg: PipelineConf
     return QuestionOutcome(
         predicted=parsed.value,
         empty_view=not view.surviving,
-        flagged=parsed.flagged or parsed.ambiguous,
+        flagged=parsed.flagged,
     )
 
 

@@ -98,11 +98,12 @@ def render_question(chain: tuple[str, ...], entity: str) -> str:
 def _canonical_chain(names: list[str], story: Story) -> BeliefChain:
     resolved = []
     for name in names:
-        if not story.has_character(name):
+        stored = story.characters_by_key.get(name.casefold())
+        if stored is None:
             raise QuestionParseError(
                 f"question names {name!r}, which is not a character of the story"
             )
-        resolved.append(story.canonical_character(name))
+        resolved.append(stored)
     return BeliefChain(tuple(resolved))
 
 

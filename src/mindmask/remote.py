@@ -23,13 +23,14 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import BackendError, CacheFormatError, ExtractionError, ProtocolError
-from .nkb import EntityAttribute, EntityStateRecord
+from .nkb import EntityAttribute, EntityStateRecord, event_states
 from .story import Story
 
 log = logging.getLogger(__name__)
 
 API_KEY_ENV = "MINDMASK_API_KEY"
 TEMPERATURE = 0.0
+TIMEOUT_S = 120.0
 
 _RECORD_LINE = re.compile(
     r"^\s*-?\s*\[?\s*(?:event\s*)?(\d+)\s*\]?\s*:\s*(.+?)\s+of\s+(.+?)\s+becomes\s+(.+?)\s*\.?\s*$",
@@ -53,11 +54,7 @@ def fill_prompt(template: str, slots: dict[str, str]) -> str:
 
 
 def indexed_narrative(story: Story) -> str:
-    lines = []
-    for e in story.events:
-        prefix = f"{e.speaker}: " if e.speaker else ""
-        lines.append(f"{e.index}: {prefix}{e.text}")
-    return "\n".join(lines)
+    return "\n".join(e.render() for e in story.events)
 
 
 def _default_transport(url: str, headers: dict, payload: dict, timeout: float) -> dict:
@@ -80,7 +77,6 @@ class ChatClient:
 
     base_url: str
     model: str
-    timeout: float = 120.0
     transport: object = None
 
     def complete(self, prompt: str) -> str:
@@ -95,7 +91,7 @@ class ChatClient:
             "temperature": TEMPERATURE,
         }
         transport = self.transport or _default_transport
-        data = transport(url, headers, payload, self.timeout)
+        data = transport(url, headers, payload, TIMEOUT_S)
         try:
             return data["choices"][0]["message"]["content"] or ""
         except (KeyError, IndexError, TypeError) as exc:
@@ -147,8 +143,9 @@ class RecordCache:
             return None
         lines = path.read_text(encoding="utf-8").splitlines()
         # One decode of the lines joined as an array. When that fails, or
-        # gives other than one record per line, the loop below names the
-        # first bad line.
+        # gives other than one record per line, some line is not a record
+        # (lines that each decode to one decode whole), and the loop below
+        # raises at the first.
         filled = [line for line in lines if line]
         try:
             rows = json.loads("[" + ",".join(filled) + "]")
@@ -156,7 +153,6 @@ class RecordCache:
             rows = []
         if len(rows) == len(filled) and all(_is_record_row(row) for row in rows):
             return rows
-        rows = []
         for lineno, line in enumerate(lines, start=1):
             if not line:
                 continue
@@ -168,8 +164,6 @@ class RecordCache:
                 raise CacheFormatError(
                     f"{path}: line {lineno} is not a state record: {line[:200]!r}"
                 )
-            rows.append(row)
-        return rows
 
     def store(self, story, targets, backend_name, rows: list[dict]) -> None:
         """Write the rows to a temporary file beside the entry, then rename it
@@ -257,15 +251,7 @@ class RemoteBackend:
             self.cache.store(story, targets, self.name, rows)
         return records
 
-    def event_states(self, story, index, targets):
-        """(entity, attribute, state) triples of event `index` alone: a
-        per-event view of :meth:`story_states`; each call costs a whole
-        ``story_states`` call, one state prompt unless the cache holds it."""
-        return [
-            (r.entity, r.attribute, r.state)
-            for r in self.story_states(story, targets)
-            if r.event_index == index
-        ]
+    event_states = event_states
 
     # -- internals -------------------------------------------------------------
 

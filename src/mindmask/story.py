@@ -43,6 +43,13 @@ class Event:
     text: str
     speaker: str | None = None
 
+    def render(self) -> str:
+        """The numbered line: ``i: text``, or ``i: Speaker: text`` for an
+        utterance."""
+        if self.speaker:
+            return f"{self.index}: {self.speaker}: {self.text}"
+        return f"{self.index}: {self.text}"
+
 
 @dataclass(frozen=True)
 class Story:
@@ -75,18 +82,8 @@ class Story:
                     f"speaker {event.speaker!r} of event {event.index} is not a story character"
                 )
 
-    def event(self, index: int) -> Event:
-        return self.events[index - 1]
-
     def has_character(self, name: str) -> bool:
         return name.casefold() in self.characters_by_key
-
-    def canonical_character(self, name: str) -> str:
-        """Return the stored casing for a character name."""
-        try:
-            return self.characters_by_key[name.casefold()]
-        except KeyError:
-            raise ValidationError(f"unknown character {name!r}") from None
 
     def key(self) -> str:
         """Stable identity over kind and event content, for caching."""
@@ -135,19 +132,6 @@ def guess_characters(events, kind: str = EVENT_KIND) -> tuple[str, ...]:
             for name in leading_subjects(event.text):
                 add(name)
     return tuple(found)
-
-
-def identify_characters(story: Story) -> tuple[str, ...]:
-    """Characters of a story: the declared list when present, else heuristic.
-
-    Deterministic and order-stable: declared order, or first appearance.
-    """
-    if story.characters:
-        return story.characters
-    found = guess_characters(story.events, story.kind)
-    if not found:
-        raise ValidationError("no character could be identified in the story")
-    return found
 
 
 def _events_from_lines(lines: list[str]) -> tuple[list[Event], str]:

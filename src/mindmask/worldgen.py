@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .errors import ValidationError
-from .question import BeliefChain, ToMQuestion, parse_question, render_question
+from .question import ToMQuestion, parse_question, render_question
 from .story import Event, Story, split_name_list
 from .textnorm import normalize_place
 
@@ -327,14 +327,6 @@ def observed_set(story: Story, character: str) -> set[int]:
     return {i for i in range(1, len(story.events) + 1) if seen >> (i - 1) & 1}
 
 
-def _chain_names(chain) -> tuple[str, ...]:
-    if chain is None:
-        return ()
-    if isinstance(chain, BeliefChain):
-        return chain.characters
-    return tuple(chain)
-
-
 def _checked_trace(story: Story, names: tuple[str, ...]) -> _Trace:
     trace = _trace_of(story)
     for name in names:
@@ -362,24 +354,22 @@ def _fold_beliefs(trace: _Trace, names: tuple[str, ...]) -> list[dict[str, str]]
     return beliefs
 
 
-def belief_store(story: Story, chain) -> list[dict[str, str]]:
+def belief_store(story: Story, chain: tuple[str, ...]) -> list[dict[str, str]]:
     """Believed containment maps per chain prefix; index j holds the beliefs
     attributed to the prefix of length j (j=0 is the true world).
 
     An event updates prefix j exactly when all of its j characters witnessed
     the event, so the update sets shrink as the prefix grows.
     """
-    names = _chain_names(chain)
-    return _fold_beliefs(_checked_trace(story, names), names)
+    return _fold_beliefs(_checked_trace(story, chain), chain)
 
 
-def simulate_beliefs(story: Story, chain, entity: str) -> str:
-    """Gold answer: where the belief chain thinks the entity is after the
-    last event, falling back to its first declared container when the chain
-    never witnessed an update."""
-    names = _chain_names(chain)
+def simulate_beliefs(story: Story, chain: tuple[str, ...], entity: str) -> str:
+    """Gold answer: where the chain of names, outermost first, thinks the
+    entity is after the last event, falling back to its first declared
+    container when the chain never witnessed an update."""
     key = entity.casefold()
-    trace = _checked_trace(story, names)
+    trace = _checked_trace(story, chain)
     first = next(
         (trace.effects[i][1] for i in range(1, len(story.events) + 1)
          if trace.effects[i] is not None and trace.effects[i][0] == key),
@@ -387,5 +377,5 @@ def simulate_beliefs(story: Story, chain, entity: str) -> str:
     )
     if first is None:
         raise ValidationError(f"{entity!r} is never placed anywhere in the story")
-    beliefs = _fold_beliefs(trace, names)
-    return beliefs[len(names)].get(key, first)
+    beliefs = _fold_beliefs(trace, chain)
+    return beliefs[len(chain)].get(key, first)

@@ -183,7 +183,7 @@ def test_story_work_is_done_once(seed, monkeypatch, recording_answerer):
     render = AugmentedEvent.render
 
     def counting_render(self):
-        rendered[self.index] += 1
+        rendered[self.event.index] += 1
         return render(self)
 
     injected = []

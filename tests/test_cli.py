@@ -165,6 +165,50 @@ def test_removed_eval_flags_are_usage_errors(dataset_path, flags, capsys):
 
 
 @pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--seeds", "1,x"], "argument --seeds: not a comma-separated list of integers: '1,x'"),
+        (["--subset-size=-1"], "argument --subset-size: not a non-negative integer: '-1'"),
+    ],
+    ids=["seeds", "subset-size"],
+)
+def test_malformed_eval_numbers_are_usage_errors(dataset_path, flags, message, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["eval", "--dataset", str(dataset_path), *flags])
+    assert info.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--nkb", "remote"], ["--answerer", "remote", "--model", "m"]],
+    ids=["nkb", "answerer"],
+)
+def test_remote_backend_without_endpoint_is_a_usage_error(dataset_path, flags, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["answer", "--dataset", str(dataset_path), *flags])
+    assert info.value.code == 2
+    assert "mindmask: error: remote backends need --model and --base-url" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, index, message",
+    [
+        ("inject", ["--story", "4"], "story index 4 out of range 0..3"),
+        ("mask", ["--story", "-1"], "story index -1 out of range 0..3"),
+        ("mask", ["--question", "3"], "question index 3 out of range 0..2"),
+        ("answer", ["--question", "-1"], "question index -1 out of range 0..2"),
+    ],
+)
+def test_out_of_range_index_prints_a_message(dataset_path, command, index, message, capsys):
+    capsys.readouterr()
+    assert main([command, "--dataset", str(dataset_path), *index]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"mindmask: {message}\n"
+
+
+@pytest.mark.parametrize(
     "command, flag",
     [
         ("extract", "--no-ki"),

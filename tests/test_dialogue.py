@@ -3,7 +3,8 @@ from __future__ import annotations
 import pytest
 
 from mindmask.nkb import RuleBackend, extract_locations, generate_states, identify_key_entities
-from mindmask.pipeline import PipelineConfig, answer_question, prepare_story
+from mindmask.inject import render_augmented
+from mindmask.pipeline import PipelineConfig, answer_question, mask_question, prepare_story
 from mindmask.question import parse_question
 from mindmask.remote import ChatClient, RemoteBackend
 from mindmask.scene import build_character_graph, build_omniscient_graph
@@ -27,6 +28,22 @@ def test_dialogue_parse(dialogue_story):
     assert dialogue_story.kind == "dialogue"
     assert dialogue_story.characters == ("Armani", "Troy", "Cynthia")
     assert dialogue_story.events[2].speaker is None  # narration line
+
+
+@pytest.mark.parametrize("inject_knowledge", [True, False])
+def test_text_views_name_the_speaker(dialogue_story, inject_knowledge):
+    cfg = PipelineConfig(inject_knowledge=inject_knowledge)
+    q = parse_question("Where does Troy think the key is?", dialogue_story)
+    artifacts = prepare_story(dialogue_story, [q], cfg)
+    _, view = mask_question(artifacts, q, cfg)
+    assert view.texts == (
+        "2: Troy: Good to know, thanks.",
+        "3: Troy left the conversation.",
+        "6: Troy joined the conversation.",
+        "7: Troy: Sorry, I missed a bit.",
+    )
+    lines = render_augmented(artifacts.augmented).splitlines()
+    assert lines[3] == "4: Armani: Cynthia, I just moved the key to the safe."
 
 
 def test_presence_windows_from_rule_backend(dialogue_story):

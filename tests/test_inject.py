@@ -14,7 +14,7 @@ def test_cupboard_injection_structure(cupboard_setup):
     assert len(augmented) == len(story.events)
     bare = {1, 2, 3, 6, 9, 10, 11}
     for a in augmented:
-        if a.index in bare:
+        if a.event.index in bare:
             assert a.injected == (), a
     assert augmented[6].injected == (
         "content of basket becomes T-shirt",
@@ -39,8 +39,7 @@ def test_no_character_location_bullets(cupboard_setup, melon_setup):
 def test_base_texts_preserved(melon_setup):
     story, _, records, _, _ = melon_setup
     augmented = inject(story, records)
-    assert [a.base_text for a in augmented] == [e.text for e in story.events]
-    assert [a.index for a in augmented] == [e.index for e in story.events]
+    assert [a.event for a in augmented] == list(story.events)
 
 
 def test_stripping_bullets_recovers_story(cupboard_setup):
@@ -53,7 +52,7 @@ def test_stripping_bullets_recovers_story(cupboard_setup):
 def test_empty_records_is_identity(cupboard_story):
     augmented = inject(cupboard_story, [])
     assert all(a.injected == () for a in augmented)
-    assert [a.base_text for a in augmented] == [e.text for e in cupboard_story.events]
+    assert [a.event for a in augmented] == list(cupboard_story.events)
 
 
 def test_bullets_sorted_by_entity_attribute(cupboard_setup):

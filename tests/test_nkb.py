@@ -231,6 +231,18 @@ def test_canonicalize_hyphen_space_collapse():
     assert canonicalize_location("the waiting-room", anchors).name == "waiting room"
 
 
+def test_canonicalize_unique_substring_either_way():
+    anchors = build_anchors(["porch", "waiting room"])
+    assert canonicalize_location("the big waiting room corner", anchors).name == "waiting room"
+    assert canonicalize_location("waiting", anchors).name == "waiting room"
+
+
+def test_canonicalize_empty_phrase_is_null():
+    anchors = build_anchors(["porch"])
+    assert canonicalize_location("", anchors) is None
+    assert canonicalize_location("in the", anchors) is None
+
+
 def test_canonicalize_ambiguity_resolves_to_null():
     anchors = build_anchors(["green room", "blue room"])
     assert canonicalize_location("the room", anchors) is None

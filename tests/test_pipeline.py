@@ -93,6 +93,12 @@ def test_symbolic_reader_declaration_fallback(cupboard_story):
     assert symbolic_reader(_bits(), q, _target_records(records, q)) == "box"
 
 
+def test_symbolic_reader_keeps_a_negated_state_as_written(cupboard_story):
+    records = [EntityStateRecord(1, "ball", "location", " Outside the Attic ")]
+    q = parse_question("Where is the ball really?", cupboard_story)
+    assert symbolic_reader(_bits(1), q, _target_records(records, q)) == "Outside the Attic"
+
+
 def test_symbolic_reader_abstains_without_records(cupboard_story):
     q = parse_question("Where is the ball really?", cupboard_story)
     assert symbolic_reader(_bits(1), q, []) == ABSTAIN

@@ -155,6 +155,22 @@ def test_answer_space_cupboard(cupboard_setup):
     assert answer_space_for(questions[1], story, records) == ["cupboard", "basket"]
 
 
+def test_answer_space_falls_back_to_object_locations():
+    from mindmask.nkb import EntityStateRecord
+    from mindmask.story import parse_story
+
+    story = parse_story("Mia entered the kitchen.\nThe ball is in the box.\nMia exited the kitchen.")
+    records = [
+        EntityStateRecord(1, "Mia", "location", "in the kitchen"),
+        EntityStateRecord(2, "ball", "location", "in the box"),
+        EntityStateRecord(2, "box", "content", "ball"),
+        EntityStateRecord(3, "Mia", "location", "outside the kitchen"),
+    ]
+    # No record places the cup: every non-person location is a candidate.
+    q = parse_question("Where is the cup really?", story)
+    assert answer_space_for(q, story, records) == ["box"]
+
+
 def test_answer_space_single_candidate(backend):
     from mindmask.story import parse_story
 

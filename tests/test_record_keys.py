@@ -53,11 +53,7 @@ def reference_inject(story: Story, records: list[EntityStateRecord]) -> list[Aug
             key=lambda r: (r.entity.casefold(), r.attribute.casefold()),
         )
         augmented.append(
-            AugmentedEvent(
-                index=event.index,
-                base_text=event.text,
-                injected=tuple(r.render() for r in bullets),
-            )
+            AugmentedEvent(event=event, injected=tuple(r.render() for r in bullets))
         )
     return augmented
 

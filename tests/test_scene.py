@@ -6,8 +6,10 @@ import random
 import pytest
 
 from mindmask.errors import ValidationError
+from mindmask.nkb import EntityStateRecord
 from mindmask.scene import (
     NULL,
+    MaskedView,
     SceneGraph,
     build_character_graph,
     build_omniscient_graph,
@@ -79,6 +81,13 @@ def test_mover_event_with_an_object_record_still_places_the_container(backend):
 def test_omniscient_requires_anchors(melon_story):
     with pytest.raises(ValidationError):
         build_omniscient_graph(melon_story, [], [])
+
+
+def test_omniscient_rejects_a_record_past_the_story(melon_setup):
+    story, _, records, anchors, _ = melon_setup
+    late = EntityStateRecord(len(story.events) + 1, "melon", "location", "in the porch")
+    with pytest.raises(ValidationError, match="unknown event index"):
+        build_omniscient_graph(story, records + [late], anchors)
 
 
 def test_character_graph_lily(melon_setup):
@@ -188,6 +197,12 @@ def test_retrieve_events_alignment_checked(melon_setup):
     _, _, _, _, omniscient = melon_setup
     with pytest.raises(ValidationError):
         retrieve_events(omniscient, ["just one"])
+
+
+@pytest.mark.parametrize("surviving", [(3, 1), (1, 1, 2)])
+def test_masked_view_rejects_unordered_indices(surviving):
+    with pytest.raises(ValidationError, match="strictly increasing"):
+        MaskedView(surviving=surviving)
 
 
 def test_graph_build_counts_examples():

@@ -9,7 +9,6 @@ from mindmask.story import (
     Event,
     Story,
     guess_characters,
-    identify_characters,
     leading_subjects,
     parse_story,
     serialize_story,
@@ -53,7 +52,7 @@ def test_declared_characters_override_heuristic():
         "events": [{"text": "Bob entered the shed."}],
     }
     story = parse_story(doc)
-    assert identify_characters(story) == ("Sally", "Anne")
+    assert story.characters == ("Sally", "Anne")
 
 
 def test_round_trip(melon_story, cupboard_story):
@@ -128,4 +127,3 @@ def test_no_character_found_is_an_error():
 def test_event_indices_are_positions(melon_story):
     for pos, event in enumerate(melon_story.events, start=1):
         assert event.index == pos
-        assert melon_story.event(pos) is event
