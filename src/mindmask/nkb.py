@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Protocol, runtime_checkable
 
 from .errors import ExtractionError, ProtocolError, ValidationError
@@ -67,6 +67,26 @@ class EntityStateRecord:
 
     def render(self) -> str:
         return f"{self.attribute} of {self.entity} becomes {self.state}"
+
+
+_new = object.__new__
+
+
+def keyed_record(
+    event_index: int, entity: str, attribute: str, state: str, key: tuple[str, str]
+) -> EntityStateRecord:
+    """``EntityStateRecord(event_index, entity, attribute, state)`` built with
+    its key in hand, past the dataclass ``__init__`` and its two casefolds.
+    `key` must be ``(entity.casefold(), attribute.casefold())``. Every record
+    that enters the pipeline is built here."""
+    record = _new(EntityStateRecord)
+    fields = record.__dict__
+    fields["event_index"] = event_index
+    fields["entity"] = entity
+    fields["attribute"] = attribute
+    fields["state"] = state
+    fields["key"] = key
+    return record
 
 
 @dataclass(frozen=True)
@@ -201,15 +221,9 @@ def _scan(story: Story) -> _Scan:
         return key
 
     def emit(index: int, name: str, attribute: str, state: str) -> str:
-        # Built with its key in hand, past the dataclass __init__ and its two
-        # casefolds; a display name casefolds to its key.
+        # A display name casefolds to its key; both attributes are lowercase.
         key = remember(name)
-        record = object.__new__(EntityStateRecord)
-        object.__setattr__(record, "__dict__", {
-            "event_index": index, "entity": display[key], "attribute": attribute,
-            "state": state, "key": (key, attribute),
-        })
-        records.append(record)
+        records.append(keyed_record(index, display[key], attribute, state, (key, attribute)))
         return key
 
     # Each pattern is tried only when its fixed text is present, a necessary
@@ -390,10 +404,11 @@ def generate_states(
         raise ValidationError("generate_states needs a non-empty target list")
     merged: dict[tuple[int, tuple[str, str]], EntityStateRecord] = {}
     for record in backend.story_states(story, list(targets)):
-        if record.attribute != record.key[1]:
-            record = replace(record, attribute=record.key[1])
-        merged[(record.event_index, record.key)] = record
-    return [merged[key] for key in sorted(merged)]
+        key = record.key
+        if record.attribute != key[1]:
+            record = keyed_record(record.event_index, record.entity, key[1], record.state, key)
+        merged[(record.event_index, key)] = record
+    return [merged[k] for k in sorted(merged)]
 
 
 def extract_locations(story: Story, backend: StateBackend) -> list[LocationAnchor]:

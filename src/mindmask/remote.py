@@ -23,7 +23,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import BackendError, CacheFormatError, ExtractionError, ProtocolError
-from .nkb import EntityAttribute, EntityStateRecord, event_states
+from .nkb import EntityAttribute, event_states, keyed_record
 from .story import Story
 
 log = logging.getLogger(__name__)
@@ -107,6 +107,16 @@ def _digest(text: str) -> str:
 _RECORD_KEYS = {"event_index", "entity", "attribute", "state"}
 
 
+_dumps = json.dumps
+
+
+def _row_line(row: dict) -> str:
+    """``json.dumps(row)`` and a newline for a record row, whose keys need no
+    escaping, without building an encoder per row."""
+    fields = [f'"{k}": {v if type(v) is int else _dumps(v)}' for k, v in row.items()]
+    return "{" + ", ".join(fields) + "}\n"
+
+
 def _is_record_row(row) -> bool:
     """The exact shape `RemoteBackend` stores: an int index and three strings."""
     return (
@@ -126,7 +136,9 @@ def _targets_key(targets: list[EntityAttribute]) -> str:
 class RecordCache:
     """JSONL record lists keyed by (story, targets, state prompt template,
     backend name). An edited ``generate_states`` template misses every entry
-    stored under the old one."""
+    stored under the old one. The file name carries a digest of the backend
+    name besides its spelling, so ``remote:a/b`` and ``remote:a:b`` never
+    share an entry."""
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
@@ -135,7 +147,8 @@ class RecordCache:
     def _path(self, story: Story, targets, backend_name: str) -> Path:
         safe = re.sub(r"[^\w.-]", "_", backend_name)
         template = _digest(load_prompt("generate_states"))
-        return self.directory / f"{story.key()}-{_targets_key(targets)}-{template}-{safe}.jsonl"
+        named = f"{safe}-{_digest(backend_name)[:8]}"
+        return self.directory / f"{story.key()}-{_targets_key(targets)}-{template}-{named}.jsonl"
 
     def load(self, story, targets, backend_name) -> list[dict] | None:
         path = self._path(story, targets, backend_name)
@@ -172,7 +185,7 @@ class RecordCache:
         fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=f".{path.name}.", suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write("".join(json.dumps(row) + "\n" for row in rows))
+                handle.write("".join(map(_row_line, rows)))
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
@@ -184,11 +197,18 @@ class RemoteBackend:
 
     ``story_states`` sends one prompt per (story, targets) pair; the response
     lists records for every event index at once. Every index is checked
-    before the rows are used or cached, so a response naming a nonexistent
-    event is never persisted. Responses are cached when a cache is
+    before the rows are cached, so a response naming a nonexistent event is
+    never persisted, and a response with no record line raises instead of
+    being cached as an empty entry. Responses are cached when a cache is
     configured, keyed by story, targets, state prompt template, and backend
     name.
+
+    The three prompts of a story share one rendering of its narrative: the
+    backend keeps the last story's (by ``is``; stories are frozen), as
+    :class:`mindmask.nkb.RuleBackend` keeps its last scan.
     """
+
+    _last: tuple[Story, str] | None = None
 
     def __init__(self, client: ChatClient, cache: RecordCache | None = None):
         self.client = client
@@ -196,13 +216,19 @@ class RemoteBackend:
         self.name = f"remote:{client.model}"
         self.skipped_lines = 0
 
+    def _narrative(self, story: Story) -> str:
+        last = self._last
+        if last is None or last[0] is not story:
+            last = self._last = (story, indexed_narrative(story))
+        return last[1]
+
     # -- StateBackend protocol ------------------------------------------------
 
     def key_entities(self, story, questions):
         prompt = fill_prompt(
             load_prompt("key_entities"),
             {
-                "indexed narrative": indexed_narrative(story),
+                "indexed narrative": self._narrative(story),
                 "question list": "\n".join(f"- {q.raw}" for q in questions),
             },
         )
@@ -223,7 +249,7 @@ class RemoteBackend:
     def location_names(self, story):
         prompt = fill_prompt(
             load_prompt("extract_locations"),
-            {"indexed narrative": indexed_narrative(story)},
+            {"indexed narrative": self._narrative(story)},
         )
         response = self.client.complete(prompt)
         names = [m.group(1) for m in map(_BULLET_LINE.match, response.splitlines()) if m]
@@ -238,15 +264,19 @@ class RemoteBackend:
             prompt = fill_prompt(
                 load_prompt("generate_states"),
                 {
-                    "indexed narrative": indexed_narrative(story),
+                    "indexed narrative": self._narrative(story),
                     "eoi list": "\n".join(f"- {t.render()}" for t in targets),
                 },
             )
             rows = self._parse_records(self.client.complete(prompt))
-        records = [EntityStateRecord(**row) for row in rows]
-        for r in records:
-            if not 1 <= r.event_index <= len(story.events):
-                raise ProtocolError(f"backend asserted a state for unknown event {r.event_index}")
+        count = len(story.events)
+        records = []
+        for row in rows:
+            index, entity, attribute = row["event_index"], row["entity"], row["attribute"]
+            if not 1 <= index <= count:
+                raise ProtocolError(f"backend asserted a state for unknown event {index}")
+            key = (entity.casefold(), attribute.casefold())
+            records.append(keyed_record(index, entity, attribute, row["state"], key))
         if fresh and self.cache:
             self.cache.store(story, targets, self.name, rows)
         return records
@@ -256,23 +286,22 @@ class RemoteBackend:
     # -- internals -------------------------------------------------------------
 
     def _parse_records(self, response: str) -> list[dict]:
+        """Record rows of a state reply; a reply with none raises, so it is
+        never cached."""
         rows = []
         for line in response.splitlines():
             if not line.strip():
                 continue
             m = _RECORD_LINE.match(line)
             if m:
-                rows.append(
-                    {
-                        "event_index": int(m.group(1)),
-                        "attribute": m.group(2).strip(),
-                        "entity": m.group(3).strip(),
-                        "state": m.group(4).strip(),
-                    }
-                )
+                index, attribute, entity, state = m.groups()
+                rows.append({"event_index": int(index), "attribute": attribute.strip(),
+                             "entity": entity.strip(), "state": state.strip()})
             elif line.lstrip().startswith("-"):
                 self.skipped_lines += 1
                 log.warning("skipping unparseable record line: %r", line.strip())
+        if not rows:
+            raise ExtractionError(f"no state records in backend response: {response[:500]!r}")
         return rows
 
 

@@ -336,3 +336,43 @@ def test_edited_state_prompt_misses_the_cache(cupboard_story, tmp_path, monkeypa
     generate_states(cupboard_story, targets, RemoteBackend(client2, cache=RecordCache(tmp_path)))
     assert len(transport2.requests) == 1
     assert len(list(tmp_path.glob("*.jsonl"))) == 2
+
+
+def test_state_reply_without_records_is_never_cached(cupboard_story, tmp_path):
+    targets = [EntityAttribute("t-shirt", "location")]
+    client, _ = make_client(["Sorry, I cannot help with that."])
+    backend = RemoteBackend(client, cache=RecordCache(tmp_path))
+    with pytest.raises(ExtractionError, match="Sorry, I cannot help with that."):
+        generate_states(cupboard_story, targets, backend)
+    assert list(tmp_path.iterdir()) == []
+
+    # A rerun on the same directory asks the model again.
+    client2, transport2 = make_client(["- 4: location of T-shirt becomes in the cupboard"])
+    records = generate_states(cupboard_story, targets, RemoteBackend(client2, cache=RecordCache(tmp_path)))
+    assert len(transport2.requests) == 1
+    assert [r.event_index for r in records] == [4]
+
+
+def test_backend_names_that_spell_alike_keep_their_entries_apart(cupboard_story, tmp_path):
+    # "remote:a/b" and "remote:a:b" both spell "remote_a_b" in a file name.
+    targets = [EntityAttribute("t-shirt", "location")]
+    cache = RecordCache(tmp_path)
+    slash = [{"event_index": 4, "attribute": "location", "entity": "T-shirt", "state": "in the cupboard"}]
+    colon = [{"event_index": 7, "attribute": "location", "entity": "T-shirt", "state": "in basket"}]
+    cache.store(cupboard_story, targets, "remote:a/b", slash)
+    assert cache.load(cupboard_story, targets, "remote:a:b") is None
+    cache.store(cupboard_story, targets, "remote:a:b", colon)
+    assert cache.load(cupboard_story, targets, "remote:a/b") == slash
+    assert cache.load(cupboard_story, targets, "remote:a:b") == colon
+    assert len(list(tmp_path.glob("*.jsonl"))) == 2
+
+    # Through the backend: a model named "a:b" never reads the entry of "a/b".
+    directory = tmp_path / "backend"
+    first, _ = make_client(["- 4: location of T-shirt becomes in the cupboard"])
+    first.model = "a/b"
+    generate_states(cupboard_story, targets, RemoteBackend(first, cache=RecordCache(directory)))
+    second, transport = make_client(["- 7: location of T-shirt becomes in basket"])
+    second.model = "a:b"
+    records = generate_states(cupboard_story, targets, RemoteBackend(second, cache=RecordCache(directory)))
+    assert len(transport.requests) == 1
+    assert [r.event_index for r in records] == [7]
