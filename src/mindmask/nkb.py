@@ -77,8 +77,8 @@ def keyed_record(
 ) -> EntityStateRecord:
     """``EntityStateRecord(event_index, entity, attribute, state)`` built with
     its key in hand, past the dataclass ``__init__`` and its two casefolds.
-    `key` must be ``(entity.casefold(), attribute.casefold())``. Every record
-    that enters the pipeline is built here."""
+    `key` must be ``(entity.casefold(), attribute.casefold())``. The rule
+    scan, the remote backend and `generate_states` build their records here."""
     record = _new(EntityStateRecord)
     fields = record.__dict__
     fields["event_index"] = event_index
