@@ -325,6 +325,14 @@ def answers_match(predicted: str, gold: str) -> bool:
     return normalize_answer(predicted) == normalize_answer(gold)
 
 
+def _story_outcomes(
+    story: Story, questions: list[ToMQuestion], cfg: PipelineConfig
+) -> list[QuestionOutcome | None]:
+    """Each question's outcome, None for a question without gold."""
+    artifacts = prepare_story(story, questions, cfg)
+    return [None if q.gold is None else answer_question(artifacts, q, cfg) for q in questions]
+
+
 def evaluate(
     items: list[tuple[Story, list[ToMQuestion]]],
     cfg: PipelineConfig | None = None,
@@ -335,6 +343,8 @@ def evaluate(
 
     Each seed samples its own subset (the whole set when subset_size is
     None); the mean and variance are taken over the per-seed accuracies.
+    A story is prepared and answered once per run, the first time a subset
+    holds it; every seed that samples it again reuses those outcomes.
     Questions without gold answers are skipped and counted.
     """
     import random
@@ -347,6 +357,7 @@ def evaluate(
     seed_accuracies: dict[int, float] = {}
     max_m = 1
     max_k = 0
+    answered: dict[int, list[QuestionOutcome | None]] = {}
 
     for seed in seeds:
         indexed = list(enumerate(items))
@@ -357,12 +368,12 @@ def evaluate(
         for story_index, (story, questions) in indexed:
             max_m = max(max_m, len(story.characters))
             max_k = max([max_k] + [q.order for q in questions])
-            artifacts = prepare_story(story, questions, cfg)
-            for q in questions:
-                if q.gold is None:
+            if story_index not in answered:
+                answered[story_index] = _story_outcomes(story, questions, cfg)
+            for q, outcome in zip(questions, answered[story_index]):
+                if outcome is None:
                     skipped += 1
                     continue
-                outcome = answer_question(artifacts, q, cfg)
                 seed_rows.append(
                     QuestionRow(
                         seed=seed,

@@ -143,12 +143,23 @@ class RecordCache:
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
+        self._last: tuple | None = None
 
     def _path(self, story: Story, targets, backend_name: str) -> Path:
+        """The entry's file. The last key is kept with its inputs (the story
+        by ``is``; stories are frozen), so a miss and the store after it hash
+        the story, targets and template once."""
+        template = load_prompt("generate_states")
+        inputs = (tuple(targets), template, backend_name)
+        last = self._last
+        if last is not None and last[0] is story and last[1] == inputs:
+            return last[2]
         safe = re.sub(r"[^\w.-]", "_", backend_name)
-        template = _digest(load_prompt("generate_states"))
         named = f"{safe}-{_digest(backend_name)[:8]}"
-        return self.directory / f"{story.key()}-{_targets_key(targets)}-{template}-{named}.jsonl"
+        name = f"{story.key()}-{_targets_key(targets)}-{_digest(template)}-{named}.jsonl"
+        path = self.directory / name
+        self._last = (story, inputs, path)
+        return path
 
     def load(self, story, targets, backend_name) -> list[dict] | None:
         path = self._path(story, targets, backend_name)

@@ -44,6 +44,9 @@ class SceneGraph:
     # it was built from, and each character's observation bitset by
     # casefolded name.
     _observations: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # Not a field. Set on views from _view only: the graph the view nulls.
+    # A view holds its bits and makes `assignment` the first time it is read.
+    _base = None
 
     def __post_init__(self):
         rooms = set(self.assignment)
@@ -52,8 +55,16 @@ class SceneGraph:
             room = next(r for r in self.assignment if r is not None and r not in self.location_set)
             raise ValidationError(f"assignment uses {room!r}, not in the location set")
 
+    def __getattr__(self, name: str):
+        base = self._base
+        if name != "assignment" or base is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        rooms = self.__dict__["assignment"] = _kept_rooms(base.assignment, self.bits)
+        return rooms
+
     def __len__(self) -> int:
-        return len(self.assignment)
+        base = self._base
+        return len(self.assignment if base is None else base)
 
     @cached_property
     def bits(self) -> int:
@@ -62,20 +73,26 @@ class SceneGraph:
         return int("".join(flags[::-1]) or "0", 2)
 
     def surviving(self) -> tuple[int, ...]:
-        return tuple(i for i, room in enumerate(self.assignment, start=1) if room is not None)
+        flags = f"{self.bits:b}"[::-1]
+        return tuple(i for i, flag in enumerate(flags, start=1) if flag == "1")
 
     def to_json(self) -> dict:
         return {"assignment": {str(i): room for i, room in enumerate(self.assignment, start=1)}}
 
 
+def _kept_rooms(rooms: tuple[str | None, ...], bits: int) -> tuple[str | None, ...]:
+    """`rooms` with every event outside `bits` nulled."""
+    flags = f"{bits:0{len(rooms)}b}"[::-1]
+    return tuple(room if flag == "1" else NULL for room, flag in zip(rooms, flags))
+
+
 def _view(graph: SceneGraph, bits: int) -> SceneGraph:
-    """`graph` with every event outside `bits` nulled, its bits already set.
-    Its rooms are a subset of valid `graph`'s, so ``__post_init__`` is skipped."""
-    flags = f"{bits:0{len(graph)}b}"[::-1]
-    kept = [room if flag == "1" else NULL for room, flag in zip(graph.assignment, flags)]
+    """`graph` with every event outside `bits` nulled, `bits` a subset of
+    `graph.bits`. The view keeps `graph` and makes its rooms on first read;
+    they are a subset of valid `graph`'s, so ``__post_init__`` is skipped."""
     view = object.__new__(SceneGraph)
     view.__dict__.update(  # "bits" seeds the cached property
-        assignment=tuple(kept), location_set=graph.location_set, _observations=None, bits=bits
+        location_set=graph.location_set, bits=bits, _base=graph
     )
     return view
 
@@ -94,17 +111,25 @@ class MaskedView:
 
 class _Rooms(dict):
     """Room name (or None) of each location string of a story, resolved the
-    first time it is looked up: an exact alias directly, anything else
-    through :func:`canonicalize_location`."""
+    first time it is looked up: an exact alias directly, else through
+    :func:`canonicalize_location` when some alias and the normalized phrase
+    hold one another, else None. Without such a pair no substring match is
+    possible, so negation and ambiguity cannot matter; an empty alias is in
+    every phrase and so always reaches the resolver."""
 
     def __init__(self, anchors: list[LocationAnchor]):
         super().__init__()
         self.anchors = anchors
         self.exact = {a.alias: a.name for a in reversed(anchors) if a.alias}  # first wins
+        self.aliases = [a.alias for a in anchors]
+        # Normalized phrases hold no newline, so a phrase inside this string
+        # lies inside one alias.
+        self.joined = "\n".join(self.aliases)
 
     def __missing__(self, state: str) -> str | None:
-        room = self.exact.get(normalize_place(state))
-        if room is None:
+        place = normalize_place(state)
+        room = self.exact.get(place)
+        if room is None and (place in self.joined or any(map(place.__contains__, self.aliases))):
             anchor = canonicalize_location(state, self.anchors)
             room = anchor.name if anchor else None
         self[state] = room

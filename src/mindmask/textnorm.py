@@ -33,8 +33,10 @@ def is_negated_place(raw: str) -> bool:
     return _NEGATED_RE.search(raw.casefold()) is not None
 
 
+@functools.lru_cache(maxsize=4096)
 def normalize_answer(raw: str) -> str:
-    """Answer-matching normal form: lowercase, no punctuation, no articles."""
+    """Answer-matching normal form: lowercase, no punctuation, no articles.
+    Memoized, boundedly: a corpus answers with a few hundred places."""
     s = raw.casefold().replace("-", " ")
     s = _PUNCT_RE.sub(" ", s)
     tokens = [t for t in s.split() if t not in ARTICLES]

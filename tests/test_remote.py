@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import logging
+from dataclasses import replace
 
 import pytest
 
@@ -18,6 +19,7 @@ from mindmask.nkb import (
     generate_states,
     identify_key_entities,
 )
+from mindmask.pipeline import PipelineConfig, evaluate
 from mindmask.question import parse_question
 from mindmask.remote import (
     ChatClient,
@@ -29,6 +31,7 @@ from mindmask.remote import (
     load_prompt,
 )
 from mindmask.scene import MaskedView
+from mindmask.story import Story
 
 
 class FakeTransport:
@@ -376,3 +379,57 @@ def test_backend_names_that_spell_alike_keep_their_entries_apart(cupboard_story,
     records = generate_states(cupboard_story, targets, RemoteBackend(second, cache=RecordCache(directory)))
     assert len(transport.requests) == 1
     assert [r.event_index for r in records] == [7]
+
+
+def test_evaluate_asks_the_model_once_per_story_for_all_seeds(cupboard_story, melon_story):
+    # Seeds choose subsets; with no subset size every seed holds every story,
+    # and each story's three prompts are still sent once.
+    def transport(url, headers, payload, timeout):
+        prompt = payload["messages"][0]["content"]
+        requests.append(prompt)
+        if "<Questions>" in prompt:
+            reply = "<entities>\n- location of t-shirt\n</entities>"
+        elif "<Entity-of-Interest>" in prompt:
+            reply = "- 1: location of Benjamin becomes in the crawlspace"
+        else:
+            reply = "- crawlspace\n- porch"
+        return {"choices": [{"message": {"content": reply}}]}
+
+    requests: list[str] = []
+    client = ChatClient(base_url="http://llm.test/v1", model="test-model", transport=transport)
+    items = [
+        (cupboard_story, [parse_question("Where is the t-shirt really?", cupboard_story, gold="basket")]),
+        (melon_story, [parse_question("Where is the melon really?", melon_story, gold="red bucket")]),
+    ]
+    report = evaluate(items, PipelineConfig(nkb_backend=RemoteBackend(client)), seeds=[12, 42])
+    assert len(requests) == 3 * len(items)
+    for story, _ in items:
+        assert sum(indexed_narrative(story) in prompt for prompt in requests) == 3
+    assert [r.seed for r in report.rows] == [12, 12, 42, 42]
+    assert [replace(r, seed=0) for r in report.rows[:2]] == [replace(r, seed=0) for r in report.rows[2:]]
+
+
+def test_record_cache_hashes_a_story_once_and_keys_each_input(cupboard_story, tmp_path, monkeypatch):
+    import mindmask.remote as remote
+
+    keyed = []
+    story_key = Story.key
+    monkeypatch.setattr(Story, "key", lambda story: keyed.append(story) or story_key(story))
+    targets = [EntityAttribute("t-shirt", "location")]
+    client, transport = make_client(["- 4: location of T-shirt becomes in the cupboard"])
+    cache = RecordCache(tmp_path)
+    generate_states(cupboard_story, targets, RemoteBackend(client, cache=cache))
+    assert len(transport.requests) == 1
+    assert len(keyed) == 1  # the miss and the store share one key
+
+    # The same cache object: other targets, another backend name or an edited
+    # state prompt each miss, though the story is the same object.
+    rows = cache.load(cupboard_story, targets, "remote:test-model")
+    assert rows is not None
+    assert cache.load(cupboard_story, [EntityAttribute("basket", "content")], "remote:test-model") is None
+    assert cache.load(cupboard_story, targets, "remote:other") is None
+    shipped = remote.load_prompt
+    monkeypatch.setattr(remote, "load_prompt", lambda name: shipped(name) + "\nAnswer tersely.")
+    assert cache.load(cupboard_story, targets, "remote:test-model") is None
+    monkeypatch.setattr(remote, "load_prompt", shipped)
+    assert cache.load(cupboard_story, list(targets), "remote:test-model") == rows
