@@ -325,14 +325,6 @@ def answers_match(predicted: str, gold: str) -> bool:
     return normalize_answer(predicted) == normalize_answer(gold)
 
 
-def _story_outcomes(
-    story: Story, questions: list[ToMQuestion], cfg: PipelineConfig
-) -> list[QuestionOutcome | None]:
-    """Each question's outcome, None for a question without gold."""
-    artifacts = prepare_story(story, questions, cfg)
-    return [None if q.gold is None else answer_question(artifacts, q, cfg) for q in questions]
-
-
 def evaluate(
     items: list[tuple[Story, list[ToMQuestion]]],
     cfg: PipelineConfig | None = None,
@@ -368,8 +360,11 @@ def evaluate(
         for story_index, (story, questions) in indexed:
             max_m = max(max_m, len(story.characters))
             max_k = max([max_k] + [q.order for q in questions])
-            if story_index not in answered:
-                answered[story_index] = _story_outcomes(story, questions, cfg)
+            if story_index not in answered:  # None stands for a question without gold
+                artifacts = prepare_story(story, questions, cfg)
+                answered[story_index] = [
+                    None if q.gold is None else answer_question(artifacts, q, cfg) for q in questions
+                ]
             for q, outcome in zip(questions, answered[story_index]):
                 if outcome is None:
                     skipped += 1

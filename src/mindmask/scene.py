@@ -115,21 +115,18 @@ class _Rooms(dict):
     :func:`canonicalize_location` when some alias and the normalized phrase
     hold one another, else None. Without such a pair no substring match is
     possible, so negation and ambiguity cannot matter; an empty alias is in
-    every phrase and so always reaches the resolver."""
+    every phrase, so it always reaches the resolver."""
 
     def __init__(self, anchors: list[LocationAnchor]):
         super().__init__()
         self.anchors = anchors
         self.exact = {a.alias: a.name for a in reversed(anchors) if a.alias}  # first wins
         self.aliases = [a.alias for a in anchors]
-        # Normalized phrases hold no newline, so a phrase inside this string
-        # lies inside one alias.
-        self.joined = "\n".join(self.aliases)
 
     def __missing__(self, state: str) -> str | None:
         place = normalize_place(state)
         room = self.exact.get(place)
-        if room is None and (place in self.joined or any(map(place.__contains__, self.aliases))):
+        if room is None and any(a in place or place in a for a in self.aliases):
             anchor = canonicalize_location(state, self.anchors)
             room = anchor.name if anchor else None
         self[state] = room
