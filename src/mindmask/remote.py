@@ -15,7 +15,6 @@ import json
 import logging
 import os
 import re
-import tempfile
 import urllib.error
 import urllib.request
 from dataclasses import dataclass
@@ -107,16 +106,6 @@ def _digest(text: str) -> str:
 _RECORD_KEYS = {"event_index", "entity", "attribute", "state"}
 
 
-_dumps = json.dumps
-
-
-def _row_line(row: dict) -> str:
-    """``json.dumps(row)`` and a newline for a record row, whose keys need no
-    escaping, without building an encoder per row."""
-    fields = [f'"{k}": {v if type(v) is int else _dumps(v)}' for k, v in row.items()]
-    return "{" + ", ".join(fields) + "}\n"
-
-
 def _is_record_row(row) -> bool:
     """The exact shape `RemoteBackend` stores: an int index and three strings."""
     return (
@@ -129,78 +118,160 @@ def _is_record_row(row) -> bool:
     )
 
 
+def _are_record_rows(value) -> bool:
+    return type(value) is list and all(map(_is_record_row, value))
+
+
+def _are_pairs(value) -> bool:
+    """Key-entity pairs as cached: ``[entity, attribute]`` string lists."""
+    return type(value) is list and all(
+        type(pair) is list and len(pair) == 2 and type(pair[0]) is str and type(pair[1]) is str
+        for pair in value
+    )
+
+
+def _are_names(value) -> bool:
+    return type(value) is list and all(type(name) is str for name in value)
+
+
 def _targets_key(targets: list[EntityAttribute]) -> str:
     return _digest("\n".join(sorted(t.render().casefold() for t in targets)))
 
 
+LOG_NAME = "records.log"
+
+
 class RecordCache:
-    """JSONL record lists keyed by (story, targets, state prompt template,
-    backend name). An edited ``generate_states`` template misses every entry
-    stored under the old one. The file name carries a digest of the backend
-    name besides its spelling, so ``remote:a/b`` and ``remote:a:b`` never
-    share an entry."""
+    """Parsed chat replies in one append-only log per directory, ``records.log``.
+
+    Each entry is one line, ``<key>\\t<json.dumps(value)>\\n``, appended with
+    a single write; the last line for a key wins. A key names the prompt
+    template and carries digests of the story, the template's own input (the
+    targets or the question list), the template text and the backend name, so
+    an edited template, other targets or another model misses.
+
+    The first lookup indexes the log: each key's line number, offset and
+    length, not its text, so a lookup reads its one line back. Bytes after the
+    last newline are a torn append and never an entry; the next store cuts
+    them off before it appends. A line without a tab has no key and is no
+    entry. One process writes a directory at a time.
+    """
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self._last: tuple | None = None
+        self.path = self.directory / LOG_NAME
+        self._index: dict[bytes, tuple[int, int, int]] | None = None
+        self._end = 0  # the offset just past the last indexed line
+        self._lines = 0
+        self._story: tuple[Story, str] | None = None
 
-    def _path(self, story: Story, targets, backend_name: str) -> Path:
-        """The entry's file. The last key is kept with its inputs (the story
-        by ``is``; stories are frozen), so a miss and the store after it hash
-        the story, targets and template once."""
-        template = load_prompt("generate_states")
-        inputs = (tuple(targets), template, backend_name)
-        last = self._last
-        if last is not None and last[0] is story and last[1] == inputs:
-            return last[2]
-        safe = re.sub(r"[^\w.-]", "_", backend_name)
-        named = f"{safe}-{_digest(backend_name)[:8]}"
-        name = f"{story.key()}-{_targets_key(targets)}-{_digest(template)}-{named}.jsonl"
-        path = self.directory / name
-        self._last = (story, inputs, path)
-        return path
+    def key(self, template: str, story: Story, part: str, backend_name: str) -> bytes:
+        """The entry key of ``template``'s reply for ``story``. The last
+        story's key is kept (by ``is``; stories are frozen), so its three
+        replies hash it once."""
+        last = self._story
+        if last is None or last[0] is not story:
+            last = self._story = (story, story.key())
+        text = load_prompt(template)
+        return f"{template}-{last[1]}-{part}-{_digest(text)}-{_digest(backend_name)}".encode()
+
+    def _scan(self) -> int:
+        """Index the complete lines past the last indexed one and return the
+        log's size. A log shorter than the indexed part was cut or replaced,
+        and is indexed afresh."""
+        if self._index is None:
+            self._index = {}
+        try:
+            handle = open(self.path, "rb")
+        except FileNotFoundError:
+            return 0
+        with handle:
+            size = os.fstat(handle.fileno()).st_size
+            if size < self._end:
+                self._index.clear()
+                self._end = self._lines = 0
+            handle.seek(self._end)
+            for line in handle:
+                if line[-1:] != b"\n":
+                    break
+                self._lines += 1
+                tab = line.find(b"\t")
+                if tab > 0:
+                    self._index[line[:tab]] = (self._lines, self._end, len(line))
+                self._end += len(line)
+        return size
+
+    def get(self, key: bytes, check):
+        """The value last stored under ``key``, or None. A line that does not
+        decode, or whose value fails ``check``, raises `CacheFormatError`."""
+        if self._index is None:
+            self._scan()
+        entry = self._index.get(key)
+        if entry is None:
+            return None
+        lineno, offset, length = entry
+        fd = os.open(self.path, os.O_RDONLY)
+        try:
+            line = os.pread(fd, length, offset)
+        finally:
+            os.close(fd)
+        try:
+            value = json.loads(line[len(key) + 1:])
+        except ValueError as exc:
+            raise CacheFormatError(f"{self.path}: line {lineno} does not decode: {exc}") from exc
+        if not check(value):
+            kind = key.partition(b"-")[0].decode()
+            raise CacheFormatError(f"{self.path}: line {lineno} is not a {kind} reply: {line[:200]!r}")
+        return value
+
+    def put(self, key: bytes, value) -> None:
+        """Append one entry with one write, after cutting off a torn tail."""
+        line = key + b"\t" + json.dumps(value).encode() + b"\n"
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+        try:
+            if self._index is None or os.fstat(fd).st_size != self._end:
+                if self._scan() > self._end:
+                    os.ftruncate(fd, self._end)
+            if os.write(fd, line) != len(line):
+                raise OSError(f"{self.path}: short write")
+        finally:
+            os.close(fd)
+        self._lines += 1
+        self._index[key] = (self._lines, self._end, len(line))
+        self._end += len(line)
 
     def load(self, story, targets, backend_name) -> list[dict] | None:
-        path = self._path(story, targets, backend_name)
-        if not path.exists():
-            return None
-        lines = path.read_text(encoding="utf-8").splitlines()
-        # One decode of the lines joined as an array. When that fails, or
-        # gives other than one record per line, some line is not a record
-        # (lines that each decode to one decode whole), and the loop below
-        # raises at the first.
-        filled = [line for line in lines if line]
-        try:
-            rows = json.loads("[" + ",".join(filled) + "]")
-        except json.JSONDecodeError:
-            rows = []
-        if len(rows) == len(filled) and all(_is_record_row(row) for row in rows):
-            return rows
-        for lineno, line in enumerate(lines, start=1):
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CacheFormatError(f"{path}: line {lineno} does not decode: {exc}") from exc
-            if not _is_record_row(row):
-                raise CacheFormatError(
-                    f"{path}: line {lineno} is not a state record: {line[:200]!r}"
-                )
+        """The cached state rows for (story, targets, backend name), or None."""
+        key = self.key("generate_states", story, _targets_key(targets), backend_name)
+        return self.get(key, _are_record_rows)
 
     def store(self, story, targets, backend_name, rows: list[dict]) -> None:
-        """Write the rows to a temporary file beside the entry, then rename it
-        over the entry, so an interrupted store never leaves a partial file."""
-        path = self._path(story, targets, backend_name)
-        fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=f".{path.name}.", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write("".join(map(_row_line, rows)))
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+        key = self.key("generate_states", story, _targets_key(targets), backend_name)
+        self.put(key, rows)
+
+
+def _entity_pairs(response: str) -> list[list[str]]:
+    """``[entity, attribute]`` pairs of a key-entity reply; a reply with none raises."""
+    block = _ENTITIES_BLOCK.search(response)
+    body = block.group(1) if block else response
+    pairs = []
+    for line in body.splitlines():
+        m = _BULLET_LINE.match(line)
+        if not m or " of " not in m.group(1):
+            continue
+        attribute, entity = m.group(1).split(" of ", 1)
+        pairs.append([entity.strip(), attribute.strip()])
+    if not pairs:
+        raise ExtractionError(f"no entity pairs in backend response: {response[:500]!r}")
+    return pairs
+
+
+def _room_names(response: str) -> list[str]:
+    names = [m.group(1) for m in map(_BULLET_LINE.match, response.splitlines()) if m]
+    if not names:
+        raise ExtractionError(f"no rooms in backend response: {response[:500]!r}")
+    return names
 
 
 class RemoteBackend:
@@ -210,9 +281,11 @@ class RemoteBackend:
     lists records for every event index at once. Every index is checked
     before the rows are cached, so a response naming a nonexistent event is
     never persisted, and a response with no record line raises instead of
-    being cached as an empty entry. Responses are cached when a cache is
-    configured, keyed by story, targets, state prompt template, and backend
-    name.
+    being cached as an empty entry. When a cache is configured, all three
+    parsed replies are cached: the key entities by story and question list,
+    the rooms by story, the state records by story and targets, each also by
+    its prompt template and the backend name. A reply that raises is never
+    cached.
 
     The three prompts of a story share one rendering of its narrative: the
     backend keeps the last story's (by ``is``; stories are frozen), as
@@ -227,59 +300,45 @@ class RemoteBackend:
         self.name = f"remote:{client.model}"
         self.skipped_lines = 0
 
-    def _narrative(self, story: Story) -> str:
+    def _ask(self, template: str, story: Story, slots: dict[str, str]) -> str:
         last = self._last
         if last is None or last[0] is not story:
             last = self._last = (story, indexed_narrative(story))
-        return last[1]
+        prompt = fill_prompt(load_prompt(template), {"indexed narrative": last[1], **slots})
+        return self.client.complete(prompt)
+
+    def _reply(self, template, story, part, slots, parse, check):
+        """``template``'s parsed reply for ``story``: the cached one, or one
+        asked for, parsed and then cached."""
+        cache = self.cache
+        if cache is None:
+            return parse(self._ask(template, story, slots))
+        key = cache.key(template, story, part, self.name)
+        value = cache.get(key, check)
+        if value is None:
+            value = parse(self._ask(template, story, slots))
+            cache.put(key, value)
+        return value
 
     # -- StateBackend protocol ------------------------------------------------
 
     def key_entities(self, story, questions):
-        prompt = fill_prompt(
-            load_prompt("key_entities"),
-            {
-                "indexed narrative": self._narrative(story),
-                "question list": "\n".join(f"- {q.raw}" for q in questions),
-            },
+        question_list = "\n".join(f"- {q.raw}" for q in questions)
+        pairs = self._reply(
+            "key_entities", story, _digest(question_list), {"question list": question_list},
+            _entity_pairs, _are_pairs,
         )
-        response = self.client.complete(prompt)
-        block = _ENTITIES_BLOCK.search(response)
-        body = block.group(1) if block else response
-        pairs = []
-        for line in body.splitlines():
-            m = _BULLET_LINE.match(line)
-            if not m or " of " not in m.group(1):
-                continue
-            attribute, entity = m.group(1).split(" of ", 1)
-            pairs.append(EntityAttribute(entity=entity.strip(), attribute=attribute.strip()))
-        if not pairs:
-            raise ExtractionError(f"no entity pairs in backend response: {response[:500]!r}")
-        return pairs
+        return [EntityAttribute(entity=entity, attribute=attribute) for entity, attribute in pairs]
 
     def location_names(self, story):
-        prompt = fill_prompt(
-            load_prompt("extract_locations"),
-            {"indexed narrative": self._narrative(story)},
-        )
-        response = self.client.complete(prompt)
-        names = [m.group(1) for m in map(_BULLET_LINE.match, response.splitlines()) if m]
-        if not names:
-            raise ExtractionError(f"no rooms in backend response: {response[:500]!r}")
-        return names
+        return self._reply("extract_locations", story, "", {}, _room_names, _are_names)
 
     def story_states(self, story, targets):
         rows = self.cache.load(story, targets, self.name) if self.cache else None
         fresh = rows is None
         if fresh:
-            prompt = fill_prompt(
-                load_prompt("generate_states"),
-                {
-                    "indexed narrative": self._narrative(story),
-                    "eoi list": "\n".join(f"- {t.render()}" for t in targets),
-                },
-            )
-            rows = self._parse_records(self.client.complete(prompt))
+            eoi = "\n".join(f"- {t.render()}" for t in targets)
+            rows = self._parse_records(self._ask("generate_states", story, {"eoi list": eoi}))
         count = len(story.events)
         records = []
         for row in rows:

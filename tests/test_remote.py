@@ -22,6 +22,7 @@ from mindmask.nkb import (
 from mindmask.pipeline import PipelineConfig, evaluate
 from mindmask.question import parse_question
 from mindmask.remote import (
+    LOG_NAME,
     ChatClient,
     RecordCache,
     RemoteAnswerer,
@@ -196,7 +197,7 @@ def test_unknown_event_index_is_never_cached(cupboard_story, tmp_path):
     backend = RemoteBackend(client, cache=RecordCache(tmp_path))
     with pytest.raises(ProtocolError):
         generate_states(cupboard_story, targets, backend)
-    assert list(tmp_path.glob("*.jsonl")) == []
+    assert list(tmp_path.iterdir()) == []
 
     # A fresh backend on the same directory asks the model again.
     client2, transport2 = make_client(["- 4: location of T-shirt becomes in the cupboard"])
@@ -229,63 +230,79 @@ def test_record_cache_round_trip(cupboard_story, tmp_path):
     assert len(transport3.requests) == 1
 
 
-def test_cache_files_are_jsonl(cupboard_story, tmp_path):
+def log_lines(directory) -> list[bytes]:
+    """The cache log's lines; the log is the directory's only file."""
+    [log] = directory.iterdir()
+    assert log.name == LOG_NAME
+    return log.read_bytes().splitlines(keepends=True)
+
+
+def test_cache_log_lines_are_key_tab_json(cupboard_story, tmp_path):
     client, _ = make_client(["- 4: location of T-shirt becomes in the cupboard"])
     backend = RemoteBackend(client, cache=RecordCache(tmp_path))
     generate_states(cupboard_story, [EntityAttribute("t-shirt", "location")], backend)
-    files = list(tmp_path.glob("*.jsonl"))
-    assert len(files) == 1
-    row = json.loads(files[0].read_text().splitlines()[0])
+    [line] = log_lines(tmp_path)
+    key, body = line.split(b"\t")
+    assert key.startswith(b"generate_states-")
+    [row] = json.loads(body)
     assert set(row) == {"event_index", "entity", "attribute", "state"}
 
 
 def test_interrupted_store_leaves_no_entry(cupboard_story, tmp_path, monkeypatch):
     import mindmask.remote as remote
 
-    def failing_replace(src, dst):
+    def failing_write(fd, data):
         raise OSError("disk full")
 
-    monkeypatch.setattr(remote.os, "replace", failing_replace)
+    targets = [EntityAttribute("t-shirt", "location")]
+    monkeypatch.setattr(remote.os, "write", failing_write)
     client, _ = make_client(["- 4: location of T-shirt becomes in the cupboard"])
     backend = RemoteBackend(client, cache=RecordCache(tmp_path))
     with pytest.raises(OSError):
-        generate_states(cupboard_story, [EntityAttribute("t-shirt", "location")], backend)
-    assert list(tmp_path.iterdir()) == []
+        generate_states(cupboard_story, targets, backend)
+    assert log_lines(tmp_path) == []
+    assert RecordCache(tmp_path).load(cupboard_story, targets, backend.name) is None
+
+
+def two_state_entries(story, targets, directory) -> RecordCache:
+    """A log whose line 1 holds other targets' rows and line 2 ``targets``' rows."""
+    cache = RecordCache(directory)
+    other = [{"event_index": 4, "attribute": "content", "entity": "basket", "state": "empty"}]
+    cache.store(story, [EntityAttribute("basket", "content")], "remote:test-model", other)
+    reply = "- 4: location of T-shirt becomes in the cupboard\n- 5: location of cupboard becomes in the crawlspace"
+    client, _ = make_client([reply])
+    generate_states(story, targets, RemoteBackend(client, cache=cache))
+    return cache
 
 
 def test_truncated_cache_raises_typed_error(cupboard_story, tmp_path):
-    """A second line cut short, or one that decodes but is not a record."""
+    """An entry cut short, or one that decodes but is not a list of records."""
     targets = [EntityAttribute("t-shirt", "location")]
-    reply = "- 4: location of T-shirt becomes in the cupboard\n- 5: location of cupboard becomes in the crawlspace"
-    client, _ = make_client([reply])
-    generate_states(cupboard_story, targets, RemoteBackend(client, cache=RecordCache(tmp_path)))
-    [entry] = tmp_path.glob("*.jsonl")
-    text = entry.read_text()
-    first, second = text.splitlines()
-    not_a_record = json.dumps({**json.loads(second), "event_index": "5"})
-    shapes = [f"{first}\n{row}\n" for row in ("{}", "[1, 2]", not_a_record)]
-    for bad in [text[: len(text) - 10], *shapes]:
-        entry.write_text(bad)
+    log = two_state_entries(cupboard_story, targets, tmp_path).path
+    first, second = log_lines(tmp_path)
+    key, body = second.split(b"\t")
+    rows = json.loads(body)
+    not_a_record = json.dumps([rows[0], {**rows[1], "event_index": "5"}]).encode()
+    shapes = [body[:-10] + b"\n", b"{}\n", b"[1, 2]\n", not_a_record + b"\n"]
+    for bad in shapes:
+        log.write_bytes(first + key + b"\t" + bad)
         client2, transport2 = make_client([])
         backend2 = RemoteBackend(client2, cache=RecordCache(tmp_path))
-        with pytest.raises(CacheFormatError, match=rf"{entry.name}: line 2 "):
+        with pytest.raises(CacheFormatError, match=rf"{LOG_NAME}: line 2 "):
             generate_states(cupboard_story, targets, backend2)
         assert transport2.requests == []
     assert isinstance(CacheFormatError("x"), MindmaskError)
 
 
 def test_cache_line_holding_two_rows_raises_typed_error(cupboard_story, tmp_path):
-    """Joined into one array, these lines would decode to three rows; the
-    entry still fails, naming the line that holds two."""
+    """Two entries' bodies on one line, after a blank line: the entry fails,
+    naming the line that holds both."""
     targets = [EntityAttribute("t-shirt", "location")]
-    reply = "- 4: location of T-shirt becomes in the cupboard\n- 5: location of cupboard becomes in the crawlspace"
-    client, _ = make_client([reply])
-    generate_states(cupboard_story, targets, RemoteBackend(client, cache=RecordCache(tmp_path)))
-    [entry] = tmp_path.glob("*.jsonl")
-    first, second = entry.read_text().splitlines()
-    entry.write_text(f"{first}\n\n{second}, {second}\n")
+    log = two_state_entries(cupboard_story, targets, tmp_path).path
+    first, second = log_lines(tmp_path)
+    log.write_bytes(first + b"\n" + second.rstrip(b"\n") + b", " + second.split(b"\t")[1])
     client2, transport2 = make_client([])
-    with pytest.raises(CacheFormatError, match=rf"{entry.name}: line 3 does not decode"):
+    with pytest.raises(CacheFormatError, match=rf"{LOG_NAME}: line 3 does not decode"):
         generate_states(cupboard_story, targets, RemoteBackend(client2, cache=RecordCache(tmp_path)))
     assert transport2.requests == []
 
@@ -338,7 +355,7 @@ def test_edited_state_prompt_misses_the_cache(cupboard_story, tmp_path, monkeypa
     client2, transport2 = make_client([reply])
     generate_states(cupboard_story, targets, RemoteBackend(client2, cache=RecordCache(tmp_path)))
     assert len(transport2.requests) == 1
-    assert len(list(tmp_path.glob("*.jsonl"))) == 2
+    assert len({line.split(b"\t")[0] for line in log_lines(tmp_path)}) == 2
 
 
 def test_state_reply_without_records_is_never_cached(cupboard_story, tmp_path):
@@ -357,7 +374,8 @@ def test_state_reply_without_records_is_never_cached(cupboard_story, tmp_path):
 
 
 def test_backend_names_that_spell_alike_keep_their_entries_apart(cupboard_story, tmp_path):
-    # "remote:a/b" and "remote:a:b" both spell "remote_a_b" in a file name.
+    # "remote:a/b" and "remote:a:b" both spell "remote_a_b" with every
+    # character but letters, digits, "." and "-" replaced.
     targets = [EntityAttribute("t-shirt", "location")]
     cache = RecordCache(tmp_path)
     slash = [{"event_index": 4, "attribute": "location", "entity": "T-shirt", "state": "in the cupboard"}]
@@ -367,7 +385,7 @@ def test_backend_names_that_spell_alike_keep_their_entries_apart(cupboard_story,
     cache.store(cupboard_story, targets, "remote:a:b", colon)
     assert cache.load(cupboard_story, targets, "remote:a/b") == slash
     assert cache.load(cupboard_story, targets, "remote:a:b") == colon
-    assert len(list(tmp_path.glob("*.jsonl"))) == 2
+    assert len({line.split(b"\t")[0] for line in log_lines(tmp_path)}) == 2
 
     # Through the backend: a model named "a:b" never reads the entry of "a/b".
     directory = tmp_path / "backend"

@@ -1,11 +1,10 @@
-"""Records from the shared constructor, the record cache's line writer, and
+"""Records from the shared constructor, the record cache's entry writer, and
 the remote backend's one narrative per story.
 
 `nkb.keyed_record` builds every record that enters the pipeline without the
 dataclass ``__init__``; these records must be indistinguishable from ones
-built by ``EntityStateRecord(...)``. `RecordCache.store` writes each row
-without building an encoder per row; its lines must stay those of
-``json.dumps``.
+built by ``EntityStateRecord(...)``. `RecordCache.store` appends one log line
+per entry; its body must stay that of ``json.dumps``, whatever the rows hold.
 """
 
 from __future__ import annotations
@@ -122,7 +121,7 @@ def test_keyed_record_matches_init_on_mixed_case():
         record.state = "elsewhere"
 
 
-# -- RecordCache.store writes json.dumps lines --------------------------------
+# -- RecordCache.store writes json.dumps bodies -------------------------------
 
 STORY = parse_story("Ava entered the den.\nAva exited the den.")
 TARGETS = [EntityAttribute("Ava", "location")]
@@ -160,12 +159,14 @@ def cache(tmp_path_factory):
 @PROFILE
 @given(rows=st.lists(ROW, max_size=6))
 def test_store_writes_json_dumps_lines(cache, rows):
+    """Every example stores under one key; the log's last line is the entry."""
     cache.store(STORY, TARGETS, "remote:m", rows)
-    [entry] = cache.directory.glob("*.jsonl")
-    with open(entry, encoding="utf-8", newline="") as handle:
-        lines = handle.readlines()
-    assert lines == [json.dumps(row) + "\n" for row in rows]
+    [log] = cache.directory.iterdir()
+    key, body = log.read_bytes().split(b"\n")[-2].split(b"\t")
+    assert key.startswith(b"generate_states-")
+    assert body == json.dumps(rows).encode("ascii")
     assert cache.load(STORY, TARGETS, "remote:m") == rows
+    assert RecordCache(cache.directory).load(STORY, TARGETS, "remote:m") == rows
 
 
 # -- one narrative per story ----------------------------------------------------
