@@ -17,6 +17,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Protocol, runtime_checkable
 
 from .errors import ExtractionError, ProtocolError, ValidationError
@@ -179,14 +180,38 @@ _STAY_RE = re.compile(rf"^({_PERSON}) made no movements and stayed in the ({_PLA
 
 @dataclass(frozen=True)
 class _Scan:
-    """One pass over a story's text: its state records, its enterable places
-    in first-mention order, and the first container each object
-    (casefolded) was declared in."""
+    """One pass over a story's text: its location records, one note per
+    move, its enterable places in first-mention order, and the first
+    container each object (casefolded) was declared in.
+
+    A move note is ``(position, event index, container, object, old
+    container or None)``: the container and object display names, and
+    `position`, the length of `locations` just after the move's own location
+    record. The move's content records are built from it only when
+    `records` is first read.
+    """
 
     story: Story
-    records: tuple[EntityStateRecord, ...]
+    locations: tuple[EntityStateRecord, ...]
+    moves: tuple[tuple[int, int, str, str, str | None], ...]
     places: tuple[str, ...]
     containers: dict[str, str]
+
+    @cached_property
+    def records(self) -> tuple[EntityStateRecord, ...]:
+        """Every record in emission order: each move's content records come
+        straight after its object's location record."""
+        records: list[EntityStateRecord] = []
+        start = 0
+        for position, index, container, obj, old in self.moves:
+            records += self.locations[start:position]
+            start = position
+            # A display name casefolds to its key.
+            records.append(keyed_record(index, container, CONTENT, obj, (container.casefold(), CONTENT)))
+            if old is not None:
+                records.append(keyed_record(index, old, CONTENT, "empty", (old.casefold(), CONTENT)))
+        records += self.locations[start:]
+        return tuple(records)
 
 
 def _scan(story: Story) -> _Scan:
@@ -205,9 +230,15 @@ def _scan(story: Story) -> _Scan:
     verb, so at most one of them matches; a declare line may match any of
     them as well. Places come from an enter, exit or stay match and
     containers from a declare match, whatever else the line matches.
+
+    The pass builds location records only. At a move it keeps a note from
+    which :attr:`_Scan.records` builds the content records the first time it
+    is read; the container names are remembered at the move, so every
+    record's display name is still its entity's first-seen spelling.
     """
     dialogue = story.kind == DIALOGUE_KIND
     records: list[EntityStateRecord] = []
+    moves: list[tuple[int, int, str, str, str | None]] = []
     places: dict[str, str] = {}
     containers: dict[str, str] = {}
     inside: dict[str, str] = {}
@@ -252,11 +283,13 @@ def _scan(story: Story) -> _Scan:
         elif move:
             container = move.group(3)
             obj_key = emit(i, move.group(2), LOCATION, f"in {container}")
-            cont_key = emit(i, container, CONTENT, display[obj_key])
+            cont_key = remember(container)
             old = inside.get(obj_key)
             inside[obj_key] = container
-            if old is not None and old.casefold() != cont_key:
-                emit(i, old, CONTENT, "empty")
+            if old is not None:
+                old_key = remember(old)
+                old = display[old_key] if old_key != cont_key else None
+            moves.append((len(records), i, display[cont_key], display[obj_key], old))
         elif declare:
             obj, container = declare.group(1), declare.group(2)
             obj_key = emit(i, obj, LOCATION, f"in the {container}")
@@ -273,7 +306,7 @@ def _scan(story: Story) -> _Scan:
             elif event.speaker is not None and event.speaker.casefold() not in present:
                 present.add(emit(i, event.speaker, LOCATION, f"in the {CONVERSATION}"))
     names = (CONVERSATION,) if dialogue else tuple(places.values())
-    return _Scan(story, tuple(records), names, containers)
+    return _Scan(story, tuple(records), tuple(moves), names, containers)
 
 
 def event_states(backend: StateBackend, story: Story, index: int, targets) -> list[tuple[str, str, str]]:
@@ -298,6 +331,11 @@ class RuleBackend:
     frozen, so it is never stale). That one reference is replaced whole and
     holds its story, so a concurrent caller never reads another story's
     scan; at worst it scans again.
+
+    Outside the protocol, :meth:`location_states` gives the location records
+    alone, which is all the symbolic path reads. The scan builds only those;
+    ``story_states`` builds the content records from the scan's move notes
+    the first time it is asked for a story.
     """
 
     _last: _Scan | None = None
@@ -317,6 +355,11 @@ class RuleBackend:
 
     def location_names(self, story):
         return list(self._scan_of(story).places)
+
+    def location_states(self, story, targets) -> tuple[EntityStateRecord, ...]:
+        """The location records of ``story_states``, in its order and with
+        no content record built; not a member of :class:`StateBackend`."""
+        return self._scan_of(story).locations
 
     def key_entities(self, story, questions):
         """Character locations and container contents; the question-mandated
@@ -392,18 +435,22 @@ def identify_key_entities(
 def generate_states(
     story: Story, targets: list[EntityAttribute], backend: StateBackend
 ) -> list[EntityStateRecord]:
-    """State records for the whole story, sorted and deduplicated.
-
-    The backend is asked once per story, through ``story_states``; only
-    events with a state change contribute records. Duplicate assertions for
-    the same (event, entity, attribute) keep the last emission. This is where
-    records enter the pipeline, so each leaves with its attribute spelled as
-    its key: a chat model's ``Location`` is a location in every later layer.
-    """
+    """State records for the whole story, sorted and deduplicated by
+    :func:`merge_states`. The backend is asked once per story, through
+    ``story_states``; only events with a state change contribute records."""
     if not targets:
         raise ValidationError("generate_states needs a non-empty target list")
+    return merge_states(backend.story_states(story, list(targets)))
+
+
+def merge_states(records: Iterable[EntityStateRecord]) -> list[EntityStateRecord]:
+    """Records sorted by event and key. Duplicate assertions for the same
+    (event, entity, attribute) keep the last emission. This is where records
+    enter the pipeline, so each leaves with its attribute spelled as its
+    key: a chat model's ``Location`` is a location in every later layer.
+    """
     merged: dict[tuple[int, tuple[str, str]], EntityStateRecord] = {}
-    for record in backend.story_states(story, list(targets)):
+    for record in records:
         key = record.key
         if record.attribute != key[1]:
             record = keyed_record(record.event_index, record.entity, key[1], record.state, key)

@@ -6,10 +6,11 @@ masks, reduce the question to first order, and read the answer. The
 symbolic reader reads the masked bitset: it needs only which of the
 target's records survived. Injected text, the events with their
 non-spatial knowledge bullets, is built only for a text reader (an
-``answer_backend``) and only the first time one asks. Two ablation switches
-reproduce the "no knowledge injection" and "no iterative masking" variants;
-with masking off the reader sees the whole story and fails on false-belief
-questions, which is the point.
+``answer_backend``) and only the first time one asks; so are the rule
+backend's non-location records, which only those bullets read. Two
+ablation switches reproduce the "no knowledge injection" and "no iterative
+masking" variants; with masking off the reader sees the whole story and
+fails on false-belief questions, which is the point.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .nkb import (
     extract_locations,
     generate_states,
     identify_key_entities,
+    merge_states,
 )
 from .question import ToMQuestion, answer_space_for, reduce_order
 from .scene import (
@@ -63,12 +65,21 @@ class PipelineConfig:
 
 @dataclass
 class StoryArtifacts:
-    """Everything computable once per story and shared across its questions."""
+    """Everything computable once per story and shared across its questions.
+
+    `records` are what the graphs are built from. With a backend that has
+    ``location_states`` (the rule backend), :func:`prepare_story` fills them
+    with the location records alone and keeps the targets and the backend in
+    `_states`; every record, content records included, is then generated
+    only when `augmented` is first read. Otherwise `records` hold every
+    record and `augmented` injects those.
+    """
 
     story: Story
     records: list[EntityStateRecord]
     anchors: list
     omniscient: SceneGraph
+    _states: tuple[list, StateBackend] | None = field(default=None, init=False)
     _char_graphs: dict[str, SceneGraph] = field(default_factory=dict, init=False)
     _texts: dict[bool, list[str]] = field(default_factory=dict, init=False)
     _by_target: dict[tuple[str, str], list[EntityStateRecord]] = field(default_factory=dict, init=False)
@@ -91,9 +102,10 @@ class StoryArtifacts:
 
     @cached_property
     def augmented(self) -> list[AugmentedEvent]:
-        """The story's events with injected bullets; built the first time a
-        text reader asks."""
-        return inject(self.story, self.records)
+        """The story's events with injected bullets; built, with every record
+        they need, the first time a text reader asks."""
+        records = self.records if self._states is None else generate_states(self.story, *self._states)
+        return inject(self.story, records)
 
     def view_texts(self, with_knowledge: bool) -> list[str]:
         """Numbered event texts, with injected bullets when `with_knowledge`;
@@ -117,10 +129,18 @@ class QuestionOutcome:
 def prepare_story(story: Story, questions: list[ToMQuestion], cfg: PipelineConfig) -> StoryArtifacts:
     backend = cfg.nkb_backend
     targets = identify_key_entities(story, questions, backend)
-    records = generate_states(story, targets, backend)
+    location_states = getattr(backend, "location_states", None)
+    states = None
+    if location_states is None:
+        records = generate_states(story, targets, backend)
+    else:
+        records = merge_states(location_states(story, targets))
+        states = (targets, backend)
     anchors = extract_locations(story, backend)
     omniscient = build_omniscient_graph(story, records, anchors)
-    return StoryArtifacts(story=story, records=records, anchors=anchors, omniscient=omniscient)
+    artifacts = StoryArtifacts(story=story, records=records, anchors=anchors, omniscient=omniscient)
+    artifacts._states = states
+    return artifacts
 
 
 def _chain_graphs(artifacts: StoryArtifacts, q: ToMQuestion, cfg: PipelineConfig) -> list[SceneGraph]:

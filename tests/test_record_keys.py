@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mindmask.inject import AugmentedEvent, inject
-from mindmask.nkb import LOCATION, EntityStateRecord
+from mindmask.nkb import LOCATION, EntityStateRecord, RuleBackend, generate_states, identify_key_entities
 from mindmask.pipeline import (
     ABSTAIN,
     PipelineConfig,
@@ -118,7 +118,10 @@ def test_inject_matches_the_per_event_sort(records):
 @given(st.integers(0, 10_000), st.randoms(use_true_random=False))
 def test_inject_matches_the_per_event_sort_on_shuffled_story_records(seed, rng):
     story, questions = generate_story(GrammarConfig(num_characters=3, num_rooms=2, seed=seed))
-    records = list(prepare_story(story, questions, PipelineConfig()).records)
+    # Every record, content records included: prepare_story keeps the
+    # location records alone when the backend is the rule backend.
+    backend = RuleBackend()
+    records = generate_states(story, identify_key_entities(story, questions, backend), backend)
     rng.shuffle(records)
     assert inject(story, records) == reference_inject(story, records)
 
