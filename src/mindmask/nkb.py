@@ -10,6 +10,11 @@ each event. Records render as ``"<attribute> of <entity> becomes <state>"``.
 queries share; :class:`mindmask.remote.RemoteBackend` asks a chat model with
 the shipped prompt templates, one state prompt per story. Both sides honor
 the same protocol, so the masking pipeline cannot tell them apart.
+
+Key entities drive knowledge injection, which only a text reader reads. The
+symbolic path of the rule backend asks for neither them nor a record merge:
+``RuleBackend.location_states`` gives the scan's location records already
+in :func:`merge_states` order.
 """
 
 from __future__ import annotations
@@ -180,9 +185,14 @@ _STAY_RE = re.compile(rf"^({_PERSON}) made no movements and stayed in the ({_PLA
 
 @dataclass(frozen=True)
 class _Scan:
-    """One pass over a story's text: its location records, one note per
-    move, its enterable places in first-mention order, and the first
-    container each object (casefolded) was declared in.
+    """One pass over a story's text: its location records in two orders,
+    one note per move, its enterable places in first-mention order, and the
+    first container each object (casefolded) was declared in.
+
+    `locations` holds the location records in emission order; `merged` holds
+    them as :func:`merge_states` leaves them: by event, then key, one record
+    per (event, key), the last emitted. The two differ only inside an enter
+    or join line that names several characters.
 
     A move note is ``(position, event index, container, object, old
     container or None)``: the container and object display names, and
@@ -193,6 +203,7 @@ class _Scan:
 
     story: Story
     locations: tuple[EntityStateRecord, ...]
+    merged: tuple[EntityStateRecord, ...]
     moves: tuple[tuple[int, int, str, str, str | None], ...]
     places: tuple[str, ...]
     containers: dict[str, str]
@@ -231,13 +242,15 @@ def _scan(story: Story) -> _Scan:
     them as well. Places come from an enter, exit or stay match and
     containers from a declare match, whatever else the line matches.
 
-    The pass builds location records only. At a move it keeps a note from
-    which :attr:`_Scan.records` builds the content records the first time it
-    is read; the container names are remembered at the move, so every
-    record's display name is still its entity's first-seen spelling.
+    The pass builds location records only, in emission order and, beside
+    it, in merge order. At a move it keeps a note from which
+    :attr:`_Scan.records` builds the content records the first time it is
+    read; the container names are remembered at the move, so every record's
+    display name is still its entity's first-seen spelling.
     """
     dialogue = story.kind == DIALOGUE_KIND
     records: list[EntityStateRecord] = []
+    merged: list[EntityStateRecord] = []
     moves: list[tuple[int, int, str, str, str | None]] = []
     places: dict[str, str] = {}
     containers: dict[str, str] = {}
@@ -254,8 +267,19 @@ def _scan(story: Story) -> _Scan:
     def emit(index: int, name: str, attribute: str, state: str) -> str:
         # A display name casefolds to its key; both attributes are lowercase.
         key = remember(name)
-        records.append(keyed_record(index, display[key], attribute, state, (key, attribute)))
+        record = keyed_record(index, display[key], attribute, state, (key, attribute))
+        records.append(record)
+        merged.append(record)
         return key
+
+    def enter_all(index: int, names: list[str], place: str) -> None:
+        start, mark = len(records), len(merged)
+        for name in names:
+            present.add(emit(index, name, LOCATION, f"in the {place}"))
+        if len(names) > 1:
+            # Merge order inside the line: by key, the last record of each.
+            line = {r.key: r for r in records[start:]}
+            merged[mark:] = [line[key] for key in sorted(line)]
 
     # Each pattern is tried only when its fixed text is present, a necessary
     # condition for its match.
@@ -276,8 +300,7 @@ def _scan(story: Story) -> _Scan:
                     places.setdefault(key, place)
 
         if enter:
-            for name in split_name_list(enter.group(1)):
-                present.add(emit(i, name, LOCATION, f"in the {enter.group(2)}"))
+            enter_all(i, split_name_list(enter.group(1)), enter.group(2))
         elif exit_:
             present.discard(emit(i, exit_.group(1), LOCATION, f"outside the {exit_.group(2)}"))
         elif move:
@@ -299,14 +322,13 @@ def _scan(story: Story) -> _Scan:
             join = _JOIN_RE.match(text)
             leave = None if join else _LEAVE_RE.match(text)
             if join:
-                for name in split_name_list(join.group(1)):
-                    present.add(emit(i, name, LOCATION, f"in the {CONVERSATION}"))
+                enter_all(i, split_name_list(join.group(1)), CONVERSATION)
             elif leave:
                 present.discard(emit(i, leave.group(1), LOCATION, f"outside the {CONVERSATION}"))
             elif event.speaker is not None and event.speaker.casefold() not in present:
                 present.add(emit(i, event.speaker, LOCATION, f"in the {CONVERSATION}"))
     names = (CONVERSATION,) if dialogue else tuple(places.values())
-    return _Scan(story, tuple(records), tuple(moves), names, containers)
+    return _Scan(story, tuple(records), tuple(merged), tuple(moves), names, containers)
 
 
 def event_states(backend: StateBackend, story: Story, index: int, targets) -> list[tuple[str, str, str]]:
@@ -333,9 +355,10 @@ class RuleBackend:
     scan; at worst it scans again.
 
     Outside the protocol, :meth:`location_states` gives the location records
-    alone, which is all the symbolic path reads. The scan builds only those;
-    ``story_states`` builds the content records from the scan's move notes
-    the first time it is asked for a story.
+    alone, already in :func:`merge_states` order, which is all the symbolic
+    path reads. The scan builds only those; ``story_states`` builds the
+    content records from the scan's move notes the first time it is asked
+    for a story, and gives every record in emission order.
     """
 
     _last: _Scan | None = None
@@ -356,10 +379,11 @@ class RuleBackend:
     def location_names(self, story):
         return list(self._scan_of(story).places)
 
-    def location_states(self, story, targets) -> tuple[EntityStateRecord, ...]:
-        """The location records of ``story_states``, in its order and with
-        no content record built; not a member of :class:`StateBackend`."""
-        return self._scan_of(story).locations
+    def location_states(self, story) -> tuple[EntityStateRecord, ...]:
+        """``merge_states`` of the location records of ``story_states``,
+        built in the scan, with no content record built and no merge run;
+        not a member of :class:`StateBackend`."""
+        return self._scan_of(story).merged
 
     def key_entities(self, story, questions):
         """Character locations and container contents; the question-mandated

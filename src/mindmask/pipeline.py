@@ -7,7 +7,8 @@ symbolic reader reads the masked bitset: it needs only which of the
 target's records survived. Injected text, the events with their
 non-spatial knowledge bullets, is built only for a text reader (an
 ``answer_backend``) and only the first time one asks; so are the rule
-backend's non-location records, which only those bullets read. Two
+backend's key entities and non-location records, which only those bullets
+read. A rule-backend story is prepared with one scan and one scene pass. Two
 ablation switches reproduce the "no knowledge injection" and "no iterative
 masking" variants; with masking off the reader sees the whole story and
 fails on false-belief questions, which is the point.
@@ -31,7 +32,6 @@ from .nkb import (
     extract_locations,
     generate_states,
     identify_key_entities,
-    merge_states,
 )
 from .question import ToMQuestion, answer_space_for, reduce_order
 from .scene import (
@@ -69,10 +69,11 @@ class StoryArtifacts:
 
     `records` are what the graphs are built from. With a backend that has
     ``location_states`` (the rule backend), :func:`prepare_story` fills them
-    with the location records alone and keeps the targets and the backend in
-    `_states`; every record, content records included, is then generated
-    only when `augmented` is first read. Otherwise `records` hold every
-    record and `augmented` injects those.
+    with the location records alone, already merged, and keeps the questions
+    and the backend in `_states`; the key entities and every record, content
+    records included, are then generated only when `augmented` is first
+    read. Otherwise `records` hold every record and `augmented` injects
+    those.
     """
 
     story: Story
@@ -104,7 +105,11 @@ class StoryArtifacts:
     def augmented(self) -> list[AugmentedEvent]:
         """The story's events with injected bullets; built, with every record
         they need, the first time a text reader asks."""
-        records = self.records if self._states is None else generate_states(self.story, *self._states)
+        records = self.records
+        if self._states is not None:
+            questions, backend = self._states
+            targets = identify_key_entities(self.story, questions, backend)
+            records = generate_states(self.story, targets, backend)
         return inject(self.story, records)
 
     def view_texts(self, with_knowledge: bool) -> list[str]:
@@ -127,15 +132,19 @@ class QuestionOutcome:
 
 
 def prepare_story(story: Story, questions: list[ToMQuestion], cfg: PipelineConfig) -> StoryArtifacts:
+    """The records, anchors and omniscient graph of a story. A backend with
+    ``location_states`` gives the records in one call; any other backend is
+    asked for its key entities, then for every record."""
+    if not questions:
+        raise ValidationError("prepare_story needs at least one question")
     backend = cfg.nkb_backend
-    targets = identify_key_entities(story, questions, backend)
     location_states = getattr(backend, "location_states", None)
     states = None
     if location_states is None:
-        records = generate_states(story, targets, backend)
+        records = generate_states(story, identify_key_entities(story, questions, backend), backend)
     else:
-        records = merge_states(location_states(story, targets))
-        states = (targets, backend)
+        records = list(location_states(story))
+        states = (list(questions), backend)
     anchors = extract_locations(story, backend)
     omniscient = build_omniscient_graph(story, records, anchors)
     artifacts = StoryArtifacts(story=story, records=records, anchors=anchors, omniscient=omniscient)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 from .errors import ValidationError
@@ -48,6 +48,7 @@ _CONTAINER_KINDS = (
     "bathtub", "pantry", "bucket", "suitcase", "bottle", "crate",
     "box", "basket", "cupboard", "drawer", "envelope", "chest",
 )
+_CONTAINERS = tuple(f"{color} {kind}" for color in _COLORS for kind in _CONTAINER_KINDS)
 _OBJECTS = (
     "melon", "watermelon", "beans", "apple", "banana", "toy",
     "ball", "book", "hat", "sock", "coin", "scarf",
@@ -97,6 +98,9 @@ class GrammarConfig:
             raise ValidationError("distractor_rate must lie in [0, 1]")
 
 
+_METADATA_FIELDS = tuple(f.name for f in fields(GrammarConfig) if f.name != "seed")
+
+
 def _name_list(names: Sequence[str]) -> str:
     if len(names) == 1:
         return names[0]
@@ -110,8 +114,7 @@ def generate_story(config: GrammarConfig) -> tuple[Story, list[ToMQuestion]]:
 
     characters = rng.sample(_NAMES, config.num_characters)
     rooms = rng.sample(_ROOMS, config.num_rooms)
-    pool = [f"{color} {kind}" for color in _COLORS for kind in _CONTAINER_KINDS]
-    all_containers = rng.sample(pool, config.num_rooms * config.num_containers_per_room)
+    all_containers = rng.sample(_CONTAINERS, config.num_rooms * config.num_containers_per_room)
     objects = rng.sample(_OBJECTS, config.num_objects)
 
     lines: list[str] = []
@@ -188,9 +191,7 @@ def _episode_actions(rng, config, room, obj, containers, first_container, partic
 
 def _config_metadata(config: GrammarConfig) -> dict:
     """Every grammar field but the seed, which the metadata holds beside it."""
-    fields = asdict(config)
-    del fields["seed"]
-    return fields
+    return {name: getattr(config, name) for name in _METADATA_FIELDS}
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +202,10 @@ class _Trace:
     """Rooms, per-character whereabouts, and object effects per event.
 
     Each event is matched once against the enter, exit, move and declare
-    patterns (one text can match two of them, so all four are tried).
+    patterns (one text can match two of them, so all four are tried), each
+    only when the pattern's fixed text is in the line (" entered the ",
+    " exited the ", " moved the ", a leading "The "), a necessary condition
+    for its match; the stay pattern likewise needs " stayed in the ".
     ``pre[i]`` and ``post[i]`` are read-only snapshots; a new one is made
     only when an enter or exit changes someone's room, so consecutive
     entries share it. ``seen`` holds one observation bitset per casefolded
@@ -214,7 +218,13 @@ class _Trace:
 
         texts = [event.text for event in story.events]
         matches = [
-            (_ENTER.match(t), _EXIT.match(t), _MOVE.match(t), _DECLARE.match(t)) for t in texts
+            (
+                _ENTER.match(t) if " entered the " in t else None,
+                _EXIT.match(t) if " exited the " in t else None,
+                _MOVE.match(t) if " moved the " in t else None,
+                _DECLARE.match(t) if t.startswith("The ") else None,
+            )
+            for t in texts
         ]
         self.rooms: set[str] = {
             normalize_place(m.group(2)) for enter, exit_, _, _ in matches for m in (enter, exit_) if m
@@ -282,7 +292,10 @@ class _Trace:
                 room = self.pre[i].get(exit_.group(1).casefold())
             elif move:
                 room = self.post[i].get(move.group(1).casefold())
-            elif (m := _STAY.match(text) or _DISTRACT.match(text)) is not None:
+            elif (
+                m := (_STAY.match(text) if " stayed in the " in text else None)
+                or _DISTRACT.match(text)
+            ) is not None:
                 room = self.post[i].get(m.group(1).casefold())
             elif declare:
                 holder = normalize_place(declare.group(2))

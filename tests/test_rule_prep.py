@@ -1,0 +1,199 @@
+"""A rule-backend story is prepared with one scan and one scene pass.
+
+``RuleBackend.location_states`` gives the scan's location records already in
+:func:`merge_states` order, so `prepare_story` runs no merge, and it asks
+for no key entities: only a text reader reads them, through
+`StoryArtifacts.augmented`.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import RecordingAnswerer
+from test_location_records import IDS, STORIES, identity, text_side
+from test_pipeline import StoryStatesOnly
+from mindmask import nkb, pipeline
+from mindmask.errors import ValidationError
+from mindmask.inject import inject
+from mindmask.nkb import LOCATION, RuleBackend, generate_states, identify_key_entities, merge_states
+from mindmask.pipeline import PipelineConfig, answer_question, prepare_story
+from mindmask.story import DIALOGUE_KIND, Event, Story
+
+PROFILE = settings(max_examples=100, deadline=None, derandomize=True)
+
+
+def merged_scan(story: Story):
+    """``merge_states`` of the location records of ``story_states``, which
+    come in emission order."""
+    emitted = [r for r in RuleBackend().story_states(story, []) if r.attribute == LOCATION]
+    return merge_states(emitted)
+
+
+def story_of(lines, characters=(), kind="event") -> Story:
+    events = []
+    for i, line in enumerate(lines, start=1):
+        speaker, text = None, line
+        if kind == DIALOGUE_KIND and ": " in line:
+            speaker, text = line.split(": ", 1)
+        events.append(Event(index=i, text=text, speaker=speaker))
+    return Story(events=tuple(events), characters=tuple(characters), kind=kind)
+
+
+# -- location_states is merge_states of the scan's location records -----------
+
+
+@pytest.mark.parametrize("story, questions", STORIES, ids=IDS)
+def test_location_states_are_merged_on_corpora(story, questions):
+    assert identity(RuleBackend().location_states(story)) == identity(merged_scan(story))
+
+
+def test_location_states_merge_a_line_of_unsorted_and_repeated_names():
+    story = story_of(
+        [
+            "Zoe, Ava and Mia entered the hall.",
+            "Mia and Mia entered the attic.",
+            "Mia, Ava, and Ava entered the hall.",
+            "The apple is in the box.",
+            "Zoe moved the apple to the crate.",
+        ],
+        characters=("Zoe", "Ava", "Mia"),
+    )
+    merged = RuleBackend().location_states(story)
+    assert identity(merged) == identity(merged_scan(story))
+    # Within a line the records go by key, one per name; display names keep
+    # their first spelling.
+    assert [(r.event_index, r.entity) for r in merged[:6]] == [
+        (1, "Ava"), (1, "Mia"), (1, "Zoe"), (2, "Mia"), (3, "Ava"), (3, "Mia"),
+    ]
+
+
+def test_location_states_merge_dialogue_joins():
+    story = story_of(
+        [
+            "Troy, Armani and Cynthia joined the conversation.",
+            "Armani: The key is in the drawer.",
+            "Troy left the conversation.",
+            "Cynthia and Troy joined the conversation.",
+            "Troy, Troy and Armani joined the conversation.",
+            "Ann: Hello.",
+        ],
+        characters=("Armani", "Troy", "Cynthia", "Ann"),
+        kind=DIALOGUE_KIND,
+    )
+    merged = RuleBackend().location_states(story)
+    assert identity(merged) == identity(merged_scan(story))
+    assert [r.entity for r in merged if r.event_index == 1] == ["Armani", "Cynthia", "Troy"]
+    assert [r.entity for r in merged if r.event_index == 5] == ["Armani", "Troy"]
+
+
+NAMES = ("Zoe", "Ava", "Mia", "Ann", "Anna")
+SEPARATORS = (", ", " , ", ",")
+
+
+@st.composite
+def name_list(draw) -> str:
+    names = draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=5))
+    if len(names) == 1:
+        return names[0]
+    head = names[0]
+    for name in names[1:-1]:
+        head += draw(st.sampled_from(SEPARATORS)) + name
+    return head + draw(st.sampled_from((" and ", ", and "))) + names[-1]
+
+
+@st.composite
+def enter_stories(draw) -> Story:
+    dialogue = draw(st.booleans())
+    lines = []
+    for _ in range(draw(st.integers(1, 10))):
+        group = draw(name_list())
+        one = draw(st.sampled_from(NAMES))
+        room = draw(st.sampled_from(("hall", "attic", "left wing")))
+        lines.append(
+            draw(
+                st.sampled_from(
+                    (
+                        f"{group} entered the {room}.",
+                        f"{group} joined the conversation.",
+                        f"{one} exited the {room}.",
+                        f"{one} left the conversation.",
+                        f"{one} moved the apple to the crate.",
+                        "The apple is in the box.",
+                        f"{one}: I saw it.",
+                    )
+                )
+            )
+        )
+    kind = DIALOGUE_KIND if dialogue else "event"
+    if not dialogue:
+        lines = [line.replace(": ", " says ") for line in lines]
+    return story_of(lines, characters=NAMES, kind=kind)
+
+
+@PROFILE
+@given(story=enter_stories())
+def test_location_states_are_merged_on_drawn_enter_lines(story):
+    assert identity(RuleBackend().location_states(story)) == identity(merged_scan(story))
+
+
+# -- the symbolic path asks for no key entities and runs no merge --------------
+
+
+class Calls:
+    def __init__(self, monkeypatch):
+        self.counts = {"identify_key_entities": 0, "merge_states": 0}
+        for module in (pipeline, nkb):
+            for name in self.counts:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, self.counting(name, getattr(module, name)))
+
+    def counting(self, name, fn):
+        def wrapped(*args, **kwargs):
+            self.counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+
+@pytest.mark.parametrize("story, questions", STORIES, ids=IDS)
+def test_symbolic_path_asks_for_no_key_entities_and_no_merge(story, questions, monkeypatch):
+    backend = RuleBackend()
+    expected = inject(story, generate_states(story, identify_key_entities(story, questions, backend), backend))
+    calls = Calls(monkeypatch)
+    cfg = PipelineConfig(nkb_backend=backend)
+    artifacts = prepare_story(story, questions, cfg)
+    for q in questions:
+        answer_question(artifacts, q, cfg)
+    assert calls.counts == {"identify_key_entities": 0, "merge_states": 0}
+
+    # A text reader still gets every injected bullet, asking for each once.
+    reader = PipelineConfig(nkb_backend=backend, answer_backend=RecordingAnswerer())
+    for q in questions:
+        answer_question(artifacts, q, reader)
+    assert artifacts.augmented == expected
+    assert calls.counts == {"identify_key_entities": 1, "merge_states": 1}
+
+
+@pytest.mark.parametrize("story, questions", STORIES[:2], ids=IDS[:2])
+def test_text_side_keeps_the_questions_it_was_prepared_with(story, questions):
+    backend = RuleBackend()
+    asked = list(questions)
+    artifacts = prepare_story(story, asked, PipelineConfig(nkb_backend=backend))
+    full = prepare_story(story, questions, PipelineConfig(nkb_backend=StoryStatesOnly()))
+    expected = text_side(full, questions, backend)
+    asked.clear()
+    assert text_side(artifacts, questions, backend) == expected
+
+
+# -- an empty question list is refused on both paths ---------------------------
+
+
+@pytest.mark.parametrize("backend", [RuleBackend(), StoryStatesOnly()], ids=["rule", "three-query"])
+def test_prepare_story_refuses_no_questions(backend):
+    story, _ = STORIES[0]
+    with pytest.raises(ValidationError):
+        prepare_story(story, [], PipelineConfig(nkb_backend=backend))
+
