@@ -51,6 +51,24 @@ class Event:
         return f"{self.index}: {self.text}"
 
 
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _event(index: int, text: str, speaker: str | None = None) -> Event:
+    """``Event(index, text, speaker)`` built past the dataclass ``__init__``.
+    Fields are set in declaration order with ``object.__setattr__``, as the
+    frozen ``__init__`` sets them, so the instance keeps the shared-key
+    attribute layout (a write to ``__dict__`` would give it a dict of its
+    own, half again as large). The generator and both story readers build
+    their events here."""
+    event = _new(Event)
+    _set(event, "index", index)
+    _set(event, "text", text)
+    _set(event, "speaker", speaker)
+    return event
+
+
 @dataclass(frozen=True)
 class Story:
     """An ordered event sequence with the characters it involves;
@@ -146,7 +164,7 @@ def _events_from_lines(lines: list[str]) -> tuple[list[Event], str]:
         if m:
             speaker, text = m.group(1), m.group(2)
             kind = DIALOGUE_KIND
-        events.append(Event(index=len(events) + 1, text=text, speaker=speaker))
+        events.append(_event(len(events) + 1, text, speaker))
     return events, kind
 
 
@@ -163,7 +181,7 @@ def _events_from_json(raw_events, source: str) -> list[Event]:
         speaker = item.get("speaker")
         if speaker is not None and not isinstance(speaker, str):
             raise StoryFormatError(f"{source}: event {pos}: 'speaker' must be a string")
-        events.append(Event(index=pos, text=text, speaker=speaker))
+        events.append(_event(pos, text, speaker))
     return events
 
 

@@ -11,11 +11,19 @@ and answers nested-belief questions by updating a belief store at every chain
 prefix whose characters all witnessed the event. It is the ground truth the
 masking pipeline is measured against.
 
+Gold is made without reading the story back: ``generate_story`` builds each
+question from the chain and object it drew (its text is
+``render_question(chain, obj)``, which ``parse_question`` reads back to the
+same question) and asks ``simulate_beliefs`` for its answer. The oracle still
+reads the story's text, never the generator's draws.
+
 The oracle builds one trace per story: the rooms, whereabouts and object
-effects of every event, from one regex pass over the text. Consecutive
-``simulate_beliefs``, ``belief_store`` and ``observed_set`` calls on the same
-``Story`` object share it, as ``generate_story`` (one call per question) and
-a per-character ``observed_set`` sweep make them. The match is by identity
+effects of every event, from one regex pass over the text, plus the events
+that place an object and each object's first container, so a belief fold
+visits only those events. Consecutive ``simulate_beliefs``, ``belief_store``
+and ``observed_set`` calls on the same ``Story`` object share it, as
+``generate_story`` (one call per question) and a per-character
+``observed_set`` sweep make them. The match is by identity
 (``is``): a ``Story`` holds a dict and cannot be hashed, and stories are
 frozen, so a trace found this way is never stale. An equal story that is a
 different object builds its own trace.
@@ -29,8 +37,8 @@ from dataclasses import dataclass, fields
 from typing import Sequence
 
 from .errors import ValidationError
-from .question import ToMQuestion, parse_question, render_question
-from .story import Event, Story, split_name_list
+from .question import BeliefChain, ToMQuestion, render_question
+from .story import Story, _event, split_name_list
 from .textnorm import normalize_place
 
 REGROUP_ROOM = "waiting room"
@@ -86,6 +94,15 @@ class GrammarConfig:
             raise ValidationError("num_characters must be between 2 and 5")
         if self.num_rooms < 1 or self.num_objects < 1:
             raise ValidationError("need at least one room and one object")
+        # Rooms, objects and containers are drawn without replacement.
+        if self.num_rooms > len(_ROOMS):
+            raise ValidationError(f"num_rooms must be at most {len(_ROOMS)}")
+        if self.num_objects > len(_OBJECTS):
+            raise ValidationError(f"num_objects must be at most {len(_OBJECTS)}")
+        if self.num_rooms * self.num_containers_per_room > len(_CONTAINERS):
+            raise ValidationError(
+                f"num_rooms x num_containers_per_room must be at most {len(_CONTAINERS)}"
+            )
         if self.num_containers_per_room < 2:
             raise ValidationError("need at least two containers per room (something to move to)")
         if self.moves_per_room < 1:
@@ -145,7 +162,7 @@ def generate_story(config: GrammarConfig) -> tuple[Story, list[ToMQuestion]]:
         lines.append(f"{_name_list(participants)} entered the {REGROUP_ROOM}.")
 
     story = Story(
-        events=tuple(Event(index=i, text=text) for i, text in enumerate(lines, start=1)),
+        events=tuple(_event(i, text) for i, text in enumerate(lines, start=1)),
         characters=tuple(characters),
         kind="event",
         metadata={"seed": config.seed, "generator": _config_metadata(config)},
@@ -155,8 +172,14 @@ def generate_story(config: GrammarConfig) -> tuple[Story, list[ToMQuestion]]:
     for order in range(0, config.max_order + 1):
         obj = rng.choice(objects_used)
         chain = tuple(rng.sample(characters, order))
-        gold = simulate_beliefs(story, chain, obj)
-        questions.append(parse_question(render_question(chain, obj), story, gold=gold))
+        questions.append(
+            ToMQuestion(
+                raw=render_question(chain, obj),
+                chain=BeliefChain(chain) if chain else None,
+                target_entity=obj,
+                gold=simulate_beliefs(story, chain, obj),
+            )
+        )
     return story, questions
 
 
@@ -210,6 +233,9 @@ class _Trace:
     only when an enter or exit changes someone's room, so consecutive
     entries share it. ``seen`` holds one observation bitset per casefolded
     character: bit i-1 is set when the character observes event i.
+    ``placements`` lists, in order, the indices i whose ``effects[i]`` is set
+    (the move and declare events), and ``first`` maps each casefolded object
+    to the container of its first placement; the first pass records both.
     """
 
     def __init__(self, story: Story):
@@ -235,6 +261,8 @@ class _Trace:
         self.post: list[dict[str, str | None]] = [dict()] * (n + 1)
         self.room_of: list[str | None] = [None] * (n + 1)
         self.effects: list[tuple[str, str] | None] = [None] * (n + 1)
+        self.placements: list[int] = []
+        self.first: dict[str, str] = {}
 
         current = {c: None for c in self.characters}
         snapshot = dict(current)
@@ -267,6 +295,9 @@ class _Trace:
                 obj, container = declare.group(1), declare.group(2)
                 self.effects[i] = (obj.casefold(), container)
                 parent[obj.casefold()] = normalize_place(container)
+            if move or declare:
+                self.placements.append(i)
+                self.first.setdefault(*self.effects[i])
             if changed:
                 snapshot = dict(current)
             self.post[i] = snapshot
@@ -336,8 +367,8 @@ def observed_set(story: Story, character: str) -> set[int]:
     arrivals and departures included on both sides of the door."""
     if not story.has_character(character):
         raise ValidationError(f"{character!r} is not a character of the story")
-    seen = _trace_of(story).seen[character.casefold()]
-    return {i for i in range(1, len(story.events) + 1) if seen >> (i - 1) & 1}
+    digits = bin(_trace_of(story).seen[character.casefold()])[:1:-1]  # bit 0 first
+    return {i for i, digit in enumerate(digits, start=1) if digit == "1"}
 
 
 def _checked_trace(story: Story, names: tuple[str, ...]) -> _Trace:
@@ -354,11 +385,8 @@ def _fold_beliefs(trace: _Trace, names: tuple[str, ...]) -> list[dict[str, str]]
     prefix_seen = [-1]
     for name in names:
         prefix_seen.append(prefix_seen[-1] & trace.seen[name.casefold()])
-    for i in range(1, len(trace.story.events) + 1):
-        effect = trace.effects[i]
-        if effect is None:
-            continue
-        obj, container = effect
+    for i in trace.placements:
+        obj, container = trace.effects[i]
         bit = 1 << (i - 1)
         for j, seen in enumerate(prefix_seen):
             if not seen & bit:
@@ -380,14 +408,13 @@ def belief_store(story: Story, chain: tuple[str, ...]) -> list[dict[str, str]]:
 def simulate_beliefs(story: Story, chain: tuple[str, ...], entity: str) -> str:
     """Gold answer: where the chain of names, outermost first, thinks the
     entity is after the last event, falling back to its first declared
-    container when the chain never witnessed an update."""
+    container when the chain never witnessed an update.
+
+    The beliefs are folded over the trace's placement events only, and the
+    fallback is the trace's ``first`` entry, not a scan of every event."""
     key = entity.casefold()
     trace = _checked_trace(story, chain)
-    first = next(
-        (trace.effects[i][1] for i in range(1, len(story.events) + 1)
-         if trace.effects[i] is not None and trace.effects[i][0] == key),
-        None,
-    )
+    first = trace.first.get(key)
     if first is None:
         raise ValidationError(f"{entity!r} is never placed anywhere in the story")
     beliefs = _fold_beliefs(trace, chain)

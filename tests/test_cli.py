@@ -155,6 +155,22 @@ def test_missing_dataset_prints_a_message_not_a_traceback(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "flags, limit",
+    [
+        (["--rooms", "13"], "num_rooms must be at most 12"),
+        (["--objects", "13"], "num_objects must be at most 12"),
+        (["--rooms", "11", "--containers", "7"], "must be at most 72"),
+    ],
+)
+def test_generate_beyond_the_draw_pools_prints_the_limit(tmp_path, flags, limit, capsys):
+    out = tmp_path / "bad.jsonl"
+    assert main(["generate", "--count", "1", *flags, "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("mindmask: ") and limit in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "flags", [["--workers", "2"], ["--no-reduce"]], ids=["workers", "no-reduce"]
 )
 def test_removed_eval_flags_are_usage_errors(dataset_path, flags, capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from mindmask.errors import ValidationError
 from mindmask.worldgen import (
+    _OBJECTS,
     GrammarConfig,
     REGROUP_ROOM,
     belief_store,
@@ -31,6 +32,32 @@ def test_config_validation():
         GrammarConfig(max_order=0).validate()
     with pytest.raises(ValidationError):
         GrammarConfig(distractor_rate=1.5).validate()
+
+
+@pytest.mark.parametrize(
+    "fields, limit",
+    [
+        (dict(num_rooms=13), "num_rooms must be at most 12"),
+        (dict(num_objects=13), "num_objects must be at most 12"),
+        (dict(num_rooms=11, num_containers_per_room=7), "must be at most 72"),
+        (dict(num_rooms=1, num_containers_per_room=73), "must be at most 72"),
+    ],
+)
+def test_config_validation_rejects_what_the_pools_cannot_fill(fields, limit):
+    with pytest.raises(ValidationError, match=limit):
+        GrammarConfig(**fields).validate()
+    with pytest.raises(ValidationError, match=limit):
+        generate_story(GrammarConfig(**fields))
+
+
+def test_largest_config_the_pools_fill():
+    config = GrammarConfig(num_rooms=12, num_containers_per_room=6, num_objects=12, seed=3)
+    story, questions = generate_story(config)
+    texts = [e.text for e in story.events]
+    assert sum(t.endswith(f"entered the {REGROUP_ROOM}.") for t in texts) == 12
+    declared = {t[len("The "):].split(" is in the ")[0] for t in texts if t.startswith("The ")}
+    assert declared >= set(_OBJECTS)
+    assert all(q.gold for q in questions)
 
 
 def test_generation_is_deterministic():
