@@ -7,14 +7,15 @@ each event. Records render as ``"<attribute> of <entity> becomes <state>"``.
 
 :class:`RuleBackend` resolves all three symbolically from the story grammar
 (enter/exit/move/declare productions), in one scan per story that the three
-queries share; :class:`mindmask.remote.RemoteBackend` asks a chat model with
-the shipped prompt templates, one state prompt per story. Both sides honor
-the same protocol, so the masking pipeline cannot tell them apart.
+queries share through one memo; :class:`mindmask.remote.RemoteBackend` asks
+a chat model with the shipped prompt templates, one state prompt per story.
+Both sides honor the same protocol, so the masking pipeline cannot tell
+them apart.
 
 Key entities drive knowledge injection, which only a text reader reads. The
 symbolic path of the rule backend asks for neither them nor a record merge:
-``RuleBackend.location_states`` gives the scan's location records already
-in :func:`merge_states` order.
+``RuleBackend.location_states`` gives the scan's one location order, the
+emission order, which the scene pass reads as it reads merged records.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Protocol, runtime_checkable
 
 from .errors import ExtractionError, ProtocolError, ValidationError
-from .story import DIALOGUE_KIND, Story, split_name_list
+from .story import DIALOGUE_KIND, LastStory, Story, split_name_list
 from .textnorm import is_negated_place, normalize_place
 
 if TYPE_CHECKING:
@@ -185,14 +186,10 @@ _STAY_RE = re.compile(rf"^({_PERSON}) made no movements and stayed in the ({_PLA
 
 @dataclass(frozen=True)
 class _Scan:
-    """One pass over a story's text: its location records in two orders,
-    one note per move, its enterable places in first-mention order, and the
-    first container each object (casefolded) was declared in.
-
-    `locations` holds the location records in emission order; `merged` holds
-    them as :func:`merge_states` leaves them: by event, then key, one record
-    per (event, key), the last emitted. The two differ only inside an enter
-    or join line that names several characters.
+    """One pass over a story's text: its location records in one location
+    order, the emission order, one note per move, its enterable places in
+    first-mention order, and the first container each object (casefolded)
+    was declared in.
 
     A move note is ``(position, event index, container, object, old
     container or None)``: the container and object display names, and
@@ -201,9 +198,7 @@ class _Scan:
     `records` is first read.
     """
 
-    story: Story
     locations: tuple[EntityStateRecord, ...]
-    merged: tuple[EntityStateRecord, ...]
     moves: tuple[tuple[int, int, str, str, str | None], ...]
     places: tuple[str, ...]
     containers: dict[str, str]
@@ -242,15 +237,14 @@ def _scan(story: Story) -> _Scan:
     them as well. Places come from an enter, exit or stay match and
     containers from a declare match, whatever else the line matches.
 
-    The pass builds location records only, in emission order and, beside
-    it, in merge order. At a move it keeps a note from which
+    The pass builds location records only, in one location order, the
+    emission order. At a move it keeps a note from which
     :attr:`_Scan.records` builds the content records the first time it is
     read; the container names are remembered at the move, so every record's
     display name is still its entity's first-seen spelling.
     """
     dialogue = story.kind == DIALOGUE_KIND
     records: list[EntityStateRecord] = []
-    merged: list[EntityStateRecord] = []
     moves: list[tuple[int, int, str, str, str | None]] = []
     places: dict[str, str] = {}
     containers: dict[str, str] = {}
@@ -267,19 +261,12 @@ def _scan(story: Story) -> _Scan:
     def emit(index: int, name: str, attribute: str, state: str) -> str:
         # A display name casefolds to its key; both attributes are lowercase.
         key = remember(name)
-        record = keyed_record(index, display[key], attribute, state, (key, attribute))
-        records.append(record)
-        merged.append(record)
+        records.append(keyed_record(index, display[key], attribute, state, (key, attribute)))
         return key
 
     def enter_all(index: int, names: list[str], place: str) -> None:
-        start, mark = len(records), len(merged)
         for name in names:
             present.add(emit(index, name, LOCATION, f"in the {place}"))
-        if len(names) > 1:
-            # Merge order inside the line: by key, the last record of each.
-            line = {r.key: r for r in records[start:]}
-            merged[mark:] = [line[key] for key in sorted(line)]
 
     # Each pattern is tried only when its fixed text is present, a necessary
     # condition for its match.
@@ -328,7 +315,7 @@ def _scan(story: Story) -> _Scan:
             elif event.speaker is not None and event.speaker.casefold() not in present:
                 present.add(emit(i, event.speaker, LOCATION, f"in the {CONVERSATION}"))
     names = (CONVERSATION,) if dialogue else tuple(places.values())
-    return _Scan(story, tuple(records), tuple(merged), tuple(moves), names, containers)
+    return _Scan(tuple(records), tuple(moves), names, containers)
 
 
 def event_states(backend: StateBackend, story: Story, index: int, targets) -> list[tuple[str, str, str]]:
@@ -348,26 +335,18 @@ def event_states(backend: StateBackend, story: Story, index: int, targets) -> li
 class RuleBackend:
     """Deterministic backend that reads the story grammar symbolically.
 
-    The three queries share one scan per story: the backend keeps the last
-    scan and reuses it for the same ``Story`` object (``is``; stories are
-    frozen, so it is never stale). That one reference is replaced whole and
-    holds its story, so a concurrent caller never reads another story's
-    scan; at worst it scans again.
+    The three queries share one scan per story, kept in one memo, a
+    :class:`mindmask.story.LastStory` of the last story scanned.
 
     Outside the protocol, :meth:`location_states` gives the location records
-    alone, already in :func:`merge_states` order, which is all the symbolic
-    path reads. The scan builds only those; ``story_states`` builds the
-    content records from the scan's move notes the first time it is asked
-    for a story, and gives every record in emission order.
+    alone, in the scan's one location order, which is all the symbolic path
+    reads. The scan builds only those; ``story_states`` builds the content
+    records from the scan's move notes the first time it is asked for a
+    story, and gives every record in emission order.
     """
 
-    _last: _Scan | None = None
-
-    def _scan_of(self, story: Story) -> _Scan:
-        scan = self._last
-        if scan is None or scan.story is not story:
-            scan = self._last = _scan(story)
-        return scan
+    def __init__(self):
+        self._scan_of = LastStory(lambda story: _scan(story))
 
     # -- StateBackend protocol ------------------------------------------------
 
@@ -380,10 +359,10 @@ class RuleBackend:
         return list(self._scan_of(story).places)
 
     def location_states(self, story) -> tuple[EntityStateRecord, ...]:
-        """``merge_states`` of the location records of ``story_states``,
-        built in the scan, with no content record built and no merge run;
-        not a member of :class:`StateBackend`."""
-        return self._scan_of(story).merged
+        """The location records of ``story_states``, the same objects in the
+        scan's one location order, the emission order, with no content
+        record built and no merge run; not a member of :class:`StateBackend`."""
+        return self._scan_of(story).locations
 
     def key_entities(self, story, questions):
         """Character locations and container contents; the question-mandated

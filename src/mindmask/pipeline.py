@@ -69,8 +69,9 @@ class StoryArtifacts:
 
     `records` are what the graphs are built from. With a backend that has
     ``location_states`` (the rule backend), :func:`prepare_story` fills them
-    with the location records alone, already merged, and keeps the questions
-    and the backend in `_states`; the key entities and every record, content
+    with the location records alone, in the scan's one location order (the
+    scene pass reads no order within an event), and keeps the questions and
+    the backend in `_states`; the key entities and every record, content
     records included, are then generated only when `augmented` is first
     read. Otherwise `records` hold every record and `augmented` injects
     those.
@@ -363,13 +364,16 @@ def evaluate(
     """Run the pipeline over seeded story subsets and report accuracy.
 
     Each seed samples its own subset (the whole set when subset_size is
-    None); the mean and variance are taken over the per-seed accuracies.
+    None); a subset_size below 1 raises :class:`ValidationError`. The mean
+    and variance are taken over the per-seed accuracies.
     A story is prepared and answered once per run, the first time a subset
     holds it; every seed that samples it again reuses those outcomes.
     Questions without gold answers are skipped and counted.
     """
     import random
 
+    if subset_size is not None and subset_size < 1:
+        raise ValidationError(f"subset_size must be at least 1, not {subset_size}")
     cfg = cfg or PipelineConfig()
     seeds = list(seeds) if seeds else [0]
 

@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .errors import BackendError, CacheFormatError, ExtractionError, ProtocolError
 from .nkb import EntityAttribute, event_states, keyed_record
-from .story import Story
+from .story import LastStory, Story
 
 log = logging.getLogger(__name__)
 
@@ -164,17 +164,15 @@ class RecordCache:
         self._index: dict[bytes, tuple[int, int, int]] | None = None
         self._end = 0  # the offset just past the last indexed line
         self._lines = 0
-        self._story: tuple[Story, str] | None = None
+        self._story_key = LastStory(lambda story: story.key())
 
     def key(self, template: str, story: Story, part: str, backend_name: str) -> bytes:
-        """The entry key of ``template``'s reply for ``story``. The last
-        story's key is kept (by ``is``; stories are frozen), so its three
-        replies hash it once."""
-        last = self._story
-        if last is None or last[0] is not story:
-            last = self._story = (story, story.key())
+        """The entry key of ``template``'s reply for ``story``. One memo, a
+        :class:`mindmask.story.LastStory`, keeps the last story's key, so its
+        three replies hash it once."""
+        story_key = self._story_key(story)
         text = load_prompt(template)
-        return f"{template}-{last[1]}-{part}-{_digest(text)}-{_digest(backend_name)}".encode()
+        return f"{template}-{story_key}-{part}-{_digest(text)}-{_digest(backend_name)}".encode()
 
     def _scan(self) -> int:
         """Index the complete lines past the last indexed one and return the
@@ -287,25 +285,21 @@ class RemoteBackend:
     its prompt template and the backend name. A reply that raises is never
     cached.
 
-    The three prompts of a story share one rendering of its narrative: the
-    backend keeps the last story's (by ``is``; stories are frozen), as
+    The three prompts of a story share one rendering of its narrative, kept
+    in one memo, a :class:`mindmask.story.LastStory`, as
     :class:`mindmask.nkb.RuleBackend` keeps its last scan.
     """
-
-    _last: tuple[Story, str] | None = None
 
     def __init__(self, client: ChatClient, cache: RecordCache | None = None):
         self.client = client
         self.cache = cache
         self.name = f"remote:{client.model}"
         self.skipped_lines = 0
+        self._narrative = LastStory(lambda story: indexed_narrative(story))
 
     def _ask(self, template: str, story: Story, slots: dict[str, str]) -> str:
-        last = self._last
-        if last is None or last[0] is not story:
-            last = self._last = (story, indexed_narrative(story))
-        prompt = fill_prompt(load_prompt(template), {"indexed narrative": last[1], **slots})
-        return self.client.complete(prompt)
+        slots = {"indexed narrative": self._narrative(story), **slots}
+        return self.client.complete(fill_prompt(load_prompt(template), slots))
 
     def _reply(self, template, story, part, slots, parse, check):
         """``template``'s parsed reply for ``story``: the cached one, or one

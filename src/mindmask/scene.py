@@ -237,10 +237,11 @@ def build_omniscient_graph(
         moved = movers[index]
         if moved:
             # A mover's arrival names the room; when every mover leaves (an
-            # exit), the room being exited is where the first stood before.
+            # exit), the room being exited is where the first mover by key
+            # stood before, whatever the order of the event's records.
             room = next((tracks[m][index] for m in moved if tracks[m][index] is not None), None)
             if room is None:
-                room = tracks[moved[0]][index - 1]
+                room = tracks[min(moved)][index - 1]
         elif dialogue and event.speaker is not None:
             room = tracks[event.speaker.casefold()][index]
         elif acting[index]:

@@ -111,6 +111,26 @@ class Story:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
+class LastStory:
+    """``build(story)`` for the last story it was called with, the one memo
+    of a per-story fact. The match is by identity (``is``): a ``Story``
+    holds a dict and cannot be hashed, and stories are frozen, so a value
+    found this way is never stale; an equal story that is another object
+    gets its own build. The story and its value are one reference, replaced
+    whole, so a concurrent caller never reads another story's value; at
+    worst it builds one again."""
+
+    def __init__(self, build):
+        self.build = build
+        self.last: tuple[Story, object] | None = None
+
+    def __call__(self, story: Story):
+        last = self.last
+        if last is None or last[0] is not story:
+            last = self.last = (story, self.build(story))
+        return last[1]
+
+
 def split_name_list(subject: str) -> list[str]:
     """Break ``"Ava, Ben and Cleo"`` into names; Oxford commas welcome."""
     if "," not in subject and "and" not in subject:  # one name: nothing to split on

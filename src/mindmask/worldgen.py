@@ -21,12 +21,9 @@ The oracle builds one trace per story: the rooms, whereabouts and object
 effects of every event, from one regex pass over the text, plus the events
 that place an object and each object's first container, so a belief fold
 visits only those events. Consecutive ``simulate_beliefs``, ``belief_store``
-and ``observed_set`` calls on the same ``Story`` object share it, as
-``generate_story`` (one call per question) and a per-character
-``observed_set`` sweep make them. The match is by identity
-(``is``): a ``Story`` holds a dict and cannot be hashed, and stories are
-frozen, so a trace found this way is never stale. An equal story that is a
-different object builds its own trace.
+and ``observed_set`` calls on the same ``Story`` object share it through one
+memo, a :class:`mindmask.story.LastStory`, as ``generate_story`` (one call
+per question) and a per-character ``observed_set`` sweep make them.
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ from typing import Sequence
 
 from .errors import ValidationError
 from .question import BeliefChain, ToMQuestion, render_question
-from .story import Story, _event, split_name_list
+from .story import LastStory, Story, _event, split_name_list
 from .textnorm import normalize_place
 
 REGROUP_ROOM = "waiting room"
@@ -232,15 +229,16 @@ class _Trace:
     ``pre[i]`` and ``post[i]`` are read-only snapshots; a new one is made
     only when an enter or exit changes someone's room, so consecutive
     entries share it. ``seen`` holds one observation bitset per casefolded
-    character: bit i-1 is set when the character observes event i.
+    character, the trace's one observation view: bit i-1 is set when the
+    character observes event i. Characters are the story's
+    ``characters_by_key``; one memo keeps the last story's trace.
     ``placements`` lists, in order, the indices i whose ``effects[i]`` is set
     (the move and declare events), and ``first`` maps each casefolded object
     to the container of its first placement; the first pass records both.
     """
 
     def __init__(self, story: Story):
-        self.story = story
-        self.characters = {c.casefold() for c in story.characters}
+        characters = story.characters_by_key
 
         texts = [event.text for event in story.events]
         matches = [
@@ -264,7 +262,7 @@ class _Trace:
         self.placements: list[int] = []
         self.first: dict[str, str] = {}
 
-        current = {c: None for c in self.characters}
+        current = dict.fromkeys(characters)
         snapshot = dict(current)
         container_room: dict[str, str] = {}
         parent: dict[str, str] = {}
@@ -278,12 +276,12 @@ class _Trace:
                 room = normalize_place(enter.group(2))
                 for name in split_name_list(enter.group(1)):
                     key = name.casefold()
-                    if key in self.characters and current[key] != room:
+                    if key in characters and current[key] != room:
                         current[key] = room
                         changed = True
             if exit_:
                 key = exit_.group(1).casefold()
-                if key in self.characters and current[key] is not None:
+                if key in characters and current[key] is not None:
                     current[key] = None
                     changed = True
             if move:
@@ -313,7 +311,7 @@ class _Trace:
         # Second pass: each event's room and who sees it. A text that reads
         # both as a stay or distract line and as a declaration counts as the
         # former, so those two are tried before the declaration.
-        self.seen: dict[str, int] = dict.fromkeys(self.characters, 0)
+        self.seen: dict[str, int] = dict.fromkeys(characters, 0)
         previous: str | None = None
         for i, (text, (enter, exit_, move, declare)) in enumerate(zip(texts, matches), start=1):
             room: str | None = None
@@ -338,28 +336,13 @@ class _Trace:
             if room is not None:
                 previous = room
                 before, after = self.pre[i], self.post[i]
-                for key in self.characters:
+                for key in characters:
                     if before.get(key) == room or after.get(key) == room:
                         self.seen[key] |= 1 << (i - 1)
 
-    def observes(self, name: str, index: int) -> bool:
-        return bool(self.seen.get(name.casefold(), 0) >> (index - 1) & 1)
 
-
-_last_trace: _Trace | None = None
-
-
-def _trace_of(story: Story) -> _Trace:
-    """The trace of `story`, reusing the last one built when it was built
-    for this very object. Stories are frozen, so an identity match is never
-    stale. The last trace is one module-level reference, replaced whole, so
-    a concurrent caller never reads another story's trace; at worst it
-    builds one again."""
-    global _last_trace
-    trace = _last_trace
-    if trace is None or trace.story is not story:
-        trace = _last_trace = _Trace(story)
-    return trace
+# The trace of the last story asked about.
+_trace_of = LastStory(lambda story: _Trace(story))
 
 
 def observed_set(story: Story, character: str) -> set[int]:
@@ -372,11 +355,10 @@ def observed_set(story: Story, character: str) -> set[int]:
 
 
 def _checked_trace(story: Story, names: tuple[str, ...]) -> _Trace:
-    trace = _trace_of(story)
     for name in names:
-        if name.casefold() not in trace.characters:
+        if not story.has_character(name):
             raise ValidationError(f"{name!r} is not a character of the story")
-    return trace
+    return _trace_of(story)
 
 
 def _fold_beliefs(trace: _Trace, names: tuple[str, ...]) -> list[dict[str, str]]:

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from test_record_log import Transport
+from mindmask import remote
 from mindmask.cli import main
 from mindmask.dataset import load_dataset
 
@@ -193,6 +195,78 @@ def test_malformed_eval_numbers_are_usage_errors(dataset_path, flags, message, c
         main(["eval", "--dataset", str(dataset_path), *flags])
     assert info.value.code == 2
     assert message in capsys.readouterr().err
+
+
+def test_eval_subset_size_zero_prints_one_message(dataset_path, capsys):
+    capsys.readouterr()
+    assert main(["eval", "--dataset", str(dataset_path), "--subset-size", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "mindmask: subset_size must be at least 1, not 0\n"
+
+
+def test_eval_scores_a_valid_subset_size(dataset_path, capsys):
+    capsys.readouterr()
+    assert main(["eval", "--dataset", str(dataset_path), "--seeds", "3", "--subset-size", "2"]) == 0
+    printed = capsys.readouterr().out
+    # Two of the four stories, three questions each.
+    assert printed.startswith("questions: 6  skipped (no gold): 0\n")
+    assert "accuracy: mean=1.0000" in printed
+
+
+class RemoteReplay(Transport):
+    """The chat endpoint: rule-backend replies to the three state prompts,
+    and the first candidate, in answer tags, to each answer prompt."""
+
+    def __call__(self, url, headers, payload, timeout):
+        prompt = payload["messages"][0]["content"]
+        if not prompt.startswith("Read the following events"):
+            return super().__call__(url, headers, payload, timeout)
+        self.requests.append("answer_question")
+        first = prompt.split("Choose one of: ", 1)[1].split(", ", 1)[0].split(".\n", 1)[0]
+        return {"choices": [{"message": {"content": f"<answer>{first}</answer>"}}]}
+
+
+def test_eval_with_a_remote_backend_and_answerer(dataset_path, tmp_path, monkeypatch, capsys):
+    items = load_dataset(dataset_path)
+    transport = RemoteReplay(items)
+    monkeypatch.setattr(remote, "_default_transport", transport)
+    cache = tmp_path / "cache"
+    argv = [
+        "eval", "--dataset", str(dataset_path), "--nkb", "remote", "--answerer", "remote",
+        "--model", "m", "--base-url", "http://llm.test/v1", "--cache-dir", str(cache),
+    ]
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("questions: 12  skipped (no gold): 0\n")
+    assert (cache / remote.LOG_NAME).exists()
+    # Three state prompts a story, one answer prompt a question.
+    assert transport.requests.count("answer_question") == 12
+    assert len(transport.requests) == 3 * 4 + 12
+
+    # A rerun reads every state reply from the cache; answers are asked again.
+    transport.requests.clear()
+    assert main(argv) == 0
+    assert transport.requests == ["answer_question"] * 12
+
+
+def test_answer_notes_a_fully_masked_view(tmp_path, capsys):
+    # Cleo is never in a room, so her graph masks every event.
+    doc = {
+        "characters": ["Ava", "Cleo"],
+        "events": [
+            {"text": "Ava entered the hall."},
+            {"text": "The apple is in the box."},
+            {"text": "Ava moved the apple to the crate."},
+        ],
+        "questions": [{"text": "Where does Cleo think the apple is?", "gold": "box"}],
+    }
+    path = tmp_path / "masked.jsonl"
+    path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+    assert main(["answer", "--dataset", str(path)]) == 0
+    printed = capsys.readouterr().out
+    assert "answer: box\n" in printed
+    assert printed.endswith("note: every event was masked; answered from initial declarations\n")
 
 
 @pytest.mark.parametrize(

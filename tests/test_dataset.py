@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import logging
 
 import pytest
 
@@ -77,3 +78,13 @@ def test_well_formed_dataset_loads(tmp_path):
     [(story, questions)] = load_dataset(path)
     assert story.characters == ("Mia",)
     assert [q.gold for q in questions] == ["box"]
+
+
+def test_declared_order_that_disagrees_is_logged(tmp_path, caplog):
+    doc = {"events": EVENTS, "questions": [{"text": QUESTION, "order": 2}]}
+    path = tmp_path / "orders.jsonl"
+    path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+    with caplog.at_level(logging.WARNING, logger="mindmask.dataset"):
+        [(_, [question])] = load_dataset(path)
+    assert question.order == 1
+    assert f"{path}:1: declared order 2 disagrees with parsed order 1" in caplog.text

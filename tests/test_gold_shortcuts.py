@@ -42,13 +42,12 @@ def test_generated_questions_equal_their_parse(seed):
 # -- beliefs: a fold over every event, as the oracle did before -----------------
 
 
-def fold_every_event(story: Story, chain) -> list[dict[str, str]]:
-    trace = worldgen._Trace(story)
+def fold_every_event(trace, chain) -> list[dict[str, str]]:
     beliefs: list[dict[str, str]] = [dict() for _ in range(len(chain) + 1)]
     prefix_seen = [-1]
     for name in chain:
         prefix_seen.append(prefix_seen[-1] & trace.seen[name.casefold()])
-    for i in range(1, len(story.events) + 1):
+    for i in range(1, len(trace.effects)):
         effect = trace.effects[i]
         if effect is None:
             continue
@@ -60,30 +59,33 @@ def fold_every_event(story: Story, chain) -> list[dict[str, str]]:
     return beliefs
 
 
-def simulate_every_event(story: Story, chain, entity: str) -> str | None:
-    """The gold answer, or None where `simulate_beliefs` must raise."""
-    trace = worldgen._Trace(story)
+def simulate_every_event(trace, beliefs, entity: str) -> str | None:
+    """The gold answer from a chain's `beliefs`, as `fold_every_event` gives
+    them, or None where `simulate_beliefs` must raise."""
     key = entity.casefold()
     first = next(
-        (trace.effects[i][1] for i in range(1, len(story.events) + 1)
+        (trace.effects[i][1] for i in range(1, len(trace.effects))
          if trace.effects[i] is not None and trace.effects[i][0] == key),
         None,
     )
     if first is None:
         return None
-    return fold_every_event(story, chain)[len(chain)].get(key, first)
+    return beliefs[-1].get(key, first)
 
 
 def assert_folds_agree(story: Story) -> None:
+    """The reference trace is built once per story and the reference fold
+    once per chain."""
     chains = [()]
     for order in range(1, min(3, len(story.characters)) + 1):
         chains += list(itertools.permutations(story.characters, order))
     trace = worldgen._Trace(story)
     entities = sorted({e[0] for e in trace.effects if e}) + ["unicorn"]
     for chain in chains:
-        assert belief_store(story, chain) == fold_every_event(story, chain)
+        beliefs = fold_every_event(trace, chain)
+        assert belief_store(story, chain) == beliefs
         for entity in entities:
-            expected = simulate_every_event(story, chain, entity)
+            expected = simulate_every_event(trace, beliefs, entity)
             if expected is None:
                 with pytest.raises(ValidationError):
                     simulate_beliefs(story, chain, entity)

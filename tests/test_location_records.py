@@ -21,6 +21,7 @@ from mindmask.nkb import (
     extract_locations,
     generate_states,
     identify_key_entities,
+    merge_states,
 )
 from mindmask.pipeline import PipelineConfig, StoryArtifacts, answer_question, prepare_story
 from mindmask.question import answer_space_for, parse_question
@@ -113,7 +114,7 @@ def test_prepared_records_are_the_location_records_in_order(story, questions):
     prepared = prepare_story(story, questions, PipelineConfig(nkb_backend=backend))
     full = generate_states(story, identify_key_entities(story, questions, backend), backend)
     locations = [r for r in full if r.attribute == LOCATION]
-    assert identity(prepared.records) == identity(locations)
+    assert identity(merge_states(prepared.records)) == identity(locations)
     assert len(locations) < len(full)
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import logging
 import re
 
 import pytest
@@ -274,3 +275,50 @@ def test_record_cap_keeps_mandated_pairs_first(melon_story, backend):
         ("isla", "location"),
         ("aiden", "location"),
     ]
+
+
+class OfferedPairs:
+    """A backend whose key entities are a fixed list of pairs."""
+
+    def __init__(self, pairs):
+        self.pairs = [EntityAttribute(entity, attribute) for entity, attribute in pairs]
+
+    def key_entities(self, story, questions):
+        return list(self.pairs)
+
+
+ROLL_CALL = Story(
+    events=tuple(
+        Event(index=i, text=text)
+        for i, text in enumerate(
+            [
+                "Ava entered the hall.",
+                "Ben entered the hall.",
+                "Cleo entered the hall.",
+                "Dan entered the hall.",
+                "Eve entered the hall.",
+                "The apple is in the box.",
+            ],
+            start=1,
+        )
+    ),
+    characters=("Ava", "Ben", "Cleo", "Dan", "Eve"),
+)
+
+
+def test_key_entities_of_person_questions_make_room_for_a_non_person_pair():
+    questions = [parse_question("Where is Ava really?", ROLL_CALL)]
+    offered = [(name, "location") for name in ("Ben", "Cleo", "Dan", "Eve")] + [("box", "content")]
+    kept = identify_key_entities(ROLL_CALL, questions, OfferedPairs(offered))
+    assert [p.render() for p in kept] == [
+        "location of Ava", "location of Ben", "location of Cleo", "location of Dan", "content of box",
+    ]
+
+
+def test_key_entities_of_person_questions_stay_person_only_without_another_pair(caplog):
+    questions = [parse_question("Where is Ava really?", ROLL_CALL)]
+    offered = [(name, "location") for name in ("Ben", "Cleo")]
+    with caplog.at_level(logging.DEBUG, logger="mindmask.nkb"):
+        kept = identify_key_entities(ROLL_CALL, questions, OfferedPairs(offered))
+    assert [p.render() for p in kept] == ["location of Ava", "location of Ben", "location of Cleo"]
+    assert "no non-person pair can be kept" in caplog.text

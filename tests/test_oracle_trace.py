@@ -229,7 +229,7 @@ def assert_matches_reference(story: Story) -> None:
     assert trace.post == reference.post
     n = len(story.events)
     for name in story.characters:
-        assert [trace.observes(name, i) for i in range(1, n + 1)] == [
+        assert [bool(trace.seen[name.casefold()] >> (i - 1) & 1) for i in range(1, n + 1)] == [
             reference.observes(name, i) for i in range(1, n + 1)
         ]
         assert observed_set(story, name) == reference_observed_set(reference, name)
@@ -308,7 +308,7 @@ def built(monkeypatch):
             super().__init__(story)
 
     monkeypatch.setattr(worldgen, "_Trace", CountingTrace)
-    monkeypatch.setattr(worldgen, "_last_trace", None, raising=False)
+    monkeypatch.setattr(worldgen._trace_of, "last", None)
     return counter
 
 

@@ -234,6 +234,20 @@ def test_evaluate_report_is_deterministic():
     json.loads(a)  # valid JSON
 
 
+@pytest.mark.parametrize("subset_size", [0, -1])
+def test_evaluate_refuses_a_subset_of_no_story(subset_size):
+    items = _dataset(2, num_characters=3, max_order=1)
+    with pytest.raises(ValidationError, match="subset_size must be at least 1"):
+        evaluate(items, PipelineConfig(), seeds=[0], subset_size=subset_size)
+
+
+def test_evaluate_scores_a_subset_of_one_story():
+    items = _dataset(3, num_characters=3, max_order=1)
+    report = evaluate(items, PipelineConfig(), seeds=[5], subset_size=1)
+    assert len({r.story_index for r in report.rows}) == 1
+    assert len(report.rows) == 2 and report.accuracy_mean == 1.0
+
+
 def test_evaluate_empty_dataset():
     report = evaluate([], PipelineConfig(), seeds=[0])
     assert report.rows == []

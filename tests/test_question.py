@@ -179,3 +179,16 @@ def test_answer_space_single_candidate(backend):
     targets = identify_key_entities(story, [q], backend)
     records = generate_states(story, targets, backend)
     assert answer_space_for(q, story, records) == ["box"]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "Where does Ava know the apple is?",  # a "does" question with no believer
+        "Where does Ava think Ben knows?",  # a believer with no terminal clause
+        "Where was the apple?",  # no template at all
+    ],
+)
+def test_unsupported_where_questions_list_the_templates(text, cupboard_story):
+    with pytest.raises(QuestionParseError, match="supported templates"):
+        parse_question(text, cupboard_story)

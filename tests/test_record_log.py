@@ -313,3 +313,16 @@ def test_another_question_list_misses_only_the_key_entity_entry(tmp_path):
     backend.story_states(story, targets)
     backend.location_names(story)
     assert transport.requests == ["key_entities"]
+
+
+def test_short_write_raises_and_indexes_nothing(cupboard_story, tmp_path, monkeypatch):
+    import mindmask.remote as remote
+
+    cache = RecordCache(tmp_path)
+    write = remote.os.write
+    monkeypatch.setattr(remote.os, "write", lambda fd, data: write(fd, data[:-1]))
+    with pytest.raises(OSError, match="short write"):
+        cache.store(cupboard_story, TARGETS, NAME, ROWS)
+    monkeypatch.setattr(remote.os, "write", write)
+    assert cache.load(cupboard_story, TARGETS, NAME) is None
+    assert RecordCache(tmp_path).load(cupboard_story, TARGETS, NAME) is None

@@ -451,3 +451,15 @@ def test_record_cache_hashes_a_story_once_and_keys_each_input(cupboard_story, tm
     assert cache.load(cupboard_story, targets, "remote:test-model") is None
     monkeypatch.setattr(remote, "load_prompt", shipped)
     assert cache.load(cupboard_story, list(targets), "remote:test-model") == rows
+
+
+def test_remote_blank_reply_lines_are_skipped_and_not_counted(cupboard_story):
+    reply = (
+        "\n- 4: location of T-shirt becomes in the cupboard\n   \n"
+        "\n- 7: location of T-shirt becomes in basket\n"
+    )
+    client, _ = make_client([reply])
+    backend = RemoteBackend(client)
+    records = generate_states(cupboard_story, [EntityAttribute("t-shirt", "location")], backend)
+    assert [r.event_index for r in records] == [4, 7]
+    assert backend.skipped_lines == 0

@@ -1,8 +1,8 @@
 """A rule-backend story is prepared with one scan and one scene pass.
 
-``RuleBackend.location_states`` gives the scan's location records already in
-:func:`merge_states` order, so `prepare_story` runs no merge, and it asks
-for no key entities: only a text reader reads them, through
+``RuleBackend.location_states`` gives the scan's location records in its one
+location order, the emission order, so `prepare_story` runs no merge, and it
+asks for no key entities: only a text reader reads them, through
 `StoryArtifacts.augmented`.
 """
 
@@ -13,23 +13,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import RecordingAnswerer
+from test_generator_digest import corpus_configs
 from test_location_records import IDS, STORIES, identity, text_side
 from test_pipeline import StoryStatesOnly
 from mindmask import nkb, pipeline
 from mindmask.errors import ValidationError
 from mindmask.inject import inject
-from mindmask.nkb import LOCATION, RuleBackend, generate_states, identify_key_entities, merge_states
+from mindmask.nkb import (
+    LOCATION,
+    RuleBackend,
+    build_anchors,
+    generate_states,
+    identify_key_entities,
+    merge_states,
+)
 from mindmask.pipeline import PipelineConfig, answer_question, prepare_story
+from mindmask.scene import build_character_graph, build_omniscient_graph
 from mindmask.story import DIALOGUE_KIND, Event, Story
+from mindmask.worldgen import generate_story
 
 PROFILE = settings(max_examples=100, deadline=None, derandomize=True)
 
 
-def merged_scan(story: Story):
-    """``merge_states`` of the location records of ``story_states``, which
-    come in emission order."""
-    emitted = [r for r in RuleBackend().story_states(story, []) if r.attribute == LOCATION]
-    return merge_states(emitted)
+def scan_locations(story: Story):
+    """The location records of ``story_states``, in emission order."""
+    return [r for r in RuleBackend().story_states(story, []) if r.attribute == LOCATION]
 
 
 def story_of(lines, characters=(), kind="event") -> Story:
@@ -42,51 +50,55 @@ def story_of(lines, characters=(), kind="event") -> Story:
     return Story(events=tuple(events), characters=tuple(characters), kind=kind)
 
 
-# -- location_states is merge_states of the scan's location records -----------
+# -- location_states is the scan's location records, in emission order --------
 
 
 @pytest.mark.parametrize("story, questions", STORIES, ids=IDS)
 def test_location_states_are_merged_on_corpora(story, questions):
-    assert identity(RuleBackend().location_states(story)) == identity(merged_scan(story))
+    assert identity(RuleBackend().location_states(story)) == identity(scan_locations(story))
+
+
+UNSORTED_AND_REPEATED = story_of(
+    [
+        "Zoe, Ava and Mia entered the hall.",
+        "Mia and Mia entered the attic.",
+        "Mia, Ava, and Ava entered the hall.",
+        "The apple is in the box.",
+        "Zoe moved the apple to the crate.",
+    ],
+    characters=("Zoe", "Ava", "Mia"),
+)
+DIALOGUE_JOINS = story_of(
+    [
+        "Troy, Armani and Cynthia joined the conversation.",
+        "Armani: The key is in the drawer.",
+        "Troy left the conversation.",
+        "Cynthia and Troy joined the conversation.",
+        "Troy, Troy and Armani joined the conversation.",
+        "Ann: Hello.",
+    ],
+    characters=("Armani", "Troy", "Cynthia", "Ann"),
+    kind=DIALOGUE_KIND,
+)
 
 
 def test_location_states_merge_a_line_of_unsorted_and_repeated_names():
-    story = story_of(
-        [
-            "Zoe, Ava and Mia entered the hall.",
-            "Mia and Mia entered the attic.",
-            "Mia, Ava, and Ava entered the hall.",
-            "The apple is in the box.",
-            "Zoe moved the apple to the crate.",
-        ],
-        characters=("Zoe", "Ava", "Mia"),
-    )
-    merged = RuleBackend().location_states(story)
-    assert identity(merged) == identity(merged_scan(story))
-    # Within a line the records go by key, one per name; display names keep
-    # their first spelling.
-    assert [(r.event_index, r.entity) for r in merged[:6]] == [
-        (1, "Ava"), (1, "Mia"), (1, "Zoe"), (2, "Mia"), (3, "Ava"), (3, "Mia"),
+    story = UNSORTED_AND_REPEATED
+    records = RuleBackend().location_states(story)
+    assert identity(records) == identity(scan_locations(story))
+    # Within a line the records keep emission order, one per name as written,
+    # repeats included; display names keep their first spelling.
+    assert [(r.event_index, r.entity) for r in records[:8]] == [
+        (1, "Zoe"), (1, "Ava"), (1, "Mia"), (2, "Mia"), (2, "Mia"), (3, "Mia"), (3, "Ava"), (3, "Ava"),
     ]
 
 
 def test_location_states_merge_dialogue_joins():
-    story = story_of(
-        [
-            "Troy, Armani and Cynthia joined the conversation.",
-            "Armani: The key is in the drawer.",
-            "Troy left the conversation.",
-            "Cynthia and Troy joined the conversation.",
-            "Troy, Troy and Armani joined the conversation.",
-            "Ann: Hello.",
-        ],
-        characters=("Armani", "Troy", "Cynthia", "Ann"),
-        kind=DIALOGUE_KIND,
-    )
-    merged = RuleBackend().location_states(story)
-    assert identity(merged) == identity(merged_scan(story))
-    assert [r.entity for r in merged if r.event_index == 1] == ["Armani", "Cynthia", "Troy"]
-    assert [r.entity for r in merged if r.event_index == 5] == ["Armani", "Troy"]
+    story = DIALOGUE_JOINS
+    records = RuleBackend().location_states(story)
+    assert identity(records) == identity(scan_locations(story))
+    assert [r.entity for r in records if r.event_index == 1] == ["Troy", "Armani", "Cynthia"]
+    assert [r.entity for r in records if r.event_index == 5] == ["Troy", "Troy", "Armani"]
 
 
 NAMES = ("Zoe", "Ava", "Mia", "Ann", "Anna")
@@ -136,7 +148,65 @@ def enter_stories(draw) -> Story:
 @PROFILE
 @given(story=enter_stories())
 def test_location_states_are_merged_on_drawn_enter_lines(story):
-    assert identity(RuleBackend().location_states(story)) == identity(merged_scan(story))
+    assert identity(RuleBackend().location_states(story)) == identity(scan_locations(story))
+
+
+# -- the scene pass reads no record order within an event ----------------------
+
+
+def assert_graphs_ignore_record_order(story: Story) -> None:
+    """Graphs from the scan's emission order equal those from its merge: each
+    from its own records list, both with the same anchors."""
+    backend = RuleBackend()
+    anchors = build_anchors([*backend.location_names(story), "hall"])
+    emitted = list(backend.location_states(story))
+    merged = merge_states(emitted)
+    built = build_omniscient_graph(story, emitted, anchors)
+    reference = build_omniscient_graph(story, merged, anchors)
+    assert (built.assignment, built.bits) == (reference.assignment, reference.bits)
+    for name in story.characters:
+        assert (
+            build_character_graph(story, emitted, anchors, name, built).bits
+            == build_character_graph(story, merged, anchors, name, reference).bits
+        )
+
+
+@pytest.mark.parametrize("seed", [1, 1009])
+def test_graphs_ignore_record_order_on_benchmark_corpora(seed):
+    for config in corpus_configs(seed):
+        assert_graphs_ignore_record_order(generate_story(config)[0])
+
+
+def test_graphs_ignore_record_order_on_hand_written_lines():
+    assert_graphs_ignore_record_order(UNSORTED_AND_REPEATED)
+    assert_graphs_ignore_record_order(DIALOGUE_JOINS)
+
+
+@PROFILE
+@given(story=enter_stories())
+def test_graphs_ignore_record_order_on_drawn_enter_lines(story):
+    assert_graphs_ignore_record_order(story)
+
+
+@pytest.mark.parametrize("place", ["-", "'"])
+def test_graphs_ignore_record_order_where_the_place_normalizes_to_nothing(place):
+    # Every mover of such a line leaves for the null node, so the event's
+    # room is where one of them stood before: the first by key, Ava.
+    story = story_of(
+        [
+            "Zoe entered the hall.",
+            "Ava entered the attic.",
+            f"Zoe and Ava entered the {place}.",
+            "Ava entered the hall.",
+            f"Zoe, Mia, Zoe and Ava entered the {place}.",
+        ],
+        characters=("Zoe", "Ava", "Mia"),
+    )
+    assert_graphs_ignore_record_order(story)
+    backend = RuleBackend()
+    anchors = build_anchors(backend.location_names(story))
+    graph = build_omniscient_graph(story, list(backend.location_states(story)), anchors)
+    assert graph.assignment == ("hall", "attic", "attic", "hall", "hall")
 
 
 # -- the symbolic path asks for no key entities and runs no merge --------------

@@ -263,3 +263,10 @@ def test_backend_substitutability(melon_setup):
         ours = build_character_graph(story, records, anchors, name, omniscient)
         theirs = build_character_graph(story, alt, anchors, name, alt_graph)
         assert theirs.surviving() == ours.surviving()
+
+
+def test_character_graph_refuses_an_omniscient_graph_of_another_length(melon_setup):
+    story, _, records, anchors, omniscient = melon_setup
+    shorter = SceneGraph(assignment=omniscient.assignment[:-1], location_set=omniscient.location_set)
+    with pytest.raises(ValidationError, match="does not cover the story"):
+        build_character_graph(story, records, anchors, "Lily", shorter)

@@ -127,3 +127,31 @@ def test_no_character_found_is_an_error():
 def test_event_indices_are_positions(melon_story):
     for pos, event in enumerate(melon_story.events, start=1):
         assert event.index == pos
+
+
+def test_story_refuses_no_events_and_empty_event_text():
+    with pytest.raises(ValidationError, match="at least one event"):
+        Story(events=(), characters=("Ava",))
+    with pytest.raises(ValidationError, match="event 2 has empty text"):
+        Story(events=(Event(1, "Ava entered the hall."), Event(2, "   ")), characters=("Ava",))
+
+
+def test_json_event_with_blank_text_is_a_format_error():
+    doc = {"events": [{"text": "Ava entered the hall."}, {"text": "  "}]}
+    with pytest.raises(StoryFormatError, match="event 2 has empty text"):
+        parse_story(doc)
+
+
+def test_json_event_story_appends_its_speakers_once():
+    doc = {
+        "kind": "event",
+        "events": [
+            {"text": "Ava entered the hall."},
+            {"text": "hello there.", "speaker": "Noah"},
+            {"text": "hello again.", "speaker": "Noah"},
+            {"text": "hi.", "speaker": "ava"},
+        ],
+    }
+    story = parse_story(doc)
+    assert story.kind == "event"
+    assert story.characters == ("Ava", "Noah")

@@ -240,3 +240,15 @@ def test_exiting_character_observes_own_exit(melon_story):
     assert 5 in observed_set(melon_story, "Lily")
     # Nobody outside the porch does: all five are in, so check a later exit.
     assert 9 not in observed_set(melon_story, "Aiden")
+
+
+@pytest.mark.parametrize("field", ["num_rooms", "num_objects"])
+def test_config_needs_a_room_and_an_object(field):
+    with pytest.raises(ValidationError, match="at least one room and one object"):
+        GrammarConfig(**{field: 0}).validate()
+
+
+def test_belief_store_refuses_a_stranger_in_the_chain():
+    story, _ = generate_story(GrammarConfig(seed=3))
+    with pytest.raises(ValidationError, match="'Nobody' is not a character"):
+        belief_store(story, (story.characters[0], "Nobody"))
