@@ -46,7 +46,7 @@ from .scene import (
     retrieve_events,
 )
 from .story import Story
-from .textnorm import is_negated_place, normalize_answer, normalize_place
+from .textnorm import LEADING_PREPOSITIONS, is_negated_place, normalize_answer, normalize_place
 
 ABSTAIN = "<abstain>"
 
@@ -219,8 +219,10 @@ def symbolic_reader(bits: int, q: ToMQuestion, records: list[EntityStateRecord])
 
 def _state_to_answer(state: str) -> str:
     """A location state as an answer: the normalized place, or the state
-    as written when it denies a place ("outside the attic")."""
-    if is_negated_place(state):
+    as written when it denies a place ("outside the attic"). A state that
+    opens with a preposition names a place even when a negation word is in
+    it ("in the left drawer" -> "left drawer")."""
+    if is_negated_place(state) and state.split(maxsplit=1)[0].casefold() not in LEADING_PREPOSITIONS:
         return state.strip()
     return normalize_place(state)
 

@@ -12,6 +12,7 @@ import pytest
 
 from conftest import RecordingAnswerer
 from test_pipeline import StoryStatesOnly
+from test_record_log import Transport
 from mindmask import nkb
 from mindmask.nkb import (
     CONTENT,
@@ -176,43 +177,18 @@ def test_a_three_query_backend_keeps_every_record(story, questions):
     assert text_side(artifacts, questions, backend) == text_side(located, questions, RuleBackend())
 
 
-class ReplayTransport:
-    """Serves the rule backend's replies for the story in `story`, counting
-    the requests."""
-
-    def __init__(self):
-        self.rule = RuleBackend()
-        self.story = None
-        self.questions = None
-        self.calls = 0
-
-    def __call__(self, url, headers, payload, timeout):
-        self.calls += 1
-        prompt = payload["messages"][0]["content"]
-        pairs = self.rule.key_entities(self.story, self.questions)
-        if "extract at most five entities" in prompt:
-            content = "<entities>\n" + "".join(f"- {p.render()}\n" for p in pairs) + "</entities>"
-        elif "What are the rooms" in prompt:
-            content = "".join(f"- {name}\n" for name in self.rule.location_names(self.story))
-        else:
-            records = self.rule.story_states(self.story, pairs)
-            content = "".join(f"- {r.event_index}: {r.render()}\n" for r in records)
-        return {"choices": [{"message": {"content": content}}]}
-
-
 def test_remote_backend_asks_three_times_per_cold_story_with_a_text_reader(tmp_path):
     generated = STORIES[:-1]
-    transport = ReplayTransport()
+    transport = Transport(generated)
     client = ChatClient(base_url="http://llm.test/v1", model="replay", transport=transport)
     for cache_pass in ("cold", "warm"):
         backend = RemoteBackend(client, cache=RecordCache(tmp_path))
         assert not hasattr(backend, "location_states")
         cfg = PipelineConfig(nkb_backend=backend, answer_backend=RecordingAnswerer())
         for story, questions in generated:
-            transport.story, transport.questions = story, questions
-            before = transport.calls
+            before = len(transport.requests)
             artifacts = prepare_story(story, questions, cfg)
             for q in questions:
                 answer_question(artifacts, q, cfg)
             assert any(a.injected for a in artifacts.augmented)
-            assert transport.calls - before == (3 if cache_pass == "cold" else 0)
+            assert len(transport.requests) - before == (3 if cache_pass == "cold" else 0)

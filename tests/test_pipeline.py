@@ -329,6 +329,53 @@ def test_room_names_with_negation_words_match_the_oracle(room):
     assert run_pipeline(story, q, PipelineConfig()) == gold
 
 
+@pytest.mark.parametrize(
+    "first, second", [("left drawer", "away box"), ("outside shed", "absent crate")]
+)
+def test_container_names_with_negation_words_match_the_oracle(first, second):
+    # Each container's name holds a negation word, but its state opens with
+    # "in", so the reader answers the place, as the oracle does.
+    from mindmask.story import parse_story
+    from mindmask.worldgen import simulate_beliefs
+
+    story = parse_story(
+        f"Ava entered the kitchen.\nBen entered the kitchen.\nThe apple is in the {first}.\n"
+        f"Ben exited the kitchen.\nAva moved the apple to the {second}."
+    )
+    questions = []
+    for text in (
+        "Where is the apple really?",
+        "Where does Ava think the apple is?",
+        "Where does Ben think the apple is?",
+        "Where does Ava think Ben thinks the apple is?",
+    ):
+        q = parse_question(text, story)
+        questions.append(parse_question(text, story, gold=simulate_beliefs(story, q.chain_names, "apple")))
+    assert [q.gold for q in questions] == [second, second, first, first]
+    report = evaluate([(story, questions)])
+    assert [r.predicted for r in report.rows] == [q.gold for q in questions]
+    assert report.accuracy_mean == 1.0
+
+
+@pytest.mark.parametrize(
+    "state, answer",
+    [
+        ("in away box", "away box"),
+        ("In the Left Drawer", "left drawer"),
+        ("inside the outside shed", "outside shed"),
+        ("not in the attic", "not in the attic"),
+        ("absent", "absent"),
+        ("left the room", "left the room"),
+    ],
+)
+def test_symbolic_reader_answers_a_state_opening_with_a_preposition_as_a_place(
+    cupboard_story, state, answer
+):
+    records = [EntityStateRecord(1, "ball", "location", state)]
+    q = parse_question("Where is the ball really?", cupboard_story)
+    assert symbolic_reader(_bits(1), q, _target_records(records, q)) == answer
+
+
 class StoryStatesOnly:
     """A state backend with nothing but the protocol's three queries."""
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import RecordingAnswerer
-from test_generator_digest import corpus_configs
+from test_generator_digest import corpus
 from test_location_records import IDS, STORIES, identity, text_side
 from test_pipeline import StoryStatesOnly
 from mindmask import nkb, pipeline
@@ -30,7 +30,6 @@ from mindmask.nkb import (
 from mindmask.pipeline import PipelineConfig, answer_question, prepare_story
 from mindmask.scene import build_character_graph, build_omniscient_graph
 from mindmask.story import DIALOGUE_KIND, Event, Story
-from mindmask.worldgen import generate_story
 
 PROFILE = settings(max_examples=100, deadline=None, derandomize=True)
 
@@ -173,8 +172,8 @@ def assert_graphs_ignore_record_order(story: Story) -> None:
 
 @pytest.mark.parametrize("seed", [1, 1009])
 def test_graphs_ignore_record_order_on_benchmark_corpora(seed):
-    for config in corpus_configs(seed):
-        assert_graphs_ignore_record_order(generate_story(config)[0])
+    for story, _ in corpus(seed):
+        assert_graphs_ignore_record_order(story)
 
 
 def test_graphs_ignore_record_order_on_hand_written_lines():
