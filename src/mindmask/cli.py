@@ -58,9 +58,12 @@ def _remote_flag_error(args) -> str | None:
 
 def _seed_list(text: str) -> list[int]:
     try:
-        return [int(s) for s in text.split(",")]
+        seeds = [int(s) for s in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}") from None
+    if len(set(seeds)) < len(seeds):
+        raise argparse.ArgumentTypeError(f"a seed is given more than once: {text!r}")
+    return seeds
 
 
 def _non_negative(text: str) -> int:

@@ -12,10 +12,10 @@ a chat model with the shipped prompt templates, one state prompt per story.
 Both sides honor the same protocol, so the masking pipeline cannot tell
 them apart.
 
-Key entities drive knowledge injection, which only a text reader reads. The
-symbolic path of the rule backend asks for neither them nor a record merge:
-``RuleBackend.location_states`` gives the scan's one location order, the
-emission order, which the scene pass reads as it reads merged records.
+Key entities drive knowledge injection. The rule backend states every
+entity whatever the targets, so the pipeline never asks it for them, and
+its symbolic path runs no record merge: ``RuleBackend.location_states``
+gives the scan's one location order, which the scene pass reads as merged.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Protocol, runtime_checkable
 
 from .errors import ExtractionError, ProtocolError, ValidationError
-from .story import DIALOGUE_KIND, LastStory, Story, split_name_list
+from .story import DIALOGUE_KIND, NAME, NAME_LIST, LastStory, Story, split_name_list
 from .textnorm import is_negated_place, normalize_place
 
 if TYPE_CHECKING:
@@ -147,10 +147,11 @@ def build_anchors(names: Iterable[str]) -> list[LocationAnchor]:
 def canonicalize_location(raw: str, anchors: list[LocationAnchor]) -> LocationAnchor | None:
     """Map a free-text place phrase onto an anchor, or None for the null node.
 
-    After normalization an exact match of an anchor's alias wins, so a room
-    named "left wing" or "outside patio" still resolves. Otherwise negated
-    phrases ("outside the porch", "absent") resolve to None, then a unique
-    substring match wins; ambiguity resolves to None and is logged.
+    Cheapest check first. After normalization an exact match of an anchor's
+    alias wins, so a room named "left wing" or "outside patio" still
+    resolves. A phrase with no substring match, then a negated one ("outside
+    the porch", "absent"), resolves to None; else a unique substring match
+    wins, and ambiguity resolves to None and is logged.
     """
     normalized = normalize_place(raw)
     if not normalized:
@@ -158,13 +159,12 @@ def canonicalize_location(raw: str, anchors: list[LocationAnchor]) -> LocationAn
     for anchor in anchors:
         if normalized == anchor.alias:
             return anchor
-    if is_negated_place(raw):
-        return None
     matches = [a for a in anchors if a.alias in normalized or normalized in a.alias]
+    if not matches or is_negated_place(raw):
+        return None
     if len(matches) == 1:
         return matches[0]
-    if len(matches) > 1:
-        log.warning("ambiguous place %r matches %s; resolving to null", raw, [a.name for a in matches])
+    log.warning("ambiguous place %r matches %s; resolving to null", raw, [a.name for a in matches])
     return None
 
 
@@ -172,16 +172,14 @@ def canonicalize_location(raw: str, anchors: list[LocationAnchor]) -> LocationAn
 # Rule backend: one scan of the story grammar
 
 _PLACE = r"[\w' -]+"
-_PERSON = r"[A-Z][a-z]+"
-_PERSON_LIST = rf"{_PERSON}(?:\s*,\s*{_PERSON})*(?:,? and {_PERSON})?"
 
-_ENTER_RE = re.compile(rf"^({_PERSON_LIST}) entered the ({_PLACE})\.$")
-_EXIT_RE = re.compile(rf"^({_PERSON}) exited the ({_PLACE})\.$")
-_MOVE_RE = re.compile(rf"^({_PERSON}) moved the ({_PLACE}?) to the ({_PLACE})\.$")
+_ENTER_RE = re.compile(rf"^({NAME_LIST}) entered the ({_PLACE})\.$")
+_EXIT_RE = re.compile(rf"^({NAME}) exited the ({_PLACE})\.$")
+_MOVE_RE = re.compile(rf"^({NAME}) moved the ({_PLACE}?) to the ({_PLACE})\.$")
 _DECLARE_RE = re.compile(rf"^The ({_PLACE}?) is in the ({_PLACE})\.$")
-_JOIN_RE = re.compile(rf"^({_PERSON_LIST}) joined the conversation\.$")
-_LEAVE_RE = re.compile(rf"^({_PERSON}) left the conversation\.$")
-_STAY_RE = re.compile(rf"^({_PERSON}) made no movements and stayed in the ({_PLACE}) for")
+_JOIN_RE = re.compile(rf"^({NAME_LIST}) joined the conversation\.$")
+_LEAVE_RE = re.compile(rf"^({NAME}) left the conversation\.$")
+_STAY_RE = re.compile(rf"^({NAME}) made no movements and stayed in the ({_PLACE}) for")
 
 
 @dataclass(frozen=True)
@@ -342,7 +340,8 @@ class RuleBackend:
     alone, in the scan's one location order, which is all the symbolic path
     reads. The scan builds only those; ``story_states`` builds the content
     records from the scan's move notes the first time it is asked for a
-    story, and gives every record in emission order.
+    story, and gives every record in emission order, whatever the targets:
+    a backend with ``location_states`` states every entity.
     """
 
     def __init__(self):

@@ -7,8 +7,9 @@ symbolic reader reads the masked bitset: it needs only which of the
 target's records survived. Injected text, the events with their
 non-spatial knowledge bullets, is built only for a text reader (an
 ``answer_backend``) and only the first time one asks; so are the rule
-backend's key entities and non-location records, which only those bullets
-read. A rule-backend story is prepared with one scan and one scene pass. Two
+backend's non-location records, which only those bullets read. That backend
+states every entity whatever the targets, so it is never asked for key
+entities, and a story is prepared with one scan and one scene pass. Two
 ablation switches reproduce the "no knowledge injection" and "no iterative
 masking" variants; with masking off the reader sees the whole story and
 fails on false-belief questions, which is the point.
@@ -32,6 +33,7 @@ from .nkb import (
     extract_locations,
     generate_states,
     identify_key_entities,
+    merge_states,
 )
 from .question import ToMQuestion, answer_space_for, reduce_order
 from .scene import (
@@ -70,18 +72,18 @@ class StoryArtifacts:
     `records` are what the graphs are built from. With a backend that has
     ``location_states`` (the rule backend), :func:`prepare_story` fills them
     with the location records alone, in the scan's one location order (the
-    scene pass reads no order within an event), and keeps the questions and
-    the backend in `_states`; the key entities and every record, content
-    records included, are then generated only when `augmented` is first
-    read. Otherwise `records` hold every record and `augmented` injects
-    those.
+    scene pass reads no order within an event), and keeps the backend in
+    `_backend`; every record, content records included, is then generated
+    only when `augmented` is first read. Such a backend states every entity
+    whatever the targets, so no key entities are asked for. Otherwise
+    `records` hold every record and `augmented` injects those.
     """
 
     story: Story
     records: list[EntityStateRecord]
     anchors: list
     omniscient: SceneGraph
-    _states: tuple[list, StateBackend] | None = field(default=None, init=False)
+    _backend: StateBackend | None = field(default=None, init=False)
     _char_graphs: dict[str, SceneGraph] = field(default_factory=dict, init=False)
     _texts: dict[bool, list[str]] = field(default_factory=dict, init=False)
     _by_target: dict[tuple[str, str], list[EntityStateRecord]] = field(default_factory=dict, init=False)
@@ -107,10 +109,8 @@ class StoryArtifacts:
         """The story's events with injected bullets; built, with every record
         they need, the first time a text reader asks."""
         records = self.records
-        if self._states is not None:
-            questions, backend = self._states
-            targets = identify_key_entities(self.story, questions, backend)
-            records = generate_states(self.story, targets, backend)
+        if self._backend is not None:
+            records = merge_states(self._backend.story_states(self.story, []))
         return inject(self.story, records)
 
     def view_texts(self, with_knowledge: bool) -> list[str]:
@@ -140,16 +140,15 @@ def prepare_story(story: Story, questions: list[ToMQuestion], cfg: PipelineConfi
         raise ValidationError("prepare_story needs at least one question")
     backend = cfg.nkb_backend
     location_states = getattr(backend, "location_states", None)
-    states = None
     if location_states is None:
         records = generate_states(story, identify_key_entities(story, questions, backend), backend)
     else:
         records = list(location_states(story))
-        states = (list(questions), backend)
     anchors = extract_locations(story, backend)
     omniscient = build_omniscient_graph(story, records, anchors)
     artifacts = StoryArtifacts(story=story, records=records, anchors=anchors, omniscient=omniscient)
-    artifacts._states = states
+    if location_states is not None:
+        artifacts._backend = backend
     return artifacts
 
 
@@ -229,8 +228,11 @@ def _state_to_answer(state: str) -> str:
 
 def match_candidates(value: str, space) -> tuple[str | None, bool]:
     """(candidate, ambiguous): exact normalized match first, then a unique
-    substring match in either direction."""
+    substring match in either direction. A value that normalizes to nothing
+    matches no candidate."""
     normalized = normalize_answer(value)
+    if not normalized:
+        return None, False
     exact = [c for c in space if normalize_answer(c) == normalized]
     if len(exact) == 1:
         return exact[0], False
@@ -366,8 +368,9 @@ def evaluate(
     """Run the pipeline over seeded story subsets and report accuracy.
 
     Each seed samples its own subset (the whole set when subset_size is
-    None); a subset_size below 1 raises :class:`ValidationError`. The mean
-    and variance are taken over the per-seed accuracies.
+    None); a repeated seed or a subset_size below 1 raises
+    :class:`ValidationError`. The mean and variance are taken over the
+    per-seed accuracies.
     A story is prepared and answered once per run, the first time a subset
     holds it; every seed that samples it again reuses those outcomes.
     Questions without gold answers are skipped and counted.
@@ -378,6 +381,9 @@ def evaluate(
         raise ValidationError(f"subset_size must be at least 1, not {subset_size}")
     cfg = cfg or PipelineConfig()
     seeds = list(seeds) if seeds else [0]
+    repeated = next((seed for i, seed in enumerate(seeds) if seed in seeds[:i]), None)
+    if repeated is not None:
+        raise ValidationError(f"seed {repeated} is given more than once")
 
     rows: list[QuestionRow] = []
     skipped = 0

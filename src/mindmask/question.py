@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING
 
 from .errors import QuestionParseError, ValidationError
 from .nkb import LOCATION
+from .story import NAME
 from .textnorm import normalize_place
 
 if TYPE_CHECKING:
@@ -34,10 +35,10 @@ SUPPORTED_TEMPLATES = (
     "Where is the X?",
 )
 
-_THINK_STEP = re.compile(r"^(?:does )?([A-Z][a-z]+) (?:really )?thinks? (?:that )?")
+_THINK_STEP = re.compile(rf"^(?:does )?({NAME}) (?:really )?thinks? (?:that )?")
 _THINK_TERMINAL = re.compile(r"^(?:the )?(.+?) is\s*\?$")
-_SEARCH_TERMINAL = re.compile(r"^([A-Z][a-z]+) (?:will )?(?:search(?:es)?|looks?) for (?:the )?(.+?)\s*\?$")
-_WILL_SEARCH = re.compile(r"^will ([A-Z][a-z]+) (?:search(?:es)?|looks?) for (?:the )?(.+?)\s*\?$")
+_SEARCH_TERMINAL = re.compile(rf"^({NAME}) (?:will )?(?:search(?:es)?|looks?) for (?:the )?(.+?)\s*\?$")
+_WILL_SEARCH = re.compile(rf"^will ({NAME}) (?:search(?:es)?|looks?) for (?:the )?(.+?)\s*\?$")
 _FACT_INITIAL = re.compile(r"^is (?:the )?(.+?) in the begin?ning\s*\?$")
 _FACT_REALLY = re.compile(r"^is (?:the )?(.+?) really\s*\?$")
 _FACT_PLAIN = re.compile(r"^is (?:the )?(.+?)\s*\?$")

@@ -110,26 +110,16 @@ class MaskedView:
 
 
 class _Rooms(dict):
-    """Room name (or None) of each location string of a story, resolved the
-    first time it is looked up: an exact alias directly, else through
-    :func:`canonicalize_location` when some alias and the normalized phrase
-    hold one another, else None. Without such a pair no substring match is
-    possible, so negation and ambiguity cannot matter; an empty alias is in
-    every phrase, so it always reaches the resolver."""
+    """Room name (or None) of each location string of a story, asked of
+    :func:`canonicalize_location` the first time it is looked up."""
 
     def __init__(self, anchors: list[LocationAnchor]):
         super().__init__()
         self.anchors = anchors
-        self.exact = {a.alias: a.name for a in reversed(anchors) if a.alias}  # first wins
-        self.aliases = [a.alias for a in anchors]
 
     def __missing__(self, state: str) -> str | None:
-        place = normalize_place(state)
-        room = self.exact.get(place)
-        if room is None and any(a in place or place in a for a in self.aliases):
-            anchor = canonicalize_location(state, self.anchors)
-            room = anchor.name if anchor else None
-        self[state] = room
+        anchor = canonicalize_location(state, self.anchors)
+        room = self[state] = anchor.name if anchor else None
         return room
 
 

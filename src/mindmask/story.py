@@ -27,10 +27,10 @@ AGENTIVE_VERBS = frozenset(
 )
 
 # "Ava entered ...", "Ava, Ben and Cleo entered ..." (with or without the
-# Oxford comma before "and").
-_NAME = r"[A-Z][a-z]+"
-_NAME_LIST = rf"{_NAME}(?:\s*,\s*{_NAME})*(?:,? and {_NAME})?"
-_SUBJECT_RE = re.compile(rf"^({_NAME_LIST})\s+([a-z]+)")
+# Oxford comma before "and"). The one name pattern of the pipeline.
+NAME = r"[A-Z][a-z]+"
+NAME_LIST = rf"{NAME}(?:\s*,\s*{NAME})*(?:,? and {NAME})?"
+_SUBJECT_RE = re.compile(rf"^({NAME_LIST})\s+([a-z]+)")
 _SPEAKER_RE = re.compile(r"^([A-Z][A-Za-z .'-]{0,40}?):\s+(\S.*)$")
 _NAME_SEP_RE = re.compile(r"\s*,\s*(?:and\s+)?|\s+and\s+")
 

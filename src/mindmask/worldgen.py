@@ -227,8 +227,8 @@ class _Trace:
     " exited the ", " moved the ", a leading "The "), a necessary condition
     for its match; the stay pattern likewise needs " stayed in the ".
     ``pre[i]`` and ``post[i]`` are read-only snapshots; a new one is made
-    only when an enter or exit changes someone's room, so consecutive
-    entries share it. ``seen`` holds one observation bitset per casefolded
+    after each enter or exit line, so the entries between two such lines
+    share it. ``seen`` holds one observation bitset per casefolded
     character, the trace's one observation view: bit i-1 is set when the
     character observes event i. Characters are the story's
     ``characters_by_key``; one memo keeps the last story's trace.
@@ -271,19 +271,16 @@ class _Trace:
         moves: list[tuple[int, str, str]] = []
         for i, (enter, exit_, move, declare) in enumerate(matches, start=1):
             self.pre[i] = snapshot
-            changed = False
             if enter:
                 room = normalize_place(enter.group(2))
                 for name in split_name_list(enter.group(1)):
                     key = name.casefold()
-                    if key in characters and current[key] != room:
+                    if key in characters:
                         current[key] = room
-                        changed = True
             if exit_:
                 key = exit_.group(1).casefold()
-                if key in characters and current[key] is not None:
+                if key in characters:
                     current[key] = None
-                    changed = True
             if move:
                 obj, dest = move.group(2), move.group(3)
                 self.effects[i] = (obj.casefold(), dest)
@@ -296,7 +293,7 @@ class _Trace:
             if move or declare:
                 self.placements.append(i)
                 self.first.setdefault(*self.effects[i])
-            if changed:
+            if enter or exit_:
                 snapshot = dict(current)
             self.post[i] = snapshot
 
@@ -348,9 +345,7 @@ _trace_of = LastStory(lambda story: _Trace(story))
 def observed_set(story: Story, character: str) -> set[int]:
     """Indices of events the character could witness: events in its room,
     arrivals and departures included on both sides of the door."""
-    if not story.has_character(character):
-        raise ValidationError(f"{character!r} is not a character of the story")
-    digits = bin(_trace_of(story).seen[character.casefold()])[:1:-1]  # bit 0 first
+    digits = bin(_checked_trace(story, (character,)).seen[character.casefold()])[:1:-1]  # bit 0 first
     return {i for i, digit in enumerate(digits, start=1) if digit == "1"}
 
 

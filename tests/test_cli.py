@@ -187,8 +187,9 @@ def test_removed_eval_flags_are_usage_errors(dataset_path, flags, capsys):
     [
         (["--seeds", "1,x"], "argument --seeds: not a comma-separated list of integers: '1,x'"),
         (["--subset-size=-1"], "argument --subset-size: not a non-negative integer: '-1'"),
+        (["--seeds", "1,1"], "argument --seeds: a seed is given more than once: '1,1'"),
     ],
-    ids=["seeds", "subset-size"],
+    ids=["seeds", "subset-size", "repeated-seed"],
 )
 def test_malformed_eval_numbers_are_usage_errors(dataset_path, flags, message, capsys):
     with pytest.raises(SystemExit) as info:

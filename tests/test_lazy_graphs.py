@@ -6,8 +6,9 @@
   as `_eager_view`) gives.
 - The symbolic path (answers, `bits`, `surviving()`, `len()`) must never
   make a room tuple.
-- The per-story place resolver skips `canonicalize_location` when no alias
-  and the phrase hold one another, and must still give what it gives.
+- The per-story place memo asks `canonicalize_location` once per distinct
+  phrase and must give what it gives; the resolver returns None for a
+  phrase no alias can hold before it tests for negation.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mindmask.nkb as nkb
 import mindmask.scene as scene
 from mindmask.nkb import LocationAnchor, canonicalize_location
 from mindmask.pipeline import PipelineConfig, answer_question, prepare_story
@@ -212,17 +214,28 @@ def _count_resolutions(monkeypatch) -> list:
     return calls
 
 
-def test_phrases_no_alias_can_match_skip_the_resolver(monkeypatch):
+def test_phrases_no_alias_can_hold_skip_the_negation_test(monkeypatch):
+    negation_tests = []
+    is_negated = nkb.is_negated_place
+    monkeypatch.setattr(nkb, "is_negated_place", lambda raw: negation_tests.append(raw) or is_negated(raw))
+    anchors = [LocationAnchor("Kitchen", "kitchen"), LocationAnchor("waiting room", "waiting room")]
+    assert canonicalize_location("in the red crate", anchors) is None
+    assert canonicalize_location("outside the red crate", anchors) is None
+    assert canonicalize_location("Kitchen.", anchors).name == "Kitchen"  # an exact alias
+    assert negation_tests == []
+    assert canonicalize_location("the kitchen table", anchors).name == "Kitchen"  # an alias inside
+    assert canonicalize_location("waiting", anchors).name == "waiting room"  # inside an alias
+    assert canonicalize_location("outside the kitchen", anchors) is None  # negated
+    assert negation_tests == ["the kitchen table", "waiting", "outside the kitchen"]
+
+
+def test_rooms_ask_the_resolver_once_per_distinct_phrase(monkeypatch):
     calls = _count_resolutions(monkeypatch)
     anchors = [LocationAnchor("Kitchen", "kitchen"), LocationAnchor("waiting room", "waiting room")]
     rooms = _Rooms(anchors)
-    assert rooms["in the red crate"] is None
-    assert rooms["Kitchen."] == "Kitchen"  # an exact alias
-    assert calls == []
-    assert rooms["the kitchen table"] == "Kitchen"  # an alias inside the phrase
-    assert rooms["waiting"] == "waiting room"  # the phrase inside an alias
-    assert rooms["outside the kitchen"] is None  # negated, so the resolver must see it
-    assert calls == ["the kitchen table", "waiting", "outside the kitchen"]
+    phrases = ["in the red crate", "Kitchen.", "in the red crate", "the kitchen table", "Kitchen."]
+    assert [rooms[p] for p in phrases] == [None, "Kitchen", None, "Kitchen", "Kitchen"]
+    assert calls == ["in the red crate", "Kitchen.", "the kitchen table"]
 
 
 def test_empty_alias_still_reaches_the_resolver(monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 from mindmask.errors import ValidationError
 from mindmask.pipeline import (
     ABSTAIN,
+    ParsedAnswer,
     PipelineConfig,
     answer_question,
     answers_match,
@@ -14,6 +15,7 @@ from mindmask.pipeline import (
     complexity_report,
     complexity_table,
     evaluate,
+    match_candidates,
     parse_answer,
     prepare_story,
     run_pipeline,
@@ -186,6 +188,15 @@ def test_parse_answer_ambiguous_candidates():
     assert parsed.flagged
 
 
+@pytest.mark.parametrize(
+    "reply, extracted", [("<answer></answer>", ""), ("<answer>?</answer>", "?"), ("<answer>the</answer>", "the")]
+)
+@pytest.mark.parametrize("space", [["box"], ["box", "red crate"]], ids=["one", "two"])
+def test_parse_answer_matches_no_candidate_to_an_empty_answer(reply, extracted, space):
+    assert match_candidates(extracted, space) == (None, False)
+    assert parse_answer(reply, space) == ParsedAnswer(value=extracted, flagged=True, ambiguous=False)
+
+
 def test_parse_answer_total_on_junk():
     for junk in ("", "\n\n", "<answer>", "</answer>", "<answer></answer>", "\x00??"):
         parse_answer(junk)  # must not raise
@@ -232,6 +243,13 @@ def test_evaluate_report_is_deterministic():
     b = evaluate(items, cfg, seeds=[12, 42], subset_size=3).to_json()
     assert a == b
     json.loads(a)  # valid JSON
+
+
+@pytest.mark.parametrize("seeds", [[1, 1], [3, 1, 2, 1]])
+def test_evaluate_refuses_a_repeated_seed(seeds):
+    items = _dataset(2, num_characters=3, max_order=1)
+    with pytest.raises(ValidationError, match="seed 1 is given more than once"):
+        evaluate(items, PipelineConfig(), seeds=seeds)
 
 
 @pytest.mark.parametrize("subset_size", [0, -1])

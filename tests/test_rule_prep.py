@@ -1,9 +1,9 @@
 """A rule-backend story is prepared with one scan and one scene pass.
 
 ``RuleBackend.location_states`` gives the scan's location records in its one
-location order, the emission order, so `prepare_story` runs no merge, and it
-asks for no key entities: only a text reader reads them, through
-`StoryArtifacts.augmented`.
+location order, the emission order, so `prepare_story` runs no merge. The
+backend states every entity whatever the targets, so no key entities are
+asked for, not even when a text reader reads `StoryArtifacts.augmented`.
 """
 
 from __future__ import annotations
@@ -238,12 +238,13 @@ def test_symbolic_path_asks_for_no_key_entities_and_no_merge(story, questions, m
         answer_question(artifacts, q, cfg)
     assert calls.counts == {"identify_key_entities": 0, "merge_states": 0}
 
-    # A text reader still gets every injected bullet, asking for each once.
+    # A text reader still gets every injected bullet, from one merge and no
+    # key entities: the rule backend states every entity whatever the targets.
     reader = PipelineConfig(nkb_backend=backend, answer_backend=RecordingAnswerer())
     for q in questions:
         answer_question(artifacts, q, reader)
     assert artifacts.augmented == expected
-    assert calls.counts == {"identify_key_entities": 1, "merge_states": 1}
+    assert calls.counts == {"identify_key_entities": 0, "merge_states": 1}
 
 
 @pytest.mark.parametrize("story, questions", STORIES[:2], ids=IDS[:2])
