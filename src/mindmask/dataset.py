@@ -33,12 +33,16 @@ def load_dataset(path: str | Path) -> list[DatasetItem]:
 
 
 def _read_lines(path) -> list[str]:
+    """The file's lines, split at line feeds alone, each without a trailing
+    carriage return: JSON keeps U+0085, U+2028 and U+2029 raw inside
+    strings, and `str.splitlines` would split there too."""
     data = Path(path).read_bytes()
     try:
-        return data.decode("utf-8").splitlines()
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        lineno = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        lineno = data.count(b"\n", 0, exc.start) + 1
         raise StoryFormatError(f"{path}:{lineno}: not UTF-8 text: {exc}") from exc
+    return [line.removesuffix("\r") for line in text.split("\n")]
 
 
 def _parse_item(doc, path, lineno) -> DatasetItem:

@@ -263,8 +263,11 @@ def _scan(story: Story) -> _Scan:
         return key
 
     def enter_all(index: int, names: list[str], place: str) -> None:
+        state = f"in the {place}"
         for name in names:
-            present.add(emit(index, name, LOCATION, f"in the {place}"))
+            key = remember(name)
+            records.append(keyed_record(index, display[key], LOCATION, state, (key, LOCATION)))
+            present.add(key)
 
     # Each pattern is tried only when its fixed text is present, a necessary
     # condition for its match.

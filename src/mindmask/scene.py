@@ -5,13 +5,15 @@ or to the null node (``None``) when the room is unknown. Its ``bits`` holds
 the same graph as an integer: bit i-1 is set when event i has a room.
 
 :func:`build_omniscient_graph` does a story's scene work in one pass over
-its records. It resolves each distinct location string once, computes
-every character's room track as runs of one room, and assigns each event
-its room, collecting each room's events as a bitset. The graph it returns
-carries one observation bitset per character: bit i-1 is set when event
-i's room is the character's room before or after the event, which is an OR
-over the track's runs of the run's room bits under the run's span. A
-character-centric graph is a view of that bitset. Masking one graph by
+its records and one over its events. The first resolves each distinct
+location string once and computes every character's room track as runs of
+one room. The second assigns each event its room, collecting each room's
+events as a bitset; an object declaration that names no room waits until
+it ends, then takes its container's room or the nearest earlier room. The
+graph it returns carries one observation bitset per character: bit i-1 is
+set when event i's room is the character's room before or after the event,
+which is an OR over the track's runs of the run's room bits under the run's
+span. A character-centric graph is a view of that bitset. Masking one graph by
 another nulls every event the second graph cannot see, which is an integer
 AND, so folding a belief chain's graphs over the omniscient graph leaves
 exactly the events the whole chain observed. :func:`mask_bits` is that fold;
@@ -181,11 +183,11 @@ def build_omniscient_graph(
     """Assign each event the room where it occurs, from an all-seeing view.
 
     Events with an acting character take the actor's resolved room (an exit
-    keeps the room being exited). Object declarations take the room holding
-    the container, resolved after the whole story is read, falling back to
-    the previous event's room. Unresolvable events get the null node. The
-    graph carries every character's observation bitset, for
-    :func:`build_character_graph`.
+    keeps the room being exited). An object declaration that names no room
+    waits until the one pass over the events ends, then takes its
+    container's room, else the room of the nearest earlier event that has
+    one. Unresolvable events get the null node. The graph carries every
+    character's observation bitset, for :func:`build_character_graph`.
     """
     if not anchors:
         raise ValidationError("cannot build a scene graph without location anchors")
@@ -193,58 +195,63 @@ def build_omniscient_graph(
     tracks, runs, movers, objects = _location_tracks(story, records, rooms)
     n = len(story.events)
 
-    # One pass for each event's acting characters (casefolded), parsed only
-    # for events with no character mover or with an object's location record,
-    # and for each container's room, story-wide: a container's own location
-    # record may name a room, and a character in a room who moves something
-    # into a container puts the container in that room.
-    acting: list[list[str]] = [[] for _ in range(n + 1)]
+    # An event's first acting character (casefolded) is parsed only when no
+    # character moves in it or it has an object's location record. Containers
+    # take rooms anywhere in the story, from their own location records or
+    # from the actor who puts something in them, so a declaration that names
+    # no room waits, with the index of the nearest earlier event that has a
+    # room or waits.
     containers: dict[str, str] = {}
-    for index, event in enumerate(story.events, start=1):
-        here = objects[index]
-        if movers[index] and not here:
-            continue
-        actor = acting[index] = [
-            key for name in leading_subjects(event.text) if (key := name.casefold()) in tracks
-        ]
-        actor_room = tracks[actor[0]][index] if actor else None
-        for r in here:
-            room = rooms[r.state]
-            if room is not None:
-                containers[normalize_place(r.entity)] = room
-            else:
-                place = normalize_place(r.state)
-                if place and actor_room is not None:
-                    containers[place] = actor_room
-
-    # Each room's events as a bitset, collected as rooms are assigned.
-    room_bits: dict[str, int] = {}
+    waiting: list[tuple[int, str, int]] = []
+    room_bits: dict[str, int] = {}  # each room's events as a bitset
     dialogue = story.kind == DIALOGUE_KIND
     assignment: list[str | None] = []
-    previous: str | None = None
+    last = 0
     for index, event in enumerate(story.events, start=1):
         room: str | None = None
-        moved = movers[index]
+        moved, here = movers[index], objects[index]
+        actor_room = actor = None
+        if here or not moved:
+            for name in leading_subjects(event.text):
+                if (key := name.casefold()) in tracks:
+                    actor = key
+                    actor_room = tracks[key][index]
+                    break
+        for r in here:
+            state_room = rooms[r.state]
+            if state_room is not None:
+                containers[normalize_place(r.entity)] = state_room
+            elif actor_room is not None and (place := normalize_place(r.state)):
+                containers[place] = actor_room
         if moved:
             # A mover's arrival names the room; when every mover leaves (an
             # exit), the room being exited is where the first mover by key
             # stood before, whatever the order of the event's records.
-            room = next((tracks[m][index] for m in moved if tracks[m][index] is not None), None)
-            if room is None:
+            for m in moved:
+                room = tracks[m][index]
+                if room is not None:
+                    break
+            else:
                 room = tracks[min(moved)][index - 1]
         elif dialogue and event.speaker is not None:
             room = tracks[event.speaker.casefold()][index]
-        elif acting[index]:
-            room = tracks[acting[index][0]][index]
-        elif objects[index]:
-            state = objects[index][0].state
+        elif actor is not None:
+            room = actor_room
+        elif here:
+            state = here[0].state
             room = rooms[state]
             if room is None:
-                room = containers.get(normalize_place(state), previous)
-
+                waiting.append((index, normalize_place(state), last))
+                last = index
         assignment.append(room)
         if room is not None:
-            previous = room
+            last = index
+            room_bits[room] = room_bits.get(room, 0) | 1 << (index - 1)
+    # In story order, so a fallback that waited is resolved before it is read.
+    for index, place, before in waiting:
+        room = containers.get(place, assignment[before - 1] if before else None)
+        if room is not None:
+            assignment[index - 1] = room
             room_bits[room] = room_bits.get(room, 0) | 1 << (index - 1)
     graph = SceneGraph(
         assignment=tuple(assignment), location_set=frozenset(a.name for a in anchors)
@@ -291,10 +298,10 @@ def mask(g: SceneGraph, gc: SceneGraph) -> SceneGraph:
 def mask_bits(g: SceneGraph, chain: list[SceneGraph]) -> int:
     """The events of `g` that every graph of the chain also places, as one
     AND of the graphs' bits."""
-    bits = g.bits
+    bits, n = g.bits, len(g)
     for gc in chain:
-        if len(g) != len(gc):
-            raise ValidationError(f"cannot mask graphs of different sizes ({len(g)} vs {len(gc)})")
+        if len(gc) != n:
+            raise ValidationError(f"cannot mask graphs of different sizes ({n} vs {len(gc)})")
         bits &= gc.bits
     return bits
 

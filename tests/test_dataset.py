@@ -72,6 +72,33 @@ def test_non_utf8_file_names_its_line(tmp_path):
     assert isinstance(info.value.__cause__, UnicodeDecodeError)
 
 
+# Characters that `str.splitlines` splits on and `json.dumps` writes raw
+# inside strings when `ensure_ascii` is off.
+SEPARATORS = ["\u0085", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("sep", SEPARATORS, ids=["NEL", "LS", "PS"])
+def test_line_separators_inside_strings_load(tmp_path, sep):
+    doc = {**GOOD, "events": [*EVENTS, {"text": f"Mia hummed{sep}a tune."}]}
+    doc["metadata"] = {"note": f"a{sep}b"}
+    path = tmp_path / "raw.jsonl"
+    path.write_text(json.dumps(doc, ensure_ascii=False) + "\r\n", encoding="utf-8")
+    [(story, questions)] = load_dataset(path)
+    assert story.metadata == {"note": f"a{sep}b"}
+    assert story.events[2].text == f"Mia hummed{sep}a tune."
+    assert [q.gold for q in questions] == ["box"]
+
+
+@pytest.mark.parametrize("sep", SEPARATORS, ids=["NEL", "LS", "PS"])
+def test_non_utf8_line_counts_newlines_only(tmp_path, sep):
+    path = tmp_path / "mixed.jsonl"
+    first = json.dumps({**GOOD, "metadata": {"note": sep}}, ensure_ascii=False)
+    path.write_bytes(first.encode("utf-8") + b"\n" + "Zoë".encode("latin-1") + b"\n")
+    with pytest.raises(StoryFormatError) as info:
+        load_dataset(path)
+    assert str(info.value).startswith(f"{path}:2: ")
+
+
 def test_well_formed_dataset_loads(tmp_path):
     path = tmp_path / "good.jsonl"
     path.write_text(json.dumps(GOOD) + "\n", encoding="utf-8")

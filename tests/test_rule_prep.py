@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import RecordingAnswerer
 from test_generator_digest import corpus
-from test_location_records import IDS, STORIES, identity, text_side
+from test_location_records import IDS, STORIES, identity
 from test_pipeline import StoryStatesOnly
 from mindmask import nkb, pipeline
 from mindmask.errors import ValidationError
@@ -245,17 +245,6 @@ def test_symbolic_path_asks_for_no_key_entities_and_no_merge(story, questions, m
         answer_question(artifacts, q, reader)
     assert artifacts.augmented == expected
     assert calls.counts == {"identify_key_entities": 0, "merge_states": 1}
-
-
-@pytest.mark.parametrize("story, questions", STORIES[:2], ids=IDS[:2])
-def test_text_side_keeps_the_questions_it_was_prepared_with(story, questions):
-    backend = RuleBackend()
-    asked = list(questions)
-    artifacts = prepare_story(story, asked, PipelineConfig(nkb_backend=backend))
-    full = prepare_story(story, questions, PipelineConfig(nkb_backend=StoryStatesOnly()))
-    expected = text_side(full, questions, backend)
-    asked.clear()
-    assert text_side(artifacts, questions, backend) == expected
 
 
 # -- an empty question list is refused on both paths ---------------------------
