@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import http.client
 import json
 import logging
 import os
@@ -32,10 +33,10 @@ TEMPERATURE = 0.0
 TIMEOUT_S = 120.0
 
 _RECORD_LINE = re.compile(
-    r"^\s*-?\s*\[?\s*(?:event\s*)?(\d+)\s*\]?\s*:\s*(.+?)\s+of\s+(.+?)\s+becomes\s+(.+?)\s*\.?\s*$",
+    r"^\s*-?\s*\[?\s*(?:event\s*)?(\d+)\s*\]?\s*:\s*(.+?)\s+of\s+(.+?)\s+becomes\s+(.+)$",
     re.IGNORECASE,
 )
-_BULLET_LINE = re.compile(r"^\s*-\s*(.+?)\s*$")
+_BULLET_LINE = re.compile(r"^\s*-\s*(.+)$")
 _ENTITIES_BLOCK = re.compile(r"<entities>(.*?)</entities>", re.IGNORECASE | re.DOTALL)
 
 
@@ -56,6 +57,11 @@ def indexed_narrative(story: Story) -> str:
     return "\n".join(e.render() for e in story.events)
 
 
+# What a request and its body read raise: socket errors, timeouts, `URLError`,
+# a dropped or short response, and a body that is not UTF-8 or not JSON.
+_TRANSPORT_ERRORS = (OSError, http.client.HTTPException, ValueError)
+
+
 def _default_transport(url: str, headers: dict, payload: dict, timeout: float) -> dict:
     request = urllib.request.Request(
         url, data=json.dumps(payload).encode("utf-8"), headers=headers, method="POST"
@@ -64,10 +70,13 @@ def _default_transport(url: str, headers: dict, payload: dict, timeout: float) -
         with urllib.request.urlopen(request, timeout=timeout) as response:
             return json.loads(response.read().decode("utf-8"))
     except urllib.error.HTTPError as exc:
-        body = exc.read().decode("utf-8", "replace")
+        try:
+            body = exc.read().decode("utf-8", "replace")
+        except _TRANSPORT_ERRORS as read_error:
+            body = f"<body did not read: {read_error!r}>"
         raise BackendError(f"chat endpoint returned HTTP {exc.code}", raw_response=body) from exc
-    except (urllib.error.URLError, TimeoutError, json.JSONDecodeError) as exc:
-        raise BackendError(f"chat endpoint unreachable: {exc}") from exc
+    except _TRANSPORT_ERRORS as exc:
+        raise BackendError(f"chat endpoint failed: {exc!r}") from exc
 
 
 @dataclass
@@ -92,15 +101,25 @@ class ChatClient:
         transport = self.transport or _default_transport
         data = transport(url, headers, payload, TIMEOUT_S)
         try:
-            return data["choices"][0]["message"]["content"] or ""
-        except (KeyError, IndexError, TypeError) as exc:
-            raise BackendError(
-                "malformed chat response", raw_response=json.dumps(data)[:2000]
-            ) from exc
+            content = data["choices"][0]["message"]["content"]
+            if content is None or type(content) is str:
+                return content or ""
+        except (KeyError, IndexError, TypeError):
+            pass
+        raise BackendError(
+            "malformed chat response", raw_response=json.dumps(data, default=repr)[:2000]
+        )
 
 
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+@functools.cache
+def _fixed_digest(text: str) -> str:
+    """`_digest` of a template text or a backend name, which every cache key
+    carries; hashed once per process."""
+    return _digest(text)
 
 
 _RECORD_KEYS = {"event_index", "entity", "attribute", "state"}
@@ -169,10 +188,11 @@ class RecordCache:
     def key(self, template: str, story: Story, part: str, backend_name: str) -> bytes:
         """The entry key of ``template``'s reply for ``story``. One memo, a
         :class:`mindmask.story.LastStory`, keeps the last story's key, so its
-        three replies hash it once."""
+        three replies hash it once; a template text and a backend name are
+        hashed once per process."""
         story_key = self._story_key(story)
-        text = load_prompt(template)
-        return f"{template}-{story_key}-{part}-{_digest(text)}-{_digest(backend_name)}".encode()
+        text, name = _fixed_digest(load_prompt(template)), _fixed_digest(backend_name)
+        return f"{template}-{story_key}-{part}-{text}-{name}".encode()
 
     def _scan(self) -> int:
         """Index the complete lines past the last indexed one and return the
@@ -249,16 +269,22 @@ class RecordCache:
         self.put(key, rows)
 
 
+def _bullets(text: str) -> list[str]:
+    """The items of ``text``'s ``- item`` lines, without trailing whitespace.
+    An item of whitespace alone stays the one character the pattern left it."""
+    lines = map(_BULLET_LINE.match, text.splitlines())
+    return [(item := m.group(1)).rstrip() or item for m in lines if m]
+
+
 def _entity_pairs(response: str) -> list[list[str]]:
     """``[entity, attribute]`` pairs of a key-entity reply; a reply with none raises."""
     block = _ENTITIES_BLOCK.search(response)
     body = block.group(1) if block else response
     pairs = []
-    for line in body.splitlines():
-        m = _BULLET_LINE.match(line)
-        if not m or " of " not in m.group(1):
+    for item in _bullets(body):
+        if " of " not in item:
             continue
-        attribute, entity = m.group(1).split(" of ", 1)
+        attribute, entity = item.split(" of ", 1)
         pairs.append([entity.strip(), attribute.strip()])
     if not pairs:
         raise ExtractionError(f"no entity pairs in backend response: {response[:500]!r}")
@@ -266,7 +292,7 @@ def _entity_pairs(response: str) -> list[list[str]]:
 
 
 def _room_names(response: str) -> list[str]:
-    names = [m.group(1) for m in map(_BULLET_LINE.match, response.splitlines()) if m]
+    names = _bullets(response)
     if not names:
         raise ExtractionError(f"no rooms in backend response: {response[:500]!r}")
     return names
@@ -359,8 +385,12 @@ class RemoteBackend:
             m = _RECORD_LINE.match(line)
             if m:
                 index, attribute, entity, state = m.groups()
+                # Drop trailing whitespace and one period after something else.
+                state = state.rstrip()
+                if len(state) > 1 and state[-1] == ".":
+                    state = state[:-1].rstrip()
                 rows.append({"event_index": int(index), "attribute": attribute.strip(),
-                             "entity": entity.strip(), "state": state.strip()})
+                             "entity": entity.strip(), "state": state})
             elif line.lstrip().startswith("-"):
                 self.skipped_lines += 1
                 log.warning("skipping unparseable record line: %r", line.strip())
