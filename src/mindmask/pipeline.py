@@ -35,7 +35,7 @@ from .nkb import (
     identify_key_entities,
     merge_states,
 )
-from .question import ToMQuestion, answer_space_for, reduce_order
+from .question import ToMQuestion, reduce_order
 from .scene import (
     GraphBuildCounts,
     MaskedView,
@@ -226,6 +226,17 @@ def _state_to_answer(state: str) -> str:
     return normalize_place(state)
 
 
+def answer_space_for(q: ToMQuestion, story: Story, records: list[EntityStateRecord]) -> list[str]:
+    """Candidate answers for a location question: each answer the symbolic
+    reader could give from the target's location records, else from every
+    object's, once each, in record order, empty answers dropped."""
+    target = (q.target_entity.casefold(), LOCATION)
+    chosen = [r for r in records if r.key == target] or [
+        r for r in records if r.key[1] == LOCATION and r.key[0] not in story.characters_by_key
+    ]
+    return [a for a in dict.fromkeys(_state_to_answer(r.state) for r in chosen) if a]
+
+
 def match_candidates(value: str, space) -> tuple[str | None, bool]:
     """(candidate, ambiguous): exact normalized match first, then a unique
     substring match in either direction. A value that normalizes to nothing
@@ -373,7 +384,8 @@ def evaluate(
     per-seed accuracies.
     A story is prepared and answered once per run, the first time a subset
     holds it; every seed that samples it again reuses those outcomes.
-    Questions without gold answers are skipped and counted.
+    Questions without gold answers are skipped and counted; a story with
+    none that has gold is not prepared.
     """
     import random
 
@@ -402,7 +414,8 @@ def evaluate(
             max_m = max(max_m, len(story.characters))
             max_k = max([max_k] + [q.order for q in questions])
             if story_index not in answered:  # None stands for a question without gold
-                artifacts = prepare_story(story, questions, cfg)
+                scored = any(q.gold is not None for q in questions)
+                artifacts = prepare_story(story, questions, cfg) if scored else None
                 answered[story_index] = [
                     None if q.gold is None else answer_question(artifacts, q, cfg) for q in questions
                 ]

@@ -1,4 +1,4 @@
-"""Question parsing: belief chains, order reduction, and answer spaces.
+"""Question parsing: belief chains and order reduction.
 
 The rule parser covers the location-question templates of the supported
 datasets and of the synthetic generator:
@@ -15,16 +15,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
 
 from .errors import QuestionParseError, ValidationError
-from .nkb import LOCATION
-from .story import NAME
-from .textnorm import normalize_place
-
-if TYPE_CHECKING:
-    from .nkb import EntityStateRecord
-    from .story import Story
+from .story import NAME, Story
 
 SUPPORTED_TEMPLATES = (
     "Where does A think [B thinks ...] the X is?",
@@ -177,29 +170,3 @@ def reduce_order(q: ToMQuestion) -> ToMQuestion:
         chain=BeliefChain((innermost,)),
     )
 
-
-def answer_space_for(q: ToMQuestion, story: Story, records: list[EntityStateRecord]) -> list[str]:
-    """Candidate answers for a location question: every place the target was
-    recorded in, initial declaration included, in first-mention order."""
-    target = (q.target_entity.casefold(), LOCATION)
-    candidates: list[str] = []
-    seen: set[str] = set()
-
-    def add(state: str):
-        place = normalize_place(state)
-        if place and place not in seen:
-            seen.add(place)
-            candidates.append(place)
-
-    for r in records:
-        if r.key == target:
-            add(r.state)
-    if candidates:
-        return candidates
-
-    person = story.characters_by_key
-    for r in records:
-        entity, attribute = r.key
-        if attribute == LOCATION and entity not in person:
-            add(r.state)
-    return candidates

@@ -32,10 +32,14 @@ API_KEY_ENV = "MINDMASK_API_KEY"
 TEMPERATURE = 0.0
 TIMEOUT_S = 120.0
 
+# The "<attribute> of <entity>" pair of a state line and of a key-entity item:
+# the attribute is the shortest text before an `of` in any case.
+_PAIR = r"(.+?)\s+of\s+"
 _RECORD_LINE = re.compile(
-    r"^\s*-?\s*\[?\s*(?:event\s*)?(\d+)\s*\]?\s*:\s*(.+?)\s+of\s+(.+?)\s+becomes\s+(.+)$",
+    rf"^\s*-?\s*\[?\s*(?:event\s*)?(\d+)\s*\]?\s*:\s*{_PAIR}(.+?)\s+becomes\s+(.+)$",
     re.IGNORECASE,
 )
+_PAIR_ITEM = re.compile(rf"{_PAIR}(.+)", re.IGNORECASE)
 _BULLET_LINE = re.compile(r"^\s*-\s*(.+)$")
 _ENTITIES_BLOCK = re.compile(r"<entities>(.*?)</entities>", re.IGNORECASE | re.DOTALL)
 
@@ -280,12 +284,8 @@ def _entity_pairs(response: str) -> list[list[str]]:
     """``[entity, attribute]`` pairs of a key-entity reply; a reply with none raises."""
     block = _ENTITIES_BLOCK.search(response)
     body = block.group(1) if block else response
-    pairs = []
-    for item in _bullets(body):
-        if " of " not in item:
-            continue
-        attribute, entity = item.split(" of ", 1)
-        pairs.append([entity.strip(), attribute.strip()])
+    matches = filter(None, map(_PAIR_ITEM.fullmatch, _bullets(body)))
+    pairs = [[m.group(2).strip(), m.group(1).strip()] for m in matches]
     if not pairs:
         raise ExtractionError(f"no entity pairs in backend response: {response[:500]!r}")
     return pairs

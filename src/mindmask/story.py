@@ -104,10 +104,15 @@ class Story:
         return name.casefold() in self.characters_by_key
 
     def key(self) -> str:
-        """Stable identity over kind and event content, for caching."""
+        """Stable identity over kind and event content, for caching. The
+        payload, one ``speaker<TAB>text`` line an event, reads back one way
+        when it holds one newline an event and no speaker (a character) holds
+        a tab; any other story hashes a JSON form that no such payload equals."""
         import hashlib
 
         payload = self.kind + "\n" + "\n".join(f"{e.speaker or ''}\t{e.text}" for e in self.events)
+        if payload.count("\n") != len(self.events) or any("\t" in name for name in self.characters):
+            payload = "\0" + json.dumps([self.kind, [[e.speaker or "", e.text] for e in self.events]])
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 

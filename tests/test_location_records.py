@@ -24,8 +24,8 @@ from mindmask.nkb import (
     identify_key_entities,
     merge_states,
 )
-from mindmask.pipeline import PipelineConfig, StoryArtifacts, answer_question, prepare_story
-from mindmask.question import answer_space_for, parse_question
+from mindmask.pipeline import PipelineConfig, StoryArtifacts, answer_question, answer_space_for, prepare_story
+from mindmask.question import parse_question
 from mindmask.remote import ChatClient, RecordCache, RemoteBackend
 from mindmask.scene import build_omniscient_graph
 from mindmask.story import parse_story

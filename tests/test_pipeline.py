@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -431,3 +432,15 @@ def test_complexity_renderers():
     csv = complexity_csv(rows)
     assert csv.splitlines()[0] == "m,k,scene_graphs,chain_graphs"
     assert "5,5,6,325" in csv
+
+
+def test_evaluate_prepares_only_stories_with_gold():
+    items = _dataset(3, num_characters=3, max_order=2)
+    no_questions = (items[0][0], [])
+    no_gold = (items[1][0], [dataclasses.replace(q, gold=None) for q in items[1][1]])
+    backend = StoryStatesOnly()
+    report = evaluate(items + [no_questions, no_gold], PipelineConfig(nkb_backend=backend), seeds=[0])
+    assert report.rows == evaluate(items, PipelineConfig(), seeds=[0]).rows
+    assert report.skipped == len(no_gold[1])
+    # The two added stories score nothing, so neither is prepared.
+    assert backend.state_calls == [story for story, _ in items]

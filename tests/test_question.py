@@ -4,9 +4,9 @@ import pytest
 
 from mindmask.errors import QuestionParseError, ValidationError
 from mindmask.nkb import RuleBackend, generate_states, identify_key_entities
+from mindmask.pipeline import answer_space_for
 from mindmask.question import (
     BeliefChain,
-    answer_space_for,
     parse_question,
     reduce_order,
     render_question,

@@ -6,8 +6,8 @@ from __future__ import annotations
 import dataclasses
 
 from mindmask.nkb import LOCATION, EntityAttribute, EntityStateRecord
-from mindmask.pipeline import PipelineConfig, answer_question, prepare_story
-from mindmask.question import answer_space_for, parse_question
+from mindmask.pipeline import PipelineConfig, answer_question, answer_space_for, prepare_story
+from mindmask.question import parse_question
 from mindmask.remote import ChatClient, RecordCache, RemoteBackend
 from mindmask.story import parse_story
 

@@ -9,11 +9,12 @@ import pytest
 from mindmask.pipeline import (
     PipelineConfig,
     answer_question,
+    answer_space_for,
     mask_question,
     parse_answer,
     prepare_story,
 )
-from mindmask.question import answer_space_for, reduce_order
+from mindmask.question import reduce_order
 from mindmask.worldgen import GrammarConfig, generate_story
 
 DEEP_CHAINS = dict(num_characters=5, num_rooms=4, max_order=4, allow_reentry=True)
