@@ -385,7 +385,9 @@ def evaluate(
     A story is prepared and answered once per run, the first time a subset
     holds it; every seed that samples it again reuses those outcomes.
     Questions without gold answers are skipped and counted; a story with
-    none that has gold is not prepared.
+    none that has gold is not prepared. The report's graph counts take m
+    and k over the prepared stories and the questions answered (m = 1 and
+    k = 0 when there are none).
     """
     import random
 
@@ -411,11 +413,13 @@ def evaluate(
 
         seed_rows = []
         for story_index, (story, questions) in indexed:
-            max_m = max(max_m, len(story.characters))
-            max_k = max([max_k] + [q.order for q in questions])
             if story_index not in answered:  # None stands for a question without gold
-                scored = any(q.gold is not None for q in questions)
-                artifacts = prepare_story(story, questions, cfg) if scored else None
+                orders = [q.order for q in questions if q.gold is not None]
+                artifacts = None
+                if orders:
+                    artifacts = prepare_story(story, questions, cfg)
+                    max_m = max(max_m, len(story.characters))
+                    max_k = max(max_k, *orders)
                 answered[story_index] = [
                     None if q.gold is None else answer_question(artifacts, q, cfg) for q in questions
                 ]

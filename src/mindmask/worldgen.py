@@ -9,7 +9,11 @@ false belief.
 The oracle replays the raw event text (never the pipeline's state records)
 and answers nested-belief questions by updating a belief store at every chain
 prefix whose characters all witnessed the event. It is the ground truth the
-masking pipeline is measured against.
+masking pipeline is measured against. The rule assumes co-presence: an
+observer of an event knows who else is in the room, so it knows who else saw
+the event. HiToM (Wu et al., 2023) states a close assumption in its prompts:
+an agent can reason about another's mind only if the two shared a room or
+communicated.
 
 Gold is made without reading the story back: ``generate_story`` builds each
 question from the chain and object it drew (its text is
@@ -17,13 +21,14 @@ question from the chain and object it drew (its text is
 same question) and asks ``simulate_beliefs`` for its answer. The oracle still
 reads the story's text, never the generator's draws.
 
-The oracle builds one trace per story: the rooms, whereabouts and object
-effects of every event, from one regex pass over the text, plus the events
-that place an object and each object's first container, so a belief fold
-visits only those events. Consecutive ``simulate_beliefs``, ``belief_store``
-and ``observed_set`` calls on the same ``Story`` object share it through one
-memo, a :class:`mindmask.story.LastStory`, as ``generate_story`` (one call
-per question) and a per-character ``observed_set`` sweep make them.
+The oracle builds one trace per story in one loop over the events: each
+event's room and object effect, each character's whereabouts as runs in one
+room, and from those one observation bitset per character. Gold for a chain
+is the entity's last placement kept by the AND of its members' bitsets.
+Consecutive ``simulate_beliefs``, ``belief_store`` and ``observed_set`` calls
+on the same ``Story`` object share the trace through one memo, a
+:class:`mindmask.story.LastStory`, as ``generate_story`` (one call per
+question) and a per-character ``observed_set`` sweep make them.
 """
 
 from __future__ import annotations
@@ -221,121 +226,105 @@ def _config_metadata(config: GrammarConfig) -> dict:
 class _Trace:
     """Rooms, per-character whereabouts, and object effects per event.
 
-    Each event is matched once against the enter, exit, move and declare
-    patterns (one text can match two of them, so all four are tried), each
-    only when the pattern's fixed text is in the line (" entered the ",
-    " exited the ", " moved the ", a leading "The "), a necessary condition
-    for its match; the stay pattern likewise needs " stayed in the ".
-    ``pre[i]`` and ``post[i]`` are read-only snapshots; a new one is made
-    after each enter or exit line, so the entries between two such lines
-    share it. ``seen`` holds one observation bitset per casefolded
-    character, the trace's one observation view: bit i-1 is set when the
-    character observes event i. Characters are the story's
-    ``characters_by_key``; one memo keeps the last story's trace.
+    Each event is matched against the enter, exit, move, stay and distract
+    patterns in that order, each only when its fixed text is in the line (a
+    necessary condition for its match); the first that matches gives the
+    event's room. A line that also reads as a declaration (a leading "The ")
+    takes the declaration's effect. A declaration that is nothing else waits
+    until the loop ends, as its room can come from a later line; the waiting
+    ones are resolved in story order.
+
+    A character's whereabouts are runs ``(room, start, end)``: an enter opens
+    one, and an exit or an enter into another room closes it, so a run spans
+    the events where the character is in the room before or after. ``seen``
+    holds one observation bitset per casefolded character (bit i-1 for event
+    i), the OR over its runs of the room's events within the run.
     ``placements`` lists, in order, the indices i whose ``effects[i]`` is set
     (the move and declare events), and ``first`` maps each casefolded object
-    to the container of its first placement; the first pass records both.
+    to the container of its first placement.
     """
 
     def __init__(self, story: Story):
         characters = story.characters_by_key
-
-        texts = [event.text for event in story.events]
-        matches = [
-            (
-                _ENTER.match(t) if " entered the " in t else None,
-                _EXIT.match(t) if " exited the " in t else None,
-                _MOVE.match(t) if " moved the " in t else None,
-                _DECLARE.match(t) if t.startswith("The ") else None,
-            )
-            for t in texts
-        ]
-        self.rooms: set[str] = {
-            normalize_place(m.group(2)) for enter, exit_, _, _ in matches for m in (enter, exit_) if m
-        }
-
         n = len(story.events)
-        self.pre: list[dict[str, str | None]] = [dict()] * (n + 1)
-        self.post: list[dict[str, str | None]] = [dict()] * (n + 1)
+        self.rooms: set[str] = set()
         self.room_of: list[str | None] = [None] * (n + 1)
         self.effects: list[tuple[str, str] | None] = [None] * (n + 1)
         self.placements: list[int] = []
         self.first: dict[str, str] = {}
 
-        current = dict.fromkeys(characters)
-        snapshot = dict(current)
+        current: dict[str, str | None] = dict.fromkeys(characters)
+        opened: dict[str, int] = {}  # the start of each character's open run
+        runs: list[tuple[str, str, int, int]] = []  # closed runs: character, room, start, end
         container_room: dict[str, str] = {}
         parent: dict[str, str] = {}
-
-        # First pass: whereabouts, containment edges, container rooms.
-        moves: list[tuple[int, str, str]] = []
-        for i, (enter, exit_, move, declare) in enumerate(matches, start=1):
-            self.pre[i] = snapshot
-            if enter:
-                room = normalize_place(enter.group(2))
-                for name in split_name_list(enter.group(1)):
+        # Declarations that wait: index, holder, and the last earlier event
+        # with a room or waiting itself (0 for none; room_of[0] is None).
+        waiting: list[tuple[int, str, int]] = []
+        last = 0
+        for i, event in enumerate(story.events, start=1):
+            t = event.text
+            room: str | None = None
+            declare = _DECLARE.match(t) if t.startswith("The ") else None
+            if " entered the " in t and (m := _ENTER.match(t)):
+                room = normalize_place(m.group(2))
+                self.rooms.add(room)
+                for name in split_name_list(m.group(1)):
                     key = name.casefold()
-                    if key in characters:
-                        current[key] = room
-            if exit_:
-                key = exit_.group(1).casefold()
-                if key in characters:
+                    if key in characters and current[key] != room:
+                        if current[key] is not None:
+                            runs.append((key, current[key], opened[key], i))
+                        current[key], opened[key] = room, i
+            elif " exited the " in t and (m := _EXIT.match(t)):
+                self.rooms.add(normalize_place(m.group(2)))
+                key = m.group(1).casefold()
+                room = current.get(key)
+                if room is not None:
+                    runs.append((key, room, opened[key], i))
                     current[key] = None
-            if move:
-                obj, dest = move.group(2), move.group(3)
+            elif " moved the " in t and (m := _MOVE.match(t)):
+                obj, dest = m.group(2), m.group(3)
                 self.effects[i] = (obj.casefold(), dest)
-                parent[obj.casefold()] = normalize_place(dest)
-                moves.append((i, move.group(1).casefold(), normalize_place(dest)))
+                parent[obj.casefold()] = holder = normalize_place(dest)
+                room = current.get(m.group(1).casefold())
+                if room is not None:
+                    container_room[holder] = room
+            elif m := (
+                (_STAY.match(t) if " stayed in the " in t else None)
+                or (_DISTRACT.match(t) if " likes the " in t or " hates the " in t else None)
+            ):
+                room = current.get(m.group(1).casefold())
+            elif declare:
+                waiting.append((i, normalize_place(declare.group(2)), last))
+                last = i
             if declare:
-                obj, container = declare.group(1), declare.group(2)
+                obj, container = declare.groups()
                 self.effects[i] = (obj.casefold(), container)
                 parent[obj.casefold()] = normalize_place(container)
-            if move or declare:
+            if self.effects[i]:
                 self.placements.append(i)
                 self.first.setdefault(*self.effects[i])
-            if enter or exit_:
-                snapshot = dict(current)
-            self.post[i] = snapshot
-
-        for i, mover, destination in moves:
-            room = self.post[i].get(mover)
             if room is not None:
-                container_room[destination] = room
+                self.room_of[i] = room
+                last = i
+
         for child, holder in parent.items():
             if holder in self.rooms:
                 container_room[child] = holder
+        for i, holder, before in waiting:
+            if holder in self.rooms:
+                self.room_of[i] = holder
+            else:
+                self.room_of[i] = container_room.get(holder, self.room_of[before])
 
-        # Second pass: each event's room and who sees it. A text that reads
-        # both as a stay or distract line and as a declaration counts as the
-        # former, so those two are tried before the declaration.
-        self.seen: dict[str, int] = dict.fromkeys(characters, 0)
-        previous: str | None = None
-        for i, (text, (enter, exit_, move, declare)) in enumerate(zip(texts, matches), start=1):
-            room: str | None = None
-            if enter:
-                room = normalize_place(enter.group(2))
-            elif exit_:
-                room = self.pre[i].get(exit_.group(1).casefold())
-            elif move:
-                room = self.post[i].get(move.group(1).casefold())
-            elif (
-                m := (_STAY.match(text) if " stayed in the " in text else None)
-                or _DISTRACT.match(text)
-            ) is not None:
-                room = self.post[i].get(m.group(1).casefold())
-            elif declare:
-                holder = normalize_place(declare.group(2))
-                if holder in self.rooms:
-                    room = holder
-                else:
-                    room = container_room.get(holder, previous)
-            self.room_of[i] = room
+        room_bits: dict[str, int] = {}
+        for i, room in enumerate(self.room_of):
             if room is not None:
-                previous = room
-                before, after = self.pre[i], self.post[i]
-                for key in characters:
-                    if before.get(key) == room or after.get(key) == room:
-                        self.seen[key] |= 1 << (i - 1)
+                room_bits[room] = room_bits.get(room, 0) | 1 << (i - 1)
+        runs.extend((key, room, opened[key], n) for key, room in current.items() if room is not None)
+        self.seen: dict[str, int] = dict.fromkeys(characters, 0)
+        for key, room, start, end in runs:
+            self.seen[key] |= room_bits[room] & (1 << end) - (1 << (start - 1))
 
 
 # The trace of the last story asked about.
@@ -387,12 +376,19 @@ def simulate_beliefs(story: Story, chain: tuple[str, ...], entity: str) -> str:
     entity is after the last event, falling back to its first declared
     container when the chain never witnessed an update.
 
-    The beliefs are folded over the trace's placement events only, and the
-    fallback is the trace's ``first`` entry, not a scan of every event."""
+    That is the entity's last placement that every name of the chain
+    observed, found by one AND of their bitsets and a backward walk over the
+    trace's placement events, else the trace's ``first`` entry."""
     key = entity.casefold()
     trace = _checked_trace(story, chain)
     first = trace.first.get(key)
     if first is None:
         raise ValidationError(f"{entity!r} is never placed anywhere in the story")
-    beliefs = _fold_beliefs(trace, chain)
-    return beliefs[len(chain)].get(key, first)
+    seen = -1
+    for name in chain:
+        seen &= trace.seen[name.casefold()]
+    for i in reversed(trace.placements):
+        obj, container = trace.effects[i]
+        if seen >> (i - 1) & 1 and obj == key:
+            return container
+    return first

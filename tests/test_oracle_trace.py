@@ -225,8 +225,6 @@ def assert_matches_reference(story: Story) -> None:
     assert trace.rooms == reference.rooms
     assert trace.room_of == reference.room_of
     assert trace.effects == reference.effects
-    assert trace.pre == reference.pre
-    assert trace.post == reference.post
     n = len(story.events)
     for name in story.characters:
         assert [bool(trace.seen[name.casefold()] >> (i - 1) & 1) for i in range(1, n + 1)] == [
@@ -292,6 +290,94 @@ def test_double_match_lines_keep_the_pattern_order():
     # The move line also reads as a declaration; the declaration wins the
     # effect, as it is matched last.
     assert worldgen._Trace(story).effects[3] == ("moved the apple", "box to the crate")
+
+
+# Each story: its lines, then the rooms of its events (index 1 first), then
+# the events Mia observes. Rooms a declaration waits for come from later lines.
+# "The" is a character, so a line can read as its move or distract line and
+# as a declaration at once; "Zed" is not.
+ONE_PASS_CASES = {
+    "declaration-room-from-a-later-move": (
+        [
+            "The apple is in the box.",
+            "Mia entered the hall.",
+            "Mia moved the apple to the box.",
+            "Mia exited the hall.",
+        ],
+        ["hall", "hall", "hall", "hall"],
+        [2, 3, 4],
+    ),
+    "declaration-holder-entered-later": (
+        ["Ben entered the porch.", "The box is in the attic.", "Mia entered the attic."],
+        ["porch", "attic", "attic"],
+        [3],
+    ),
+    "declaration-container-placed-in-a-room-later": (
+        ["The apple is in the box.", "Mia entered the hall.", "The box is in the attic.", "Ben entered the attic."],
+        ["attic", "hall", "attic", "attic"],
+        [2],
+    ),
+    "two-waiting-declarations-no-earlier-room": (
+        [
+            "The box is in the attic.",
+            "The apple is in the jar.",
+            "The pear is in the cup.",
+            "Mia entered the attic.",
+        ],
+        ["attic", "attic", "attic", "attic"],
+        [4],
+    ),
+    "two-waiting-declarations-no-room-at-all": (
+        ["The apple is in the jar.", "The pear is in the cup.", "Mia entered the hall."],
+        [None, None, "hall"],
+        [3],
+    ),
+    "enter-a-new-room-without-exit": (
+        [
+            "Mia and Ben entered the hall.",
+            "The apple is in the box.",
+            "Mia entered the attic.",
+            "Ben moved the apple to the crate.",
+            "Mia made no movements and stayed in the attic for 1 minute.",
+        ],
+        ["hall", "hall", "attic", "hall", "attic"],
+        [1, 2, 3, 5],
+    ),
+    "exit-by-someone-in-no-room": (
+        ["Mia exited the hall.", "Ben entered the hall.", "The apple is in the box.", "Mia exited the den."],
+        [None, "hall", "hall", None],
+        [],
+    ),
+    "move-that-reads-as-a-declaration": (
+        [
+            "The and Mia entered the hall.",
+            "The moved the apple is in the box to the crate.",
+            "The apple is in the crate.",
+        ],
+        ["hall", "hall", "hall"],
+        [1, 2, 3],
+    ),
+    "distract-by-a-non-character": (
+        [
+            "Mia entered the hall.",
+            "Zed likes the box.",
+            "The hates the box is in the attic.",
+            "Mia hates the box.",
+            "Ben entered the attic.",
+        ],
+        ["hall", None, None, "hall", "attic"],
+        [1, 4],
+    ),
+}
+
+
+@pytest.mark.parametrize("lines, rooms, mia_sees", ONE_PASS_CASES.values(), ids=ONE_PASS_CASES)
+def test_one_pass_trace_on_written_stories(lines, rooms, mia_sees):
+    events = tuple(Event(index=i, text=text) for i, text in enumerate(lines, start=1))
+    story = Story(events=events, characters=("Mia", "Ben", "The"))
+    assert_matches_reference(story)
+    assert worldgen._Trace(story).room_of[1:] == rooms
+    assert sorted(observed_set(story, "Mia")) == mia_sees
 
 
 # -- how many traces a story costs ---------------------------------------------

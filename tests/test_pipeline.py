@@ -279,6 +279,22 @@ def test_evaluate_skips_missing_gold(melon_story, melon_question):
     assert report.rows == []
 
 
+def test_evaluate_counts_graphs_over_prepared_stories_only():
+    two = _dataset(1, num_characters=2, max_order=2)
+    five = (_dataset(1, seed=7, num_characters=5, max_order=4)[0][0], [])
+    report = evaluate(two + [five], PipelineConfig(), seeds=[0])
+    assert report.graph_counts["m"] == 2 and report.graph_counts["scene_graphs"] == 3
+    assert report.graph_counts["k"] == 2
+
+
+def test_evaluate_without_gold_counts_no_graphs():
+    items = _dataset(2, num_characters=4, max_order=3)
+    no_gold = [(story, [dataclasses.replace(q, gold=None) for q in qs]) for story, qs in items]
+    report = evaluate(no_gold, PipelineConfig(), seeds=[0])
+    assert report.rows == []
+    assert (report.graph_counts["m"], report.graph_counts["k"]) == (1, 0)
+
+
 def test_complexity_report_m5():
     rows = complexity_report([5], range(1, 6))
     assert [r.chain_graphs for r in rows] == [5, 25, 85, 205, 325]

@@ -9,6 +9,9 @@ written; and a rerun over a filled log sends no chat request at all.
 
 from __future__ import annotations
 
+import os
+import stat
+
 import pytest
 
 from mindmask.errors import CacheFormatError, ExtractionError, ProtocolError
@@ -227,6 +230,24 @@ def test_key_entity_and_room_entries_are_checked(cupboard_story, cupboard_questi
             fresh = RemoteBackend(canned()[0], cache=RecordCache(tmp_path))
             with pytest.raises(CacheFormatError, match=rf"{LOG_NAME}: line 3 is not"):
                 call(fresh)
+
+
+def test_an_entry_appended_earlier_is_named_by_its_line(cupboard_story, tmp_path):
+    cache = RecordCache(tmp_path)
+    cache.store(cupboard_story, [EntityAttribute("basket", "content")], NAME, OTHER)
+    cache.store(cupboard_story, TARGETS, NAME, [{"event_index": 4}])
+    # The line number comes from the count this instance's own appends kept.
+    with pytest.raises(CacheFormatError, match=rf"{LOG_NAME}: line 2 is not"):
+        cache.load(cupboard_story, TARGETS, NAME)
+
+
+def test_a_new_log_takes_its_mode_from_the_umask(cupboard_story, tmp_path):
+    old = os.umask(0o022)
+    try:
+        RecordCache(tmp_path).store(cupboard_story, TARGETS, NAME, ROWS)
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE((tmp_path / LOG_NAME).stat().st_mode) == 0o644
 
 
 # -- replies that raise ----------------------------------------------------------
