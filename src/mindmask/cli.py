@@ -87,6 +87,8 @@ def _pipeline_config(args) -> PipelineConfig:
 
 
 def _cmd_generate(args):
+    if args.count < 1:
+        raise ValidationError(f"count must be at least 1, not {args.count}")
     items = []
     for offset in range(args.count):
         config = GrammarConfig(

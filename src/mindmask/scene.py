@@ -6,14 +6,16 @@ the same graph as an integer: bit i-1 is set when event i has a room.
 
 :func:`build_omniscient_graph` does a story's scene work in one pass over
 its records and one over its events. The first resolves each distinct
-location string once and computes every character's room track as runs of
-one room. The second assigns each event its room, collecting each room's
-events as a bitset; an object declaration that names no room waits until
-it ends, then takes its container's room or the nearest earlier room. The
-graph it returns carries one observation bitset per character: bit i-1 is
-set when event i's room is the character's room before or after the event,
-which is an OR over the track's runs of the run's room bits under the run's
-span. A character-centric graph is a view of that bitset. Masking one graph by
+location string once and buckets each event's character moves and object
+records. The second keeps each character's current room, opening and
+closing runs of one room as the character moves, assigns each event its
+room and collects each room's events as a bitset; an object declaration
+that names no room waits until it ends, then takes its container's room or
+the nearest earlier room. The graph it returns carries one observation
+bitset per character: bit i-1 is set when event i's room is the
+character's room before or after the event, which is an OR over the
+character's runs of the run's room bits under the run's span. A
+character-centric graph is a view of that bitset. Masking one graph by
 another nulls every event the second graph cannot see, which is an integer
 AND, so folding a belief chain's graphs over the omniscient graph leaves
 exactly the events the whole chain observed. :func:`mask_bits` is that fold;
@@ -125,58 +127,6 @@ class _Rooms(dict):
         return room
 
 
-def _location_tracks(
-    story: Story, records: list[EntityStateRecord], rooms: _Rooms
-) -> tuple[dict, dict, list, list]:
-    """Each character's room track and its runs, and each event's movers and
-    object location records, from one pass over the records.
-
-    Track keys are casefolded names. ``track[i]`` is the room once the
-    records of event `i` apply; ``track[0]``, before the story, is the null
-    node. A run ``(room, start, end)`` is a non-null `room` held from track
-    index `start` up to `end`, exclusive. ``movers[i]`` lists the characters
-    with a location record at event `i` and ``objects[i]`` the other
-    location records, both in record order.
-    """
-    n = len(story.events)
-    moves: dict[str, dict[int, str | None]] = {key: {} for key in story.characters_by_key}
-    movers: list[list[str]] = [[] for _ in range(n + 1)]
-    objects: list[list[EntityStateRecord]] = [[] for _ in range(n + 1)]
-    for r in records:
-        if not 1 <= r.event_index <= n:
-            raise ValidationError(f"record references unknown event index {r.event_index}")
-        key, attribute = r.key
-        if attribute == LOCATION:
-            own = moves.get(key)
-            if own is None:
-                objects[r.event_index].append(r)
-            else:
-                own[r.event_index] = rooms[r.state]
-                movers[r.event_index].append(key)
-    tracks, runs = {}, {}
-    for key, own in moves.items():
-        track: list[str | None] = [NULL] * (n + 1)
-        spans = []
-        room, start = NULL, 0
-        for index, new in [*sorted(own.items()), (n + 1, NULL)]:
-            if room is not NULL:
-                track[start:index] = [room] * (index - start)
-                spans.append((room, start, index))
-            room, start = new, index
-        tracks[key], runs[key] = track, spans
-    return tracks, runs, movers, objects
-
-
-def _observed(spans: list[tuple[str, int, int]], room_bits: dict[str, int], n: int) -> int:
-    """Bitset of the events whose room is the track's room before or after:
-    a run of `room` over track indices ``start..end-1`` sees that room's
-    events ``start..end``, since event i reads ``track[i-1]`` and ``track[i]``."""
-    bits = 0
-    for room, start, end in spans:
-        bits |= room_bits.get(room, 0) & ((1 << min(end, n)) - (1 << (start - 1)))
-    return bits
-
-
 def build_omniscient_graph(
     story: Story, records: list[EntityStateRecord], anchors: list[LocationAnchor]
 ) -> SceneGraph:
@@ -192,9 +142,27 @@ def build_omniscient_graph(
     if not anchors:
         raise ValidationError("cannot build a scene graph without location anchors")
     rooms = _Rooms(anchors)
-    tracks, runs, movers, objects = _location_tracks(story, records, rooms)
     n = len(story.events)
+    # Each event's character moves, casefolded name to room (a character's
+    # last record at the event wins), and its object location records.
+    moves: list[dict[str, str | None]] = [{} for _ in range(n + 1)]
+    objects: list[list[EntityStateRecord]] = [[] for _ in range(n + 1)]
+    current: dict[str, str | None] = dict.fromkeys(story.characters_by_key)  # the room now
+    for r in records:
+        if not 1 <= r.event_index <= n:
+            raise ValidationError(f"record references unknown event index {r.event_index}")
+        key, attribute = r.key
+        if attribute == LOCATION:
+            if key in current:
+                moves[r.event_index][key] = rooms[r.state]
+            else:
+                objects[r.event_index].append(r)
 
+    # A character's whereabouts are runs (room, start, end) of one non-null
+    # room, held from after event `start`'s records to before event `end`'s;
+    # `since` is the start of the open run.
+    since: dict[str, int] = {}
+    runs: dict[str, list[tuple[str, int, int]]] = {key: [] for key in current}
     # An event's first acting character (casefolded) is parsed only when no
     # character moves in it or it has an object's location record. Containers
     # take rooms anywhere in the story, from their own location records or
@@ -209,40 +177,44 @@ def build_omniscient_graph(
     last = 0
     for index, event in enumerate(story.events, start=1):
         room: str | None = None
-        moved, here = movers[index], objects[index]
-        actor_room = actor = None
+        moved, here = moves[index], objects[index]
+        actor = None
         if here or not moved:
             for name in leading_subjects(event.text):
-                if (key := name.casefold()) in tracks:
+                if (key := name.casefold()) in current:
                     actor = key
-                    actor_room = tracks[key][index]
                     break
-        for r in here:
-            state_room = rooms[r.state]
-            if state_room is not None:
-                containers[normalize_place(r.entity)] = state_room
-            elif actor_room is not None and (place := normalize_place(r.state)):
-                containers[place] = actor_room
         if moved:
             # A mover's arrival names the room; when every mover leaves (an
             # exit), the room being exited is where the first mover by key
             # stood before, whatever the order of the event's records.
-            for m in moved:
-                room = tracks[m][index]
+            for room in moved.values():
                 if room is not None:
                     break
             else:
-                room = tracks[min(moved)][index - 1]
+                room = current[min(moved)]
+            for key, new in moved.items():
+                if current[key] is not None:
+                    runs[key].append((current[key], since[key], index))
+                current[key], since[key] = new, index
         elif dialogue and event.speaker is not None:
-            room = tracks[event.speaker.casefold()][index]
+            room = current[event.speaker.casefold()]
         elif actor is not None:
-            room = actor_room
+            room = current[actor]
         elif here:
             state = here[0].state
             room = rooms[state]
             if room is None:
                 waiting.append((index, normalize_place(state), last))
                 last = index
+        # The actor's room once the event's moves apply.
+        actor_room = current[actor] if actor is not None else None
+        for r in here:
+            state_room = rooms[r.state]
+            if state_room is not None:
+                containers[normalize_place(r.entity)] = state_room
+            elif actor_room is not None and (place := normalize_place(r.state)):
+                containers[place] = actor_room
         assignment.append(room)
         if room is not None:
             last = index
@@ -256,7 +228,14 @@ def build_omniscient_graph(
     graph = SceneGraph(
         assignment=tuple(assignment), location_set=frozenset(a.name for a in anchors)
     )
-    observed = {key: _observed(spans, room_bits, n) for key, spans in runs.items()}
+    # A run of `room` sees that room's events start..end: event i is seen
+    # when its room is the character's room before or after it.
+    observed = dict.fromkeys(current, 0)
+    for key, spans in runs.items():
+        if current[key] is not None:
+            spans.append((current[key], since[key], n))
+        for room, start, end in spans:
+            observed[key] |= room_bits.get(room, 0) & (1 << end) - (1 << (start - 1))
     graph.__dict__.update(  # "bits" seeds the cached property; rooms' bits are disjoint
         bits=sum(room_bits.values()), _observations=(records, anchors, observed)
     )

@@ -162,6 +162,9 @@ def test_missing_dataset_prints_a_message_not_a_traceback(tmp_path, capsys):
         (["--rooms", "13"], "num_rooms must be at most 12"),
         (["--objects", "13"], "num_objects must be at most 12"),
         (["--rooms", "11", "--containers", "7"], "must be at most 72"),
+        # The last --count given wins.
+        (["--count", "0"], "count must be at least 1, not 0"),
+        (["--count", "-2"], "count must be at least 1, not -2"),
     ],
 )
 def test_generate_beyond_the_draw_pools_prints_the_limit(tmp_path, flags, limit, capsys):
@@ -169,6 +172,7 @@ def test_generate_beyond_the_draw_pools_prints_the_limit(tmp_path, flags, limit,
     assert main(["generate", "--count", "1", *flags, "-o", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("mindmask: ") and limit in captured.err
+    assert captured.err.count("\n") == 1
     assert not out.exists()
 
 

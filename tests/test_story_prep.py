@@ -30,10 +30,11 @@ from mindmask.nkb import (
     generate_states,
     identify_key_entities,
 )
-from mindmask.scene import _location_tracks, _observed, _Rooms, build_omniscient_graph
+from mindmask.scene import _Rooms, build_omniscient_graph
 from mindmask.story import _NAME_SEP_RE, split_name_list
 from mindmask.textnorm import is_negated_place
 from mindmask.worldgen import GrammarConfig, generate_story
+from reference_tracks import location_tracks, observed
 
 PROFILE = settings(max_examples=300, deadline=None, derandomize=True)
 
@@ -100,14 +101,14 @@ def test_run_bitsets_match_the_per_event_rule_past_64_events(n, move_rate, seed)
     for i, room in enumerate(assignment):
         if room is not None:
             room_bits[room] = room_bits.get(room, 0) | 1 << i
-    assert _observed(_runs(track), room_bits, n) == _seen_by_rule(assignment, track)
+    assert observed(_runs(track), room_bits, n) == _seen_by_rule(assignment, track)
 
 
 @pytest.mark.parametrize("story, questions", STORIES)
 def test_story_bitsets_match_the_per_event_rule(story, questions):
     records, anchors = _prepared(story, questions)
     graph = build_omniscient_graph(story, records, anchors)
-    tracks, runs, _, _ = _location_tracks(story, records, _Rooms(anchors))
+    tracks, runs, _, _ = location_tracks(story, records, _Rooms(anchors))
     assert graph.bits == sum(1 << i for i, room in enumerate(graph.assignment) if room is not None)
     for key, track in tracks.items():
         assert runs[key] == _runs(track)
