@@ -7,8 +7,11 @@ each event. Records render as ``"<attribute> of <entity> becomes <state>"``.
 
 :class:`RuleBackend` resolves all three symbolically from the story grammar
 (enter/exit/move/declare productions), in one scan per story that the three
-queries share through one memo; :class:`mindmask.remote.RemoteBackend` asks
-a chat model with the shipped prompt templates, one state prompt per story.
+queries share through one memo. The scan matches the grammar's patterns
+once per distinct line a backend sees: stories reuse their sentences, and
+what a line reads as does not depend on the story around it.
+:class:`mindmask.remote.RemoteBackend` asks a chat model with the shipped
+prompt templates, one state prompt per story.
 Both sides honor the same protocol, so the masking pipeline cannot tell
 them apart.
 
@@ -24,6 +27,7 @@ import logging
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from sys import intern
 from typing import TYPE_CHECKING, Iterable, Protocol, runtime_checkable
 
 from .errors import ExtractionError, ProtocolError, ValidationError
@@ -218,8 +222,59 @@ class _Scan:
         return tuple(records)
 
 
-def _scan(story: Story) -> _Scan:
-    """Read every event against the grammar, each pattern at most once.
+_ENTER, _EXIT, _MOVE, _DECLARE, _JOIN, _LEAVE = range(1, 7)
+_NOTHING = (None, None, None, None, None)
+
+
+def _place(name: str) -> tuple[str, str] | None:
+    key = normalize_place(name)
+    return (intern(key), name) if key else None
+
+
+def _read_line(text: str) -> tuple:
+    """What the grammar reads in one stripped event line, whatever story
+    holds it: ``(verb, who, where, place, declared)``.
+
+    `verb` is the first of enter, exit, move, declare, join and leave that
+    matches, or None. `who` is the names of an enter or join line (a tuple),
+    the name of an exit or leave line, or the object of a move or
+    declaration, and `where` the place or container it names. `place` is
+    ``(normalized place, place)`` from an enter, exit or stay line that is
+    not a move, and `declared` is ``(casefolded object, container)`` from a
+    declaration, whatever else the line reads as. Every string is an
+    interned match group or its normal form, so a reading holds no state
+    string and nothing of any one story; a line that reads as nothing gets
+    the one shared `_NOTHING`.
+
+    Enter, exit, move and stay lines start with a name and differ in the
+    verb, so at most one of them matches; a declare line may match any of
+    them as well. Each pattern is tried only when its fixed text is present,
+    a necessary condition for its match."""
+    declare = _DECLARE_RE.match(text) if text.startswith("The ") else None
+    declared = (intern(declare[1].casefold()), intern(declare[2])) if declare else None
+    if " entered the " in text and (m := _ENTER_RE.match(text)):
+        place = intern(m[2])
+        return (_ENTER, tuple(map(intern, split_name_list(m[1]))), place, _place(place), declared)
+    if " exited the " in text and (m := _EXIT_RE.match(text)):
+        place = intern(m[2])
+        return (_EXIT, intern(m[1]), place, _place(place), declared)
+    if " moved the " in text and (m := _MOVE_RE.match(text)):
+        return (_MOVE, intern(m[2]), intern(m[3]), None, declared)
+    m = _STAY_RE.match(text) if " stayed in the " in text else None
+    place = _place(intern(m[2])) if m else None
+    if declare:
+        return (_DECLARE, intern(declare[1]), declared[1], place, declared)
+    if " joined the conversation." in text and (m := _JOIN_RE.match(text)):
+        return (_JOIN, tuple(map(intern, split_name_list(m[1]))), CONVERSATION, place, None)
+    if " left the conversation." in text and (m := _LEAVE_RE.match(text)):
+        return (_LEAVE, intern(m[1]), CONVERSATION, place, None)
+    return _NOTHING if place is None else (None, None, None, place, None)
+
+
+def _scan(story: Story, lines: dict[str, tuple]) -> _Scan:
+    """Read every event against the grammar, once per distinct line a
+    backend sees: `lines` maps each stripped line to its :func:`_read_line`
+    reading, and only a line it lacks is matched.
 
     An event's records come from the first of enter, exit, move, declare
     and, in a dialogue, join, leave or a speaker's first utterance (which
@@ -230,91 +285,81 @@ def _scan(story: Story) -> _Scan:
                  content of <container> becomes <obj>
                  content of <old container> becomes empty   (when known)
       declare -> location of <obj> becomes in the <container>
-    Enter, exit, move and stay lines start with a name and differ in the
-    verb, so at most one of them matches; a declare line may match any of
-    them as well. Places come from an enter, exit or stay match and
+    Places come from an enter, exit or stay line that is not a move, and
     containers from a declare match, whatever else the line matches.
 
-    The pass builds location records only, in one location order, the
-    emission order. At a move it keeps a note from which
-    :attr:`_Scan.records` builds the content records the first time it is
-    read; the container names are remembered at the move, so every record's
-    display name is still its entity's first-seen spelling.
+    What depends on the story is worked out here, event by event: display
+    names, what each object is inside, places and containers in
+    first-mention order, and the records. The pass builds location records
+    only, in one location order, the emission order. At a move it keeps a
+    note from which :attr:`_Scan.records` builds the content records the
+    first time it is read; the container names are remembered at the move,
+    so every record's display name is still its entity's first-seen
+    spelling.
     """
     dialogue = story.kind == DIALOGUE_KIND
     records: list[EntityStateRecord] = []
     moves: list[tuple[int, int, str, str, str | None]] = []
     places: dict[str, str] = {}
     containers: dict[str, str] = {}
-    inside: dict[str, str] = {}
+    inside: dict[str, str] = {}  # object key -> container key
     display: dict[str, str] = {}
+    # Who is in the conversation; only a dialogue reads it.
     present: set[str] = set()
 
-    def remember(name: str) -> str:
-        key = name.casefold()
-        if key not in display:
-            display[key] = display_name(name)
-        return key
+    def first_seen(key: str, name: str) -> str:
+        shown = display[key] = display_name(name)
+        return shown
 
-    def emit(index: int, name: str, attribute: str, state: str) -> str:
-        # A display name casefolds to its key; both attributes are lowercase.
-        key = remember(name)
-        records.append(keyed_record(index, display[key], attribute, state, (key, attribute)))
-        return key
-
-    def enter_all(index: int, names: list[str], place: str) -> None:
-        state = f"in the {place}"
-        for name in names:
-            key = remember(name)
-            records.append(keyed_record(index, display[key], LOCATION, state, (key, LOCATION)))
-            present.add(key)
-
-    # Each pattern is tried only when its fixed text is present, a necessary
-    # condition for its match.
+    # A display name casefolds to its key, and a record's attribute is
+    # lowercase, so each record is built with its key in hand.
     for event in story.events:
-        text, i = event.text.strip(), event.index
-        enter = _ENTER_RE.match(text) if " entered the " in text else None
-        exit_ = _EXIT_RE.match(text) if not enter and " exited the " in text else None
-        move = _MOVE_RE.match(text) if not (enter or exit_) and " moved the " in text else None
-        declare = _DECLARE_RE.match(text) if text.startswith("The ") else None
-        if declare:
-            containers.setdefault(declare.group(1).casefold(), declare.group(2))
-        if not dialogue and not move:
-            line = enter or exit_ or (_STAY_RE.match(text) if " stayed in the " in text else None)
-            if line:
-                place = line.group(2)
-                key = normalize_place(place)
-                if key:
-                    places.setdefault(key, place)
-
-        if enter:
-            enter_all(i, split_name_list(enter.group(1)), enter.group(2))
-        elif exit_:
-            present.discard(emit(i, exit_.group(1), LOCATION, f"outside the {exit_.group(2)}"))
-        elif move:
-            container = move.group(3)
-            obj_key = emit(i, move.group(2), LOCATION, f"in {container}")
-            cont_key = remember(container)
-            old = inside.get(obj_key)
-            inside[obj_key] = container
-            if old is not None:
-                old_key = remember(old)
-                old = display[old_key] if old_key != cont_key else None
-            moves.append((len(records), i, display[cont_key], display[obj_key], old))
-        elif declare:
-            obj, container = declare.group(1), declare.group(2)
-            obj_key = emit(i, obj, LOCATION, f"in the {container}")
-            remember(container)
-            inside[obj_key] = container
-        elif dialogue:
-            join = _JOIN_RE.match(text)
-            leave = None if join else _LEAVE_RE.match(text)
-            if join:
-                enter_all(i, split_name_list(join.group(1)), CONVERSATION)
-            elif leave:
-                present.discard(emit(i, leave.group(1), LOCATION, f"outside the {CONVERSATION}"))
-            elif event.speaker is not None and event.speaker.casefold() not in present:
-                present.add(emit(i, event.speaker, LOCATION, f"in the {CONVERSATION}"))
+        text = event.text.strip()
+        reading = lines.get(text)
+        if reading is None:
+            reading = lines[text] = _read_line(text)
+        verb, who, where, place, declared = reading
+        if declared is not None:
+            containers.setdefault(*declared)
+        if place is not None and not dialogue:
+            places.setdefault(*place)
+        i = event.index
+        if verb == _ENTER or (verb == _JOIN and dialogue):
+            state = f"in the {where}"
+            for name in who:
+                key = name.casefold()
+                entity = display.get(key) or first_seen(key, name)
+                records.append(keyed_record(i, entity, LOCATION, state, (key, LOCATION)))
+                if dialogue:
+                    present.add(key)
+        elif verb == _EXIT or (verb == _LEAVE and dialogue):
+            key = who.casefold()
+            entity = display.get(key) or first_seen(key, who)
+            records.append(keyed_record(i, entity, LOCATION, f"outside the {where}", (key, LOCATION)))
+            if dialogue:
+                present.discard(key)
+        elif verb == _MOVE:
+            obj_key, cont_key = who.casefold(), where.casefold()
+            obj = display.get(obj_key) or first_seen(obj_key, who)
+            records.append(keyed_record(i, obj, LOCATION, f"in {where}", (obj_key, LOCATION)))
+            container = display.get(cont_key) or first_seen(cont_key, where)
+            old_key = inside.get(obj_key)
+            inside[obj_key] = cont_key
+            old = display[old_key] if old_key is not None and old_key != cont_key else None
+            moves.append((len(records), i, container, obj, old))
+        elif verb == _DECLARE:
+            obj_key, cont_key = who.casefold(), where.casefold()
+            obj = display.get(obj_key) or first_seen(obj_key, who)
+            records.append(keyed_record(i, obj, LOCATION, f"in the {where}", (obj_key, LOCATION)))
+            if cont_key not in display:
+                first_seen(cont_key, where)
+            inside[obj_key] = cont_key
+        elif dialogue and event.speaker is not None:
+            key = event.speaker.casefold()
+            if key not in present:
+                present.add(key)
+                entity = display.get(key) or first_seen(key, event.speaker)
+                records.append(keyed_record(i, entity, LOCATION, f"in the {CONVERSATION}", (key, LOCATION)))
     names = (CONVERSATION,) if dialogue else tuple(places.values())
     return _Scan(tuple(records), tuple(moves), names, containers)
 
@@ -337,7 +382,10 @@ class RuleBackend:
     """Deterministic backend that reads the story grammar symbolically.
 
     The three queries share one scan per story, kept in one memo, a
-    :class:`mindmask.story.LastStory` of the last story scanned.
+    :class:`mindmask.story.LastStory` of the last story scanned. Each
+    backend also keeps, from its first scan on, the grammar's reading of
+    every distinct line it has scanned, so it matches each line once
+    whatever story repeats it; a new backend starts with none.
 
     Outside the protocol, :meth:`location_states` gives the location records
     alone, in the scan's one location order, which is all the symbolic path
@@ -348,7 +396,8 @@ class RuleBackend:
     """
 
     def __init__(self):
-        self._scan_of = LastStory(lambda story: _scan(story))
+        lines: dict[str, tuple] = {}
+        self._scan_of = LastStory(lambda story: _scan(story, lines))
 
     # -- StateBackend protocol ------------------------------------------------
 
