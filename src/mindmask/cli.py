@@ -113,6 +113,9 @@ def _cmd_extract(args):
     backend = cfg.nkb_backend
     rows = []
     for story_index, (story, questions) in enumerate(items):
+        if not questions:
+            # No key entity to ask for; `evaluate` prepares no such story either.
+            continue
         targets = identify_key_entities(story, questions, backend)
         records = generate_states(story, targets, backend)
         for r in records:
@@ -140,8 +143,15 @@ def _pick(items: list, index: int, what: str):
 def _story_artifacts(args):
     """The chosen story's artifacts, with the chosen question for the
     commands that take ``--question``."""
-    story, questions = _pick(load_dataset(args.dataset), args.story, "story")
-    q = _pick(questions, args.question, "question") if hasattr(args, "question") else None
+    items = load_dataset(args.dataset)
+    if not items:
+        raise ValidationError("the dataset has no stories")
+    story, questions = _pick(items, args.story, "story")
+    q = None
+    if hasattr(args, "question"):
+        if not questions:
+            raise ValidationError(f"story {args.story} has no questions")
+        q = _pick(questions, args.question, "question")
     cfg = _pipeline_config(args)
     return q, cfg, prepare_story(story, questions, cfg)
 

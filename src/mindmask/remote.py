@@ -42,6 +42,8 @@ _RECORD_LINE = re.compile(
 _PAIR_ITEM = re.compile(rf"{_PAIR}(.+)", re.IGNORECASE)
 _BULLET_LINE = re.compile(r"^\s*-\s*(.+)$")
 _ENTITIES_BLOCK = re.compile(r"<entities>(.*?)</entities>", re.IGNORECASE | re.DOTALL)
+# A prompt template's `{{name}}` slot marker.
+_SLOT = re.compile(r"\{\{([^{}]+)\}\}")
 
 
 @functools.cache
@@ -51,10 +53,10 @@ def load_prompt(name: str) -> str:
 
 
 def fill_prompt(template: str, slots: dict[str, str]) -> str:
-    out = template
-    for key, value in slots.items():
-        out = out.replace("{{" + key + "}}", value)
-    return out
+    """The template with each ``{{name}}`` marker given in ``slots`` filled,
+    in one pass, so a marker inside a filled value stays as written; a
+    marker not in ``slots`` stays too."""
+    return _SLOT.sub(lambda m: slots.get(m[1], m[0]), template)
 
 
 def indexed_narrative(story: Story) -> str:

@@ -7,12 +7,12 @@ episode always moves the object, so every earlier exiter leaves holding a
 false belief.
 
 The oracle replays the raw event text (never the pipeline's state records)
-and answers nested-belief questions by updating a belief store at every chain
-prefix whose characters all witnessed the event. It is the ground truth the
-masking pipeline is measured against. The rule assumes co-presence: an
-observer of an event knows who else is in the room, so it knows who else saw
-the event. HiToM (Wu et al., 2023) states a close assumption in its prompts:
-an agent can reason about another's mind only if the two shared a room or
+and answers a nested-belief question with the entity's last placement that
+every character of the chain witnessed. It is the ground truth the masking
+pipeline is measured against. The rule assumes co-presence: an observer of
+an event knows who else is in the room, so it knows who else saw the event.
+HiToM (Wu et al., 2023) states a close assumption in its prompts: an agent
+can reason about another's mind only if the two shared a room or
 communicated.
 
 Gold is made without reading the story back: ``generate_story`` builds each
@@ -25,8 +25,8 @@ The oracle builds one trace per story in one loop over the events: each
 event's room and object effect, each character's whereabouts as runs in one
 room, and from those one observation bitset per character. Gold for a chain
 is the entity's last placement kept by the AND of its members' bitsets.
-Consecutive ``simulate_beliefs``, ``belief_store`` and ``observed_set`` calls
-on the same ``Story`` object share the trace through one memo, a
+Consecutive ``simulate_beliefs`` and ``observed_set`` calls on the same
+``Story`` object share the trace through one memo, a
 :class:`mindmask.story.LastStory`, as ``generate_story`` (one call per
 question) and a per-character ``observed_set`` sweep make them.
 """
@@ -343,32 +343,6 @@ def _checked_trace(story: Story, names: tuple[str, ...]) -> _Trace:
         if not story.has_character(name):
             raise ValidationError(f"{name!r} is not a character of the story")
     return _trace_of(story)
-
-
-def _fold_beliefs(trace: _Trace, names: tuple[str, ...]) -> list[dict[str, str]]:
-    beliefs: list[dict[str, str]] = [dict() for _ in range(len(names) + 1)]
-    # prefix_seen[j]: the events the first j names all observed (all for j=0).
-    prefix_seen = [-1]
-    for name in names:
-        prefix_seen.append(prefix_seen[-1] & trace.seen[name.casefold()])
-    for i in trace.placements:
-        obj, container = trace.effects[i]
-        bit = 1 << (i - 1)
-        for j, seen in enumerate(prefix_seen):
-            if not seen & bit:
-                break
-            beliefs[j][obj] = container
-    return beliefs
-
-
-def belief_store(story: Story, chain: tuple[str, ...]) -> list[dict[str, str]]:
-    """Believed containment maps per chain prefix; index j holds the beliefs
-    attributed to the prefix of length j (j=0 is the true world).
-
-    An event updates prefix j exactly when all of its j characters witnessed
-    the event, so the update sets shrink as the prefix grows.
-    """
-    return _fold_beliefs(_checked_trace(story, chain), chain)
 
 
 def simulate_beliefs(story: Story, chain: tuple[str, ...], entity: str) -> str:

@@ -123,6 +123,20 @@ def test_extract_command(dataset_path, tmp_path, capsys):
     assert rows and set(rows[0]) == {"story_index", "event_index", "entity", "attribute", "state"}
 
 
+def test_extract_skips_a_story_without_questions(dataset_path, tmp_path):
+    # A copy of the first story without questions, put first: it gets no
+    # rows, and every other story keeps its index in the file.
+    lines = dataset_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    bare = tmp_path / "bare.jsonl"
+    bare.write_text(json.dumps(dict(json.loads(lines[0]), questions=[])) + "\n" + "".join(lines))
+    out, bare_out = tmp_path / "records.jsonl", tmp_path / "bare_records.jsonl"
+    assert main(["extract", "--dataset", str(dataset_path), "-o", str(out)]) == 0
+    assert main(["extract", "--dataset", str(bare), "-o", str(bare_out)]) == 0
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    bare_rows = [json.loads(line) for line in bare_out.read_text().splitlines()]
+    assert rows and bare_rows == [dict(r, story_index=r["story_index"] + 1) for r in rows]
+
+
 def test_complexity_command(tmp_path, capsys):
     csv = tmp_path / "counts.csv"
     main(["complexity", "--m-min", "5", "--m-max", "5", "--k-min", "1", "--k-max", "5", "--csv", str(csv)])
@@ -298,6 +312,31 @@ def test_remote_backend_without_endpoint_is_a_usage_error(dataset_path, flags, c
 def test_out_of_range_index_prints_a_message(dataset_path, command, index, message, capsys):
     capsys.readouterr()
     assert main([command, "--dataset", str(dataset_path), *index]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"mindmask: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "command, dataset, message",
+    [
+        ("inject", "empty", "the dataset has no stories"),
+        ("mask", "empty", "the dataset has no stories"),
+        ("answer", "empty", "the dataset has no stories"),
+        ("mask", "bare", "story 1 has no questions"),
+        ("answer", "bare", "story 1 has no questions"),
+    ],
+)
+def test_an_empty_list_is_named_not_a_range(
+    dataset_path, tmp_path, command, dataset, message, capsys
+):
+    first = json.loads(dataset_path.read_text(encoding="utf-8").splitlines()[0])
+    paths = {"empty": tmp_path / "empty.jsonl", "bare": tmp_path / "bare.jsonl"}
+    paths["empty"].write_text("")
+    bare = dict(first, questions=[])
+    paths["bare"].write_text(json.dumps(first) + "\n" + json.dumps(bare) + "\n")
+    capsys.readouterr()
+    assert main([command, "--dataset", str(paths[dataset]), "--story", "1"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"mindmask: {message}\n"

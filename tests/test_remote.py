@@ -330,6 +330,34 @@ def test_prompt_templates_ship_with_placeholders():
     assert filled == "a Y b"
 
 
+def test_slot_markers_in_filled_text_stay_as_written():
+    """Every slot is filled in one pass: a marker inside a story line or a
+    view is text, never a slot, and a marker no slot names stays."""
+    from mindmask.story import parse_story
+
+    assert fill_prompt("{{a}} {{b}} {{c}}", {"a": "{{b}}", "b": "{{a}}"}) == "{{b}} {{a}} {{c}}"
+    line = "Ava said {{question}}, {{eoi list}} and {{question list}} loudly."
+    story = parse_story(f"Ava entered the hall.\nThe coin is in the red box.\n{line}")
+    q = parse_question("Where does Ava think the coin is?", story)
+    client, transport = make_client([
+        "<entities>\n- location of coin\n</entities>",
+        "- 2: location of coin becomes in the red box\n",
+        "<answer>red box</answer>",
+    ])
+    backend = RemoteBackend(client)
+    backend.key_entities(story, [q])
+    backend.story_states(story, [EntityAttribute("coin", "location")])
+    RemoteAnswerer(client).answer(MaskedView(surviving=(3,), texts=(f"3: {line}",)), q, ())
+    key_prompt, state_prompt, answer_prompt = (
+        r["payload"]["messages"][0]["content"] for r in transport.requests
+    )
+    for prompt in (key_prompt, state_prompt, answer_prompt):
+        assert f"3: {line}\n" in prompt
+    assert key_prompt.count(q.raw) == 1
+    assert state_prompt.count("- location of coin") == 1
+    assert answer_prompt.count(q.raw) == 1
+
+
 def test_indexed_narrative_marks_speakers():
     from mindmask.story import parse_story
 

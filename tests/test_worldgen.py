@@ -9,7 +9,6 @@ from mindmask.worldgen import (
     _OBJECTS,
     GrammarConfig,
     REGROUP_ROOM,
-    belief_store,
     generate_story,
     observed_set,
     simulate_beliefs,
@@ -171,8 +170,7 @@ def test_simulate_beliefs_unknown_entity(melon_story):
 def test_second_order_chain_intersection(melon_story):
     # Aiden sees 1..5, Lily sees 1..7: their shared view ends before any move
     # past the blue pantry.
-    beliefs = belief_store(melon_story, ("Aiden", "Lily"))
-    assert beliefs[2].get("melon") == "blue pantry"
+    assert simulate_beliefs(melon_story, ("Aiden", "Lily"), "melon") == "blue pantry"
 
 
 def test_unwitnessed_entity_falls_back_to_initial_declaration():
@@ -189,24 +187,8 @@ def test_unwitnessed_entity_falls_back_to_initial_declaration():
     assert simulate_beliefs(story, ("Ava",), "coin") == "red box"
 
 
-def test_belief_store_updates_shrink_with_prefix():
-    # A longer prefix observes a subset of events, so the set of entities it
-    # ever updated can only shrink.
-    for seed in range(10):
-        story, questions = generate_story(
-            GrammarConfig(num_characters=4, max_order=3, seed=seed, allow_reentry=bool(seed % 2))
-        )
-        for q in questions:
-            if q.order < 2:
-                continue
-            beliefs = belief_store(story, q.chain_names)
-            for j in range(1, len(q.chain_names) + 1):
-                assert set(beliefs[j]) <= set(beliefs[j - 1])
-
-
 def test_empty_chain_store_is_true_world(melon_story):
-    beliefs = belief_store(melon_story, ())
-    assert beliefs[0]["melon"] == "red bucket"
+    assert simulate_beliefs(melon_story, (), "melon") == "red bucket"
 
 
 def test_reentry_produces_non_prefix_observation():
@@ -248,7 +230,7 @@ def test_config_needs_a_room_and_an_object(field):
         GrammarConfig(**{field: 0}).validate()
 
 
-def test_belief_store_refuses_a_stranger_in_the_chain():
-    story, _ = generate_story(GrammarConfig(seed=3))
+def test_simulate_beliefs_refuses_a_stranger_in_the_chain():
+    story, questions = generate_story(GrammarConfig(seed=3))
     with pytest.raises(ValidationError, match="'Nobody' is not a character"):
-        belief_store(story, (story.characters[0], "Nobody"))
+        simulate_beliefs(story, (story.characters[0], "Nobody"), questions[0].target_entity)
