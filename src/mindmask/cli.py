@@ -6,6 +6,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from .dataset import dump_dataset, load_dataset
 from .errors import MindmaskError, ValidationError
@@ -87,24 +88,28 @@ def _pipeline_config(args) -> PipelineConfig:
 
 
 def _cmd_generate(args):
+    """Each story is written as soon as it is generated. The configs differ
+    only in their seed, so the first one is checked before the output file
+    is opened, and a refused config writes no file."""
     if args.count < 1:
         raise ValidationError(f"count must be at least 1, not {args.count}")
-    items = []
-    for offset in range(args.count):
-        config = GrammarConfig(
-            num_characters=args.characters,
-            num_rooms=args.rooms,
-            num_objects=args.objects,
-            num_containers_per_room=args.containers,
-            moves_per_room=args.moves,
-            max_order=args.max_order,
-            seed=args.seed + offset,
-            allow_reentry=args.reentry,
-            distractor_rate=args.distractor_rate,
-        )
-        items.append(generate_story(config))
-    dump_dataset(items, args.output)
-    print(f"wrote {len(items)} stories to {args.output}")
+    config = GrammarConfig(
+        num_characters=args.characters,
+        num_rooms=args.rooms,
+        num_objects=args.objects,
+        num_containers_per_room=args.containers,
+        moves_per_room=args.moves,
+        max_order=args.max_order,
+        seed=args.seed,
+        allow_reentry=args.reentry,
+        distractor_rate=args.distractor_rate,
+    )
+    config.validate()
+    stories = (
+        generate_story(replace(config, seed=config.seed + offset)) for offset in range(args.count)
+    )
+    dump_dataset(stories, args.output)
+    print(f"wrote {args.count} stories to {args.output}")
 
 
 def _cmd_extract(args):
@@ -147,11 +152,9 @@ def _story_artifacts(args):
     if not items:
         raise ValidationError("the dataset has no stories")
     story, questions = _pick(items, args.story, "story")
-    q = None
-    if hasattr(args, "question"):
-        if not questions:
-            raise ValidationError(f"story {args.story} has no questions")
-        q = _pick(questions, args.question, "question")
+    if not questions:
+        raise ValidationError(f"story {args.story} has no questions")
+    q = _pick(questions, args.question, "question") if hasattr(args, "question") else None
     cfg = _pipeline_config(args)
     return q, cfg, prepare_story(story, questions, cfg)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import logging
+from collections.abc import Iterable
 from pathlib import Path
 
 from .errors import MindmaskError, StoryFormatError
@@ -16,33 +17,28 @@ DatasetItem = tuple[Story, list[ToMQuestion]]
 
 
 def load_dataset(path: str | Path) -> list[DatasetItem]:
-    """Read a JSONL dataset. A malformed line, or one that is not UTF-8, raises
-    :class:`StoryFormatError` whose message starts ``<path>:<line>:``, chained
-    to the underlying error."""
+    """Read a JSONL dataset one line at a time. Lines are split at line feeds
+    alone, each without one trailing carriage return: JSON keeps U+0085,
+    U+2028 and U+2029 raw inside strings, and `str.splitlines` would split
+    there too. The first malformed line, or the first that is not UTF-8,
+    raises :class:`StoryFormatError` whose message starts ``<path>:<line>:``,
+    chained to the underlying error."""
     items: list[DatasetItem] = []
-    for lineno, line in enumerate(_read_lines(path), start=1):
-        if not line.strip():
-            continue
-        try:
-            items.append(_parse_item(json.loads(line), path, lineno))
-        except json.JSONDecodeError as exc:
-            raise StoryFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-        except MindmaskError as exc:
-            raise StoryFormatError(f"{path}:{lineno}: {exc}") from exc
+    with open(path, "rb") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            try:
+                line = raw.removesuffix(b"\n").removesuffix(b"\r").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise StoryFormatError(f"{path}:{lineno}: not UTF-8 text: {exc}") from exc
+            if not line.strip():
+                continue
+            try:
+                items.append(_parse_item(json.loads(line), path, lineno))
+            except json.JSONDecodeError as exc:
+                raise StoryFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            except MindmaskError as exc:
+                raise StoryFormatError(f"{path}:{lineno}: {exc}") from exc
     return items
-
-
-def _read_lines(path) -> list[str]:
-    """The file's lines, split at line feeds alone, each without a trailing
-    carriage return: JSON keeps U+0085, U+2028 and U+2029 raw inside
-    strings, and `str.splitlines` would split there too."""
-    data = Path(path).read_bytes()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
-        raise StoryFormatError(f"{path}:{lineno}: not UTF-8 text: {exc}") from exc
-    return [line.removesuffix("\r") for line in text.split("\n")]
 
 
 def _parse_item(doc, path, lineno) -> DatasetItem:
@@ -69,13 +65,14 @@ def _parse_item(doc, path, lineno) -> DatasetItem:
     return story, questions
 
 
-def dump_dataset(items: list[DatasetItem], path: str | Path) -> None:
-    lines = []
-    for story, questions in items:
-        doc = serialize_story(story)
-        doc["questions"] = [
-            {"text": q.raw, "order": q.order, **({"gold": q.gold} if q.gold is not None else {})}
-            for q in questions
-        ]
-        lines.append(json.dumps(doc))
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+def dump_dataset(items: Iterable[DatasetItem], path: str | Path) -> None:
+    """Write `items`, any iterable, as JSONL: each story's line is written as
+    soon as it is made, so a generator of items is never held whole."""
+    with open(path, "w", encoding="utf-8") as handle:
+        for story, questions in items:
+            doc = serialize_story(story)
+            doc["questions"] = [
+                {"text": q.raw, "order": q.order, **({"gold": q.gold} if q.gold is not None else {})}
+                for q in questions
+            ]
+            handle.write(json.dumps(doc) + "\n")

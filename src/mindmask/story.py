@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass, field
 
 from .errors import StoryFormatError, ValidationError
@@ -35,7 +36,7 @@ _SPEAKER_RE = re.compile(r"^([A-Z][A-Za-z .'-]{0,40}?):\s+(\S.*)$")
 _NAME_SEP_RE = re.compile(r"\s*,\s*(?:and\s+)?|\s+and\s+")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     """One narrative event or utterance, 1-indexed within its story."""
 
@@ -56,12 +57,10 @@ _set = object.__setattr__
 
 
 def _event(index: int, text: str, speaker: str | None = None) -> Event:
-    """``Event(index, text, speaker)`` built past the dataclass ``__init__``.
-    Fields are set in declaration order with ``object.__setattr__``, as the
-    frozen ``__init__`` sets them, so the instance keeps the shared-key
-    attribute layout (a write to ``__dict__`` would give it a dict of its
-    own, half again as large). The generator and both story readers build
-    their events here."""
+    """``Event(index, text, speaker)`` built past the dataclass ``__init__``:
+    each field goes into its slot with ``object.__setattr__``, as the frozen
+    ``__init__`` puts it there, without the keyword binding. The generator
+    and both story readers build their events here."""
     event = _new(Event)
     _set(event, "index", index)
     _set(event, "text", text)
@@ -189,7 +188,7 @@ def _events_from_lines(lines: list[str]) -> tuple[list[Event], str]:
         if m:
             speaker, text = m.group(1), m.group(2)
             kind = DIALOGUE_KIND
-        events.append(_event(len(events) + 1, text, speaker))
+        events.append(_event(len(events) + 1, sys.intern(text), speaker))
     return events, kind
 
 
@@ -206,7 +205,7 @@ def _events_from_json(raw_events, source: str) -> list[Event]:
         speaker = item.get("speaker")
         if speaker is not None and not isinstance(speaker, str):
             raise StoryFormatError(f"{source}: event {pos}: 'speaker' must be a string")
-        events.append(_event(pos, text, speaker))
+        events.append(_event(pos, sys.intern(text), speaker))
     return events
 
 
@@ -214,8 +213,10 @@ def parse_story(raw: str | dict) -> Story:
     """Parse a story document (JSON object/string or plain text).
 
     Characters come from the document's declaration when present, otherwise
-    from :func:`guess_characters`. Raises :class:`StoryFormatError` for
-    malformed documents and :class:`ValidationError` for empty event lists.
+    from :func:`guess_characters`. Each event's text is interned, so stories
+    read one by one share one string per distinct line. Raises
+    :class:`StoryFormatError` for malformed documents and
+    :class:`ValidationError` for empty event lists.
     """
     declared = None
     metadata: dict = {}

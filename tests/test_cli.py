@@ -1,17 +1,20 @@
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
 from test_record_log import Transport
-from mindmask import remote
+from mindmask import cli, remote
 from mindmask.cli import main
 from mindmask.dataset import load_dataset
+from mindmask.worldgen import generate_story
 
 
 @pytest.fixture
@@ -190,6 +193,32 @@ def test_generate_beyond_the_draw_pools_prints_the_limit(tmp_path, flags, limit,
     assert not out.exists()
 
 
+def test_a_refused_config_leaves_the_output_as_it_was(tmp_path, capsys):
+    out = tmp_path / "kept.jsonl"
+    out.write_text("kept\n")
+    assert main(["generate", "--count", "3", "--rooms", "13", "-o", str(out)]) == 1
+    assert "num_rooms must be at most 12" in capsys.readouterr().err
+    assert out.read_text() == "kept\n"
+
+
+def test_generate_writes_each_story_before_the_next_but_one(tmp_path, monkeypatch):
+    """Memory does not grow with --count: while a story is generated, no
+    story before the last one written is still held."""
+    made = []
+
+    def tracked(config):
+        gc.collect()
+        assert all(ref() is None for ref in made[:-1])
+        story, questions = generate_story(config)
+        made.append(weakref.ref(story))
+        return story, questions
+
+    monkeypatch.setattr(cli, "generate_story", tracked)
+    out = tmp_path / "streamed.jsonl"
+    assert main(["generate", "--count", "5", "-o", str(out)]) == 0
+    assert len(made) == 5 and len(load_dataset(out)) == 5
+
+
 @pytest.mark.parametrize(
     "flags", [["--workers", "2"], ["--no-reduce"]], ids=["workers", "no-reduce"]
 )
@@ -323,6 +352,7 @@ def test_out_of_range_index_prints_a_message(dataset_path, command, index, messa
         ("inject", "empty", "the dataset has no stories"),
         ("mask", "empty", "the dataset has no stories"),
         ("answer", "empty", "the dataset has no stories"),
+        ("inject", "bare", "story 1 has no questions"),
         ("mask", "bare", "story 1 has no questions"),
         ("answer", "bare", "story 1 has no questions"),
     ],

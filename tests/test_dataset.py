@@ -72,6 +72,18 @@ def test_non_utf8_file_names_its_line(tmp_path):
     assert isinstance(info.value.__cause__, UnicodeDecodeError)
 
 
+def test_the_first_bad_line_is_named(tmp_path):
+    """The file is read line by line, so a JSON error on line 2 is found
+    before a byte that is not UTF-8 on line 4."""
+    path = tmp_path / "two-faults.jsonl"
+    good = json.dumps(GOOD).encode("utf-8") + b"\n"
+    path.write_bytes(good + b"{\n" + good + "Zoë".encode("latin-1") + b"\n")
+    with pytest.raises(StoryFormatError) as info:
+        load_dataset(path)
+    assert str(info.value).startswith(f"{path}:2: invalid JSON: ")
+    assert isinstance(info.value.__cause__, json.JSONDecodeError)
+
+
 # Characters that `str.splitlines` splits on and `json.dumps` writes raw
 # inside strings when `ensure_ascii` is off.
 SEPARATORS = ["\u0085", "\u2028", "\u2029"]
@@ -101,10 +113,14 @@ def test_non_utf8_line_counts_newlines_only(tmp_path, sep):
 
 def test_well_formed_dataset_loads(tmp_path):
     path = tmp_path / "good.jsonl"
-    path.write_text(json.dumps(GOOD) + "\n", encoding="utf-8")
-    [(story, questions)] = load_dataset(path)
-    assert story.characters == ("Mia",)
-    assert [q.gold for q in questions] == ["box"]
+    # A line may end in CRLF, and the last one needs no newline.
+    path.write_bytes(f"{json.dumps(GOOD)}\n{json.dumps(GOOD)}\r\n{json.dumps(GOOD)}".encode("utf-8"))
+    items = load_dataset(path)
+    assert len(items) == 3
+    for story, questions in items:
+        assert story.characters == ("Mia",)
+        assert [e.text for e in story.events] == [e["text"] for e in EVENTS]
+        assert [q.gold for q in questions] == ["box"]
 
 
 def test_declared_order_that_disagrees_is_logged(tmp_path, caplog):
