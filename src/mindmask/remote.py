@@ -132,14 +132,18 @@ _RECORD_KEYS = {"event_index", "entity", "attribute", "state"}
 
 
 def _is_record_row(row) -> bool:
-    """The exact shape `RemoteBackend` stores: an int index and three strings."""
+    """The exact shape `RemoteBackend` stores: ``[event_index, entity,
+    attribute, state]``, an int and three strings. A log written before state
+    rows were arrays holds each as a dict of those four keys instead."""
+    if type(row) is dict and row.keys() == _RECORD_KEYS:
+        row = [row["event_index"], row["entity"], row["attribute"], row["state"]]
     return (
-        type(row) is dict
-        and row.keys() == _RECORD_KEYS
-        and type(row["event_index"]) is int
-        and type(row["entity"]) is str
-        and type(row["attribute"]) is str
-        and type(row["state"]) is str
+        type(row) is list
+        and len(row) == 4
+        and type(row[0]) is int
+        and type(row[1]) is str
+        and type(row[2]) is str
+        and type(row[3]) is str
     )
 
 
@@ -170,10 +174,14 @@ class RecordCache:
     """Parsed chat replies in one append-only log per directory, ``records.log``.
 
     Each entry is one line, ``<key>\\t<json.dumps(value)>\\n``, appended with
-    a single write; the last line for a key wins. A key names the prompt
-    template and carries digests of the story, the template's own input (the
-    targets or the question list), the template text and the backend name, so
-    an edited template, other targets or another model misses.
+    a single write; the last line for a key wins. A state entry is a list of
+    ``[event_index, entity, attribute, state]`` arrays; a log written before
+    that holds ``{"event_index", "entity", "attribute", "state"}`` dicts,
+    which are still read, so its stories are never asked again. A key names
+    the prompt template and carries digests of the story, the template's own
+    input (the targets or the question list), the template text and the
+    backend name, so an edited template, other targets or another model
+    misses.
 
     The first lookup indexes the log: each key's line number, offset and
     length, not its text, so a lookup reads its one line back. Bytes after the
@@ -265,20 +273,25 @@ class RecordCache:
         self._index[key] = (self._lines, self._end, len(line))
         self._end += len(line)
 
-    def load(self, story, targets, backend_name) -> list[dict] | None:
-        """The cached state rows for (story, targets, backend name), or None."""
+    def load(self, story, targets, backend_name) -> list | None:
+        """The state rows cached for (story, targets, backend name), as they
+        were stored, or None: ``[event_index, entity, attribute, state]``
+        arrays, or the dict rows of an older log. Any other row raises
+        `CacheFormatError`."""
         key = self.key("generate_states", story, _targets_key(targets), backend_name)
         return self.get(key, _are_record_rows)
 
-    def store(self, story, targets, backend_name, rows: list[dict]) -> None:
+    def store(self, story, targets, backend_name, rows: list) -> None:
+        """Append ``rows`` as given under (story, targets, backend name)."""
         key = self.key("generate_states", story, _targets_key(targets), backend_name)
         self.put(key, rows)
 
 
 def _bullets(text: str) -> list[str]:
-    """The items of ``text``'s ``- item`` lines, without trailing whitespace.
-    An item of whitespace alone stays the one character the pattern left it."""
-    lines = map(_BULLET_LINE.match, text.splitlines())
+    """The items of ``text``'s ``- item`` lines, split at line feeds alone,
+    without trailing whitespace (a carriage return included). An item of
+    whitespace alone stays the one character the pattern left it."""
+    lines = map(_BULLET_LINE.match, text.split("\n"))
     return [(item := m.group(1)).rstrip() or item for m in lines if m]
 
 
@@ -364,11 +377,13 @@ class RemoteBackend:
         count = len(story.events)
         records = []
         for row in rows:
-            index, entity, attribute = row["event_index"], row["entity"], row["attribute"]
+            if type(row) is dict:  # a row cached before state rows were arrays
+                row = row["event_index"], row["entity"], row["attribute"], row["state"]
+            index, entity, attribute, state = row
             if not 1 <= index <= count:
                 raise ProtocolError(f"backend asserted a state for unknown event {index}")
             key = (entity.casefold(), attribute.casefold())
-            records.append(keyed_record(index, entity, attribute, row["state"], key))
+            records.append(keyed_record(index, entity, attribute, state, key))
         if fresh and self.cache:
             self.cache.store(story, targets, self.name, rows)
         return records
@@ -377,11 +392,12 @@ class RemoteBackend:
 
     # -- internals -------------------------------------------------------------
 
-    def _parse_records(self, response: str) -> list[dict]:
-        """Record rows of a state reply; a reply with none raises, so it is
-        never cached."""
+    def _parse_records(self, response: str) -> list[list]:
+        """``[event_index, entity, attribute, state]`` rows of a state reply,
+        read line by line at line feeds alone; a reply with none raises, so
+        it is never cached."""
         rows = []
-        for line in response.splitlines():
+        for line in response.split("\n"):
             if not line.strip():
                 continue
             m = _RECORD_LINE.match(line)
@@ -391,8 +407,7 @@ class RemoteBackend:
                 state = state.rstrip()
                 if len(state) > 1 and state[-1] == ".":
                     state = state[:-1].rstrip()
-                rows.append({"event_index": int(index), "attribute": attribute.strip(),
-                             "entity": entity.strip(), "state": state})
+                rows.append([int(index), entity.strip(), attribute.strip(), state])
             elif line.lstrip().startswith("-"):
                 self.skipped_lines += 1
                 log.warning("skipping unparseable record line: %r", line.strip())

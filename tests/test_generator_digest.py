@@ -264,13 +264,13 @@ PIPELINE_EXPECTED = {
     (1, "texts"): "4d0f5f5e4ae231284958dc78422b90e682e28a3ec750a0a7cb02520fe1ca1416",
     (1, "eval"): "f875f9e02b55603ead363a796c2c0de23a4ea5ff5b9acf7cf27fd30ac487d2f6",
     (1, "text_reader"): "ba1f29fcca3a53a2ba6fbcbb506d1edfa96d1cc0d0b8c82310a9b7f5b22f848e",
-    (1, "remote"): "a7a1fe76a26038a5ccea11ba0d3b167e8f40433aa9817ac6d09967219afd30dc",
+    (1, "remote"): "f69549568660db244d6ef99400dcfd5a2bca749ee8dd08133911121e9940238e",
     (1, "cli"): "a50312c07d998e6d13b6e933da9bf6f5f44af1a1f17a13a3512dfc7903bb98f5",
     (1009, "rule"): "a71ea26ab0c3ad544e556997c09856f9cef8efa104cdc0a6920821ec33ea22dd",
     (1009, "texts"): "34b732fc203c2d2033198ea04c6673b6df66ad3eb3cd70433e57e587050623bb",
     (1009, "eval"): "f34a9cf30eda0a036df85521bd3deec7cd44b4c976486d2ebc89e9d3a02f1f5c",
     (1009, "text_reader"): "caa8231647fe829cd3f72d23ec018bb8850fbf120948743ed5f893ce1ecc4c91",
-    (1009, "remote"): "72ce2943adf9be040b9868dd6678195a4f7ae31694207e7045ce950bf48665a7",
+    (1009, "remote"): "4b4cdfd8bdea423b0b2076b061dcbba98fd0a49fa16caa9260d8859f18b203b8",
     (1009, "cli"): "48288200476d6bd41811dc723b2fbc32644fbfb10ed2cc32d7e5061fbaecc69b",
 }
 

@@ -189,7 +189,13 @@ UNDECODABLE = [SPLIT, b'[{"event_index": 1}\n', b'["\xff"]\n', b"\n"]
 NOT_RECORDS = [
     b"{}\n",
     b"null\n",
-    b"[[4, \"location\", \"T-shirt\", \"x\"]]\n",
+    b'[[4, "T-shirt", "location"]]\n',
+    b'[[4, "T-shirt", "location", "x", "y"]]\n',
+    b'[["4", "T-shirt", "location", "x"]]\n',
+    b'[[true, "T-shirt", "location", "x"]]\n',
+    b'[[4.0, "T-shirt", "location", "x"]]\n',
+    b'[[4, ["T-shirt"], "location", "x"]]\n',
+    b'[[[4, "T-shirt", "location", "x"]]]\n',
     b'[{"event_index": "4", "attribute": "location", "entity": "T-shirt", "state": "x"}]\n',
     b'[{"event_index": 4, "attribute": "location", "entity": "T-shirt"}]\n',
     b'[{"event_index": true, "attribute": "location", "entity": "T-shirt", "state": "x"}]\n',

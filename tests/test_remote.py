@@ -244,8 +244,8 @@ def test_cache_log_lines_are_key_tab_json(cupboard_story, tmp_path):
     [line] = log_lines(tmp_path)
     key, body = line.split(b"\t")
     assert key.startswith(b"generate_states-")
-    [row] = json.loads(body)
-    assert set(row) == {"event_index", "entity", "attribute", "state"}
+    # A state row is an array in `EntityStateRecord`'s field order.
+    assert json.loads(body) == [[4, "T-shirt", "location", "in the cupboard"]]
 
 
 def test_interrupted_store_leaves_no_entry(cupboard_story, tmp_path, monkeypatch):
@@ -282,7 +282,7 @@ def test_truncated_cache_raises_typed_error(cupboard_story, tmp_path):
     first, second = log_lines(tmp_path)
     key, body = second.split(b"\t")
     rows = json.loads(body)
-    not_a_record = json.dumps([rows[0], {**rows[1], "event_index": "5"}]).encode()
+    not_a_record = json.dumps([rows[0], ["5", *rows[1][1:]]]).encode()
     shapes = [body[:-10] + b"\n", b"{}\n", b"[1, 2]\n", not_a_record + b"\n"]
     for bad in shapes:
         log.write_bytes(first + key + b"\t" + bad)
@@ -491,3 +491,61 @@ def test_remote_blank_reply_lines_are_skipped_and_not_counted(cupboard_story):
     records = generate_states(cupboard_story, [EntityAttribute("t-shirt", "location")], backend)
     assert [r.event_index for r in records] == [4, 7]
     assert backend.skipped_lines == 0
+
+
+# Characters `str.splitlines` breaks a line at besides the line feed.
+LINE_BREAKS_BUT_LF = ["\u2028", "\u2029", "\x85", "\f", "\v", "\x1c"]
+
+
+@pytest.mark.parametrize("sep", LINE_BREAKS_BUT_LF, ids=ascii)
+def test_reply_lines_break_at_line_feeds_alone(cupboard_story, cupboard_questions, sep):
+    client, _ = make_client([
+        f"- 4: location of T-shirt becomes in the{sep}cupboard\r\n- 7: location of T-shirt becomes in basket\n",
+        f"<entities>\r\n- location of T-{sep}shirt\r\n</entities>",
+        f"- waiting{sep}room\r\n- porch\n",
+    ])
+    backend = RemoteBackend(client)
+    records = backend.story_states(cupboard_story, [EntityAttribute("t-shirt", "location")])
+    assert [(r.event_index, r.state) for r in records] == [(4, f"in the{sep}cupboard"), (7, "in basket")]
+    [pair] = backend.key_entities(cupboard_story, cupboard_questions)
+    assert (pair.entity, pair.attribute) == (f"T-{sep}shirt", "location")
+    assert backend.location_names(cupboard_story) == [f"waiting{sep}room", "porch"]
+
+
+# A state entry's body as logs held it before state rows were arrays: dict
+# rows, keys in the order the reply's fields were read.
+DICT_ROWS_REPLY = "- 4: Location of T-shirt becomes in the cupboard.\n- 7: location of T-Shirt becomes in basket\n"
+DICT_ROWS_BODY = (
+    b'[{"event_index": 4, "attribute": "Location", "entity": "T-shirt", "state": "in the cupboard"}, '
+    b'{"event_index": 7, "attribute": "location", "entity": "T-Shirt", "state": "in basket"}]\n'
+)
+
+
+def test_a_log_of_dict_rows_is_served_without_a_request(cupboard_story, cupboard_questions, tmp_path):
+    targets = [EntityAttribute("t-shirt", "location")]
+    client, _ = make_client(["<entities>\n- location of T-shirt\n</entities>", "- crawlspace\n", DICT_ROWS_REPLY])
+    backend = RemoteBackend(client, cache=RecordCache(tmp_path))
+    backend.key_entities(cupboard_story, cupboard_questions)
+    backend.location_names(cupboard_story)
+    backend.story_states(cupboard_story, targets)
+    entities, rooms, states = log_lines(tmp_path)
+    (tmp_path / LOG_NAME).write_bytes(entities + rooms + states.split(b"\t")[0] + b"\t" + DICT_ROWS_BODY)
+
+    fresh, transport = make_client([])
+    backend = RemoteBackend(fresh, cache=RecordCache(tmp_path))
+    [pair] = backend.key_entities(cupboard_story, cupboard_questions)
+    assert (pair.entity, pair.attribute) == ("T-shirt", "location")
+    assert backend.location_names(cupboard_story) == ["crawlspace"]
+    records = backend.story_states(cupboard_story, targets)
+    assert transport.requests == []
+    parsed = RemoteBackend(make_client([DICT_ROWS_REPLY])[0]).story_states(cupboard_story, targets)
+    assert records == parsed
+    assert [r.key for r in records] == [r.key for r in parsed]
+    assert [repr(r) for r in records] == [repr(r) for r in parsed]
+
+    # A later array entry for the same key wins.
+    RecordCache(tmp_path).store(cupboard_story, targets, backend.name, [[7, "T-shirt", "location", "in the crate"]])
+    fresh, transport = make_client([])
+    records = RemoteBackend(fresh, cache=RecordCache(tmp_path)).story_states(cupboard_story, targets)
+    assert transport.requests == []
+    assert [(r.event_index, r.render()) for r in records] == [(7, "location of T-shirt becomes in the crate")]

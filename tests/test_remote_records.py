@@ -141,14 +141,12 @@ def _row(order, index, entity, attribute, state) -> dict:
     return {key: fields[key] for key in order}
 
 
-ROW = st.builds(
-    _row,
-    st.sampled_from(KEY_ORDERS),
-    st.integers(min_value=-(2**70), max_value=2**70),
-    FIELD_TEXT,
-    FIELD_TEXT,
-    FIELD_TEXT,
-)
+INDEX = st.integers(min_value=-(2**70), max_value=2**70)
+# A dict row, as logs held state rows before they were arrays, or the
+# ``[event_index, entity, attribute, state]`` array `RemoteBackend` stores.
+DICT_ROW = st.builds(_row, st.sampled_from(KEY_ORDERS), INDEX, FIELD_TEXT, FIELD_TEXT, FIELD_TEXT)
+ARRAY_ROW = st.builds(lambda *fields: list(fields), INDEX, FIELD_TEXT, FIELD_TEXT, FIELD_TEXT)
+ROW = DICT_ROW | ARRAY_ROW
 
 
 @pytest.fixture(scope="module")

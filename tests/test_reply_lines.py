@@ -55,10 +55,10 @@ def record(line: str):
     """(index, attribute, entity, state) as `RemoteBackend` reads ``line``."""
     backend = RemoteBackend(ChatClient(base_url="http://llm.test/v1", model="test-model"))
     try:
-        (row,) = backend._parse_records(line)
+        ((index, entity, attribute, state),) = backend._parse_records(line)
     except ExtractionError:
         return None
-    return row["event_index"], row["attribute"], row["entity"], row["state"]
+    return index, attribute, entity, state
 
 
 def bullet(line: str):
