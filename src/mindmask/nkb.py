@@ -16,9 +16,11 @@ Both sides honor the same protocol, so the masking pipeline cannot tell
 them apart.
 
 Key entities drive knowledge injection. The rule backend states every
-entity whatever the targets, so the pipeline never asks it for them, and
-its symbolic path runs no record merge: ``RuleBackend.location_states``
-gives the scan's one location order, which the scene pass reads as merged.
+entity whatever the targets, so the pipeline never asks it for them. Its
+symbolic path runs no record merge and builds no character's location
+record: the scene pass reads the scan's :class:`EventColumns` (each event's
+movers, placements and actors, kept with each distinct line's reading), and
+a character's records are built only when something reads them.
 """
 
 from __future__ import annotations
@@ -26,12 +28,12 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from sys import intern
 from typing import TYPE_CHECKING, Iterable, Protocol, runtime_checkable
 
 from .errors import ExtractionError, ProtocolError, ValidationError
-from .story import DIALOGUE_KIND, NAME, NAME_LIST, LastStory, Story, split_name_list
+from .story import DIALOGUE_KIND, NAME, NAME_LIST, LastStory, Story, leading_subjects, split_name_list
 from .textnorm import is_negated_place, normalize_place
 
 if TYPE_CHECKING:
@@ -187,43 +189,90 @@ _STAY_RE = re.compile(rf"^({NAME}) made no movements and stayed in the ({_PLACE}
 
 
 @dataclass(frozen=True)
-class _Scan:
-    """One pass over a story's text: its location records in one location
-    order, the emission order, one note per move, its enterable places in
-    first-mention order, and the first container each object (casefolded)
-    was declared in.
+class EventColumns:
+    """What the scene pass reads of each event, one entry an event, in story
+    order.
 
-    A move note is ``(position, event index, container, object, old
-    container or None)``: the container and object display names, and
-    `position`, the length of `locations` just after the move's own location
-    record. The move's content records are built from it only when
-    `records` is first read.
+    `movers` maps each character whose location the event sets, casefolded,
+    to its location state (a character's last record at the event wins);
+    `placements` holds the event's other location records, an object's or a
+    name's that is no character, in record order (``()`` when it has none);
+    `actors` holds the casefolded names the event's text opens with as
+    agents (:func:`mindmask.story.leading_subjects`), or is None when the
+    scene pass is to parse them from the text itself.
     """
 
-    locations: tuple[EntityStateRecord, ...]
-    moves: tuple[tuple[int, int, str, str, str | None], ...]
+    movers: list[dict[str, str]]
+    placements: list[list[EntityStateRecord] | tuple[()]]
+    actors: list[tuple[str, ...]] | None
+
+
+@dataclass(frozen=True)
+class _Scan(EventColumns):
+    """One pass over a story's text: its scene columns, each event's line
+    reading, the display name of each entity (casefolded) it has seen, one
+    note per move, its enterable places in first-mention order, and the first
+    container each object (casefolded) was declared in.
+
+    The pass builds the placements' records only. The characters' location
+    records, `locations` (every location record in the emission order) and
+    `records` (content records too) are built from the columns, the readings
+    and the notes the first time each is read. A move note is ``(event index,
+    container, object, old container or None)``, with display names.
+    """
+
+    readings: list[tuple] = field(repr=False)
+    display: dict[str, str] = field(repr=False)
+    moves: tuple[tuple[int, str, str, str | None], ...]
     places: tuple[str, ...]
     containers: dict[str, str]
 
     @cached_property
+    def locations(self) -> list[EntityStateRecord]:
+        """Every location record in the emission order: at an enter, exit,
+        join or leave line, one a name as written, repeats included."""
+        records: list[EntityStateRecord] = []
+        display = self.display
+        for i, (reading, moved, placed) in enumerate(
+            zip(self.readings, self.movers, self.placements), start=1
+        ):
+            if not moved:
+                records += placed
+                continue
+            # A mover line's subjects are its names, a character's record or
+            # a placement each; a speaker's first utterance, a line that reads
+            # as nothing, is the one mover of its event.
+            verb, *_, subjects = reading
+            strangers = iter(placed)
+            for key in moved if verb is None else subjects:
+                if key in moved:
+                    records.append(keyed_record(i, display[key], LOCATION, moved[key], (key, LOCATION)))
+                else:
+                    records.append(next(strangers))
+        return records
+
+    @cached_property
     def records(self) -> tuple[EntityStateRecord, ...]:
         """Every record in emission order: each move's content records come
-        straight after its object's location record."""
+        straight after its object's location record, the move's only one."""
         records: list[EntityStateRecord] = []
-        start = 0
-        for position, index, container, obj, old in self.moves:
-            records += self.locations[start:position]
-            start = position
-            # A display name casefolds to its key.
-            records.append(keyed_record(index, container, CONTENT, obj, (container.casefold(), CONTENT)))
-            if old is not None:
-                records.append(keyed_record(index, old, CONTENT, "empty", (old.casefold(), CONTENT)))
-        records += self.locations[start:]
+        moves = iter(self.moves)
+        move = next(moves, None)
+        for record in self.locations:
+            records.append(record)
+            if move is not None and record.event_index == move[0]:
+                index, container, obj, old = move
+                # A display name casefolds to its key.
+                records.append(keyed_record(index, container, CONTENT, obj, (container.casefold(), CONTENT)))
+                if old is not None:
+                    records.append(keyed_record(index, old, CONTENT, "empty", (old.casefold(), CONTENT)))
+                move = next(moves, None)
         return tuple(records)
 
 
 _ENTER, _EXIT, _MOVE, _DECLARE, _JOIN, _LEAVE = range(1, 7)
-_NOTHING = (None, None, None, None, None)
+_NOTHING = (None, None, None, None, None, None, ())
+_IN_CONVERSATION = intern(f"in the {CONVERSATION}")
 
 
 def _place(name: str) -> tuple[str, str] | None:
@@ -231,20 +280,31 @@ def _place(name: str) -> tuple[str, str] | None:
     return (intern(key), name) if key else None
 
 
+@lru_cache(maxsize=128)
+def _actors(names: tuple[str, ...]) -> tuple[str, ...]:
+    """`names` casefolded and interned. Memoized, boundedly, so the lines
+    that open with one name, most of a story's, share one tuple a name."""
+    return tuple(intern(name.casefold()) for name in names)
+
+
 def _read_line(text: str) -> tuple:
     """What the grammar reads in one stripped event line, whatever story
-    holds it: ``(verb, who, where, place, declared)``.
+    holds it: ``(verb, who, where, state, place, declared, actors)``.
 
     `verb` is the first of enter, exit, move, declare, join and leave that
-    matches, or None. `who` is the names of an enter or join line (a tuple),
-    the name of an exit or leave line, or the object of a move or
-    declaration, and `where` the place or container it names. `place` is
-    ``(normalized place, place)`` from an enter, exit or stay line that is
-    not a move, and `declared` is ``(casefolded object, container)`` from a
-    declaration, whatever else the line reads as. Every string is an
-    interned match group or its normal form, so a reading holds no state
-    string and nothing of any one story; a line that reads as nothing gets
-    the one shared `_NOTHING`.
+    matches, or None. `who` is the names of an enter, exit, join or leave
+    line (a tuple), or the object of a move or declaration, `where` the
+    place or container it names, and `state` the location state its records
+    take. `place` is ``(normalized place, place)`` from an enter, exit or
+    stay line that is not a move, and `declared` is ``(casefolded object,
+    container)`` from a declaration, whatever else the line reads as.
+    `actors` is the names the line opens with as agents
+    (:func:`mindmask.story.leading_subjects`), casefolded: an enter, exit,
+    move, join or leave line opens with its names and an agentive verb, so
+    they are its actors (and those of an enter, exit, join or leave line are
+    its movers), and any other line is parsed for them. Every string is an
+    interned match group or a form of one, so a reading holds nothing of any
+    one story; a line that reads as nothing gets the one shared `_NOTHING`.
 
     Enter, exit, move and stay lines start with a name and differ in the
     verb, so at most one of them matches; a declare line may match any of
@@ -253,22 +313,32 @@ def _read_line(text: str) -> tuple:
     declare = _DECLARE_RE.match(text) if text.startswith("The ") else None
     declared = (intern(declare[1].casefold()), intern(declare[2])) if declare else None
     if " entered the " in text and (m := _ENTER_RE.match(text)):
-        place = intern(m[2])
-        return (_ENTER, tuple(map(intern, split_name_list(m[1]))), place, _place(place), declared)
+        place, names = intern(m[2]), tuple(map(intern, split_name_list(m[1])))
+        actors, state = _actors(names), intern(f"in the {place}")
+        return (_ENTER, names, place, state, _place(place), declared, actors)
     if " exited the " in text and (m := _EXIT_RE.match(text)):
-        place = intern(m[2])
-        return (_EXIT, intern(m[1]), place, _place(place), declared)
+        place, names = intern(m[2]), (intern(m[1]),)
+        actors, state = _actors(names), intern(f"outside the {place}")
+        return (_EXIT, names, place, state, _place(place), declared, actors)
     if " moved the " in text and (m := _MOVE_RE.match(text)):
-        return (_MOVE, intern(m[2]), intern(m[3]), None, declared)
+        container = intern(m[3])
+        state = intern(f"in {container}")
+        return (_MOVE, intern(m[2]), container, state, None, declared, _actors((m[1],)))
+    actors = _actors(tuple(leading_subjects(text)))
     m = _STAY_RE.match(text) if " stayed in the " in text else None
     place = _place(intern(m[2])) if m else None
     if declare:
-        return (_DECLARE, intern(declare[1]), declared[1], place, declared)
+        state = intern(f"in the {declared[1]}")
+        return (_DECLARE, intern(declare[1]), declared[1], state, place, declared, actors)
     if " joined the conversation." in text and (m := _JOIN_RE.match(text)):
-        return (_JOIN, tuple(map(intern, split_name_list(m[1]))), CONVERSATION, place, None)
+        names = tuple(map(intern, split_name_list(m[1])))
+        return (_JOIN, names, CONVERSATION, _IN_CONVERSATION, place, None, actors)
     if " left the conversation." in text and (m := _LEAVE_RE.match(text)):
-        return (_LEAVE, intern(m[1]), CONVERSATION, place, None)
-    return _NOTHING if place is None else (None, None, None, place, None)
+        names, state = (intern(m[1]),), intern(f"outside the {CONVERSATION}")
+        return (_LEAVE, names, CONVERSATION, state, place, None, actors)
+    if place is None and not actors:
+        return _NOTHING
+    return (None, None, None, None, place, None, actors)
 
 
 def _scan(story: Story, lines: dict[str, tuple]) -> _Scan:
@@ -290,22 +360,28 @@ def _scan(story: Story, lines: dict[str, tuple]) -> _Scan:
 
     What depends on the story is worked out here, event by event: display
     names, what each object is inside, places and containers in
-    first-mention order, and the records. The pass builds location records
-    only, in one location order, the emission order. At a move it keeps a
-    note from which :attr:`_Scan.records` builds the content records the
-    first time it is read; the container names are remembered at the move,
-    so every record's display name is still its entity's first-seen
-    spelling.
+    first-mention order, and the scene columns. A character's location
+    record is a mover in its event's column, and only an enter, exit, join
+    or leave line, or a speaker's first utterance, moves one: an object named
+    like a character is placed, not moved. The pass builds the placements'
+    records only; :attr:`_Scan.locations` and :attr:`_Scan.records` build the
+    rest the first time each is read, and every display name is the entity's
+    first-seen spelling, remembered here.
     """
     dialogue = story.kind == DIALOGUE_KIND
-    records: list[EntityStateRecord] = []
-    moves: list[tuple[int, int, str, str, str | None]] = []
+    characters = story.characters_by_key.keys()
+    readings: list[tuple] = []
+    movers: list[dict[str, str]] = []
+    placements: list[list[EntityStateRecord] | tuple[()]] = []
+    actors: list[tuple[str, ...]] = []
+    moves: list[tuple[int, str, str, str | None]] = []
     places: dict[str, str] = {}
     containers: dict[str, str] = {}
     inside: dict[str, str] = {}  # object key -> container key
     display: dict[str, str] = {}
     # Who is in the conversation; only a dialogue reads it.
     present: set[str] = set()
+    no_movers: dict[str, str] = {}
 
     def first_seen(key: str, name: str) -> str:
         shown = display[key] = display_name(name)
@@ -318,50 +394,64 @@ def _scan(story: Story, lines: dict[str, tuple]) -> _Scan:
         reading = lines.get(text)
         if reading is None:
             reading = lines[text] = _read_line(text)
-        verb, who, where, place, declared = reading
+        verb, who, where, state, place, declared, subjects = reading
+        readings.append(reading)
+        actors.append(subjects)
         if declared is not None:
             containers.setdefault(*declared)
         if place is not None and not dialogue:
             places.setdefault(*place)
         i = event.index
-        if verb == _ENTER or (verb == _JOIN and dialogue):
-            state = f"in the {where}"
-            for name in who:
-                key = name.casefold()
-                entity = display.get(key) or first_seen(key, name)
-                records.append(keyed_record(i, entity, LOCATION, state, (key, LOCATION)))
-                if dialogue:
-                    present.add(key)
-        elif verb == _EXIT or (verb == _LEAVE and dialogue):
-            key = who.casefold()
-            entity = display.get(key) or first_seen(key, who)
-            records.append(keyed_record(i, entity, LOCATION, f"outside the {where}", (key, LOCATION)))
+        placed = ()
+        if verb == _ENTER or verb == _EXIT or (dialogue and (verb == _JOIN or verb == _LEAVE)):
+            # The line's subjects are its names, casefolded, in order.
+            moved = dict.fromkeys(subjects, state)
+            if not moved.keys() <= display.keys():
+                for name, key in zip(who, subjects):
+                    if key not in display:
+                        first_seen(key, name)
             if dialogue:
-                present.discard(key)
+                if verb == _ENTER or verb == _JOIN:
+                    present.update(moved)
+                else:
+                    present.difference_update(moved)
+            if not moved.keys() <= characters:
+                # A name that is no character is placed like an object.
+                placed = [
+                    keyed_record(i, display[key], LOCATION, state, (key, LOCATION))
+                    for key in subjects
+                    if key not in characters
+                ]
+                moved = dict.fromkeys([key for key in subjects if key in characters], state)
         elif verb == _MOVE:
+            moved = no_movers
             obj_key, cont_key = who.casefold(), where.casefold()
             obj = display.get(obj_key) or first_seen(obj_key, who)
-            records.append(keyed_record(i, obj, LOCATION, f"in {where}", (obj_key, LOCATION)))
+            placed = [keyed_record(i, obj, LOCATION, state, (obj_key, LOCATION))]
             container = display.get(cont_key) or first_seen(cont_key, where)
             old_key = inside.get(obj_key)
             inside[obj_key] = cont_key
             old = display[old_key] if old_key is not None and old_key != cont_key else None
-            moves.append((len(records), i, container, obj, old))
+            moves.append((i, container, obj, old))
         elif verb == _DECLARE:
+            moved = no_movers
             obj_key, cont_key = who.casefold(), where.casefold()
             obj = display.get(obj_key) or first_seen(obj_key, who)
-            records.append(keyed_record(i, obj, LOCATION, f"in the {where}", (obj_key, LOCATION)))
+            placed = [keyed_record(i, obj, LOCATION, state, (obj_key, LOCATION))]
             if cont_key not in display:
                 first_seen(cont_key, where)
             inside[obj_key] = cont_key
-        elif dialogue and event.speaker is not None:
-            key = event.speaker.casefold()
-            if key not in present:
-                present.add(key)
-                entity = display.get(key) or first_seen(key, event.speaker)
-                records.append(keyed_record(i, entity, LOCATION, f"in the {CONVERSATION}", (key, LOCATION)))
+        elif dialogue and event.speaker is not None and (key := event.speaker.casefold()) not in present:
+            present.add(key)
+            if key not in display:
+                first_seen(key, event.speaker)
+            moved = {key: _IN_CONVERSATION}
+        else:
+            moved = no_movers
+        movers.append(moved)
+        placements.append(placed)
     names = (CONVERSATION,) if dialogue else tuple(places.values())
-    return _Scan(tuple(records), tuple(moves), names, containers)
+    return _Scan(movers, placements, actors, readings, display, tuple(moves), names, containers)
 
 
 def event_states(backend: StateBackend, story: Story, index: int, targets) -> list[tuple[str, str, str]]:
@@ -387,12 +477,15 @@ class RuleBackend:
     every distinct line it has scanned, so it matches each line once
     whatever story repeats it; a new backend starts with none.
 
-    Outside the protocol, :meth:`location_states` gives the location records
-    alone, in the scan's one location order, which is all the symbolic path
-    reads. The scan builds only those; ``story_states`` builds the content
-    records from the scan's move notes the first time it is asked for a
-    story, and gives every record in emission order, whatever the targets:
-    a backend with ``location_states`` states every entity.
+    Outside the protocol, :meth:`scene_columns` gives the scan itself, whose
+    :class:`EventColumns` are what the scene pass reads, and
+    :meth:`location_states` the location records alone, in the scan's one
+    location order. The scan builds only the records of its placements; the
+    characters' location records are built the first time
+    ``location_states`` or ``story_states`` asks for a story, and the content
+    records, from the scan's move notes, the first time ``story_states``
+    does. ``story_states`` gives every record in emission order, whatever
+    the targets: a backend with ``scene_columns`` states every entity.
     """
 
     def __init__(self):
@@ -409,11 +502,18 @@ class RuleBackend:
     def location_names(self, story):
         return list(self._scan_of(story).places)
 
+    def scene_columns(self, story) -> _Scan:
+        """The story's scan: its :class:`EventColumns`, built with no
+        character location record, and its ``locations`` and ``records``,
+        each built the first time it is read; not a member of
+        :class:`StateBackend`."""
+        return self._scan_of(story)
+
     def location_states(self, story) -> tuple[EntityStateRecord, ...]:
         """The location records of ``story_states``, the same objects in the
         scan's one location order, the emission order, with no content
         record built and no merge run; not a member of :class:`StateBackend`."""
-        return self._scan_of(story).locations
+        return tuple(self._scan_of(story).locations)
 
     def key_entities(self, story, questions):
         """Character locations and container contents; the question-mandated

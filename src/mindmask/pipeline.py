@@ -9,7 +9,9 @@ non-spatial knowledge bullets, is built only for a text reader (an
 ``answer_backend``) and only the first time one asks; so are the rule
 backend's non-location records, which only those bullets read. That backend
 states every entity whatever the targets, so it is never asked for key
-entities, and a story is prepared with one scan and one scene pass. Two
+entities, and a story is prepared with one scan and one scene pass, which
+reads the scan's per-event columns: the characters' location records are
+built only when something reads `StoryArtifacts.records`. Two
 ablation switches reproduce the "no knowledge injection" and "no iterative
 masking" variants; with masking off the reader sees the whole story and
 fails on false-belief questions, which is the point.
@@ -27,6 +29,7 @@ from .errors import ValidationError
 from .inject import AugmentedEvent, inject
 from .nkb import (
     EntityStateRecord,
+    EventColumns,
     LOCATION,
     RuleBackend,
     StateBackend,
@@ -65,42 +68,69 @@ class PipelineConfig:
     apply_masking: bool = True  # off = the "w/o IM" ablation
 
 
+class _Records:
+    """`StoryArtifacts.records` when the constructor was given None: the
+    location records of the artifacts' rule scan, built and kept the first
+    time they are read. Like ``functools.cached_property``, the records
+    kept, or given, are then a plain attribute that hides this."""
+
+    def __get__(self, artifacts, owner=None):
+        if artifacts is None:
+            raise AttributeError("records")  # so the field has no default
+        records = artifacts.__dict__["records"] = artifacts._scan.locations
+        return records
+
+
 @dataclass
 class StoryArtifacts:
     """Everything computable once per story and shared across its questions.
 
-    `records` are what the graphs are built from. With a backend that has
-    ``location_states`` (the rule backend), :func:`prepare_story` fills them
-    with the location records alone, in the scan's one location order (the
-    scene pass reads no order within an event), and keeps the backend in
-    `_backend`; every record, content records included, is then generated
-    only when `augmented` is first read. Such a backend states every entity
-    whatever the targets, so no key entities are asked for. Otherwise
-    `records` hold every record and `augmented` injects those.
+    `records` are the location records the graphs stand for. With a backend
+    that has ``scene_columns`` (the rule backend), :func:`prepare_story`
+    builds the omniscient graph from the scan's columns and keeps the scan
+    in `_scan`; `records` are then the scan's location records, in its one
+    location order (the scene pass reads no order within an event), built
+    the first time they are read (`records=None` asks for that), and every
+    record, content records included, the first time `augmented` is. Such a
+    backend states every entity whatever the targets, so no key entities
+    are asked for. Otherwise `records` hold every record and `augmented`
+    injects those.
     """
 
     story: Story
-    records: list[EntityStateRecord]
+    records: list[EntityStateRecord] = _Records()
     anchors: list
     omniscient: SceneGraph
-    _backend: StateBackend | None = field(default=None, init=False)
+    _scan: EventColumns | None = field(default=None, init=False)
     _char_graphs: dict[str, SceneGraph] = field(default_factory=dict, init=False)
     _texts: dict[bool, list[str]] = field(default_factory=dict, init=False)
     _by_target: dict[tuple[str, str], list[EntityStateRecord]] = field(default_factory=dict, init=False)
 
+    def __post_init__(self):
+        if self.records is None:
+            del self.records  # built from `_scan` when first read
+
     def target_records(self, q: ToMQuestion) -> list[EntityStateRecord]:
         """The location records of the question's target, in record order;
-        filtered once per target, the first time a question asks."""
+        filtered once per target, the first time a question asks. An
+        object's records are all placements, so a scan's are read from its
+        columns and no character record is built."""
         key = (q.target_entity.casefold(), LOCATION)
         if key not in self._by_target:
-            self._by_target[key] = [r for r in self.records if r.key == key]
+            scan = self._scan
+            if scan is None or key[0] in self.story.characters_by_key:
+                records = self.records
+            else:
+                records = (r for placed in scan.placements for r in placed)
+            self._by_target[key] = [r for r in records if r.key == key]
         return self._by_target[key]
 
     def character_graph(self, name: str) -> SceneGraph:
         key = name.casefold()
         if key not in self._char_graphs:
+            source = self.records if self._scan is None else self._scan
             self._char_graphs[key] = build_character_graph(
-                self.story, self.records, self.anchors, name, self.omniscient
+                self.story, source, self.anchors, name, self.omniscient
             )
         return self._char_graphs[key]
 
@@ -108,10 +138,9 @@ class StoryArtifacts:
     def augmented(self) -> list[AugmentedEvent]:
         """The story's events with injected bullets; built, with every record
         they need, the first time a text reader asks."""
-        records = self.records
-        if self._backend is not None:
-            records = merge_states(self._backend.story_states(self.story, []))
-        return inject(self.story, records)
+        if self._scan is None:
+            return inject(self.story, self.records)
+        return inject(self.story, merge_states(self._scan.records))
 
     def view_texts(self, with_knowledge: bool) -> list[str]:
         """Numbered event texts, with injected bullets when `with_knowledge`;
@@ -134,21 +163,24 @@ class QuestionOutcome:
 
 def prepare_story(story: Story, questions: list[ToMQuestion], cfg: PipelineConfig) -> StoryArtifacts:
     """The records, anchors and omniscient graph of a story. A backend with
-    ``location_states`` gives the records in one call; any other backend is
+    ``scene_columns`` gives the scene pass its scan in one call, and the
+    records are built from the scan when first read; any other backend is
     asked for its key entities, then for every record."""
     if not questions:
         raise ValidationError("prepare_story needs at least one question")
     backend = cfg.nkb_backend
-    location_states = getattr(backend, "location_states", None)
-    if location_states is None:
-        records = generate_states(story, identify_key_entities(story, questions, backend), backend)
+    scene_columns = getattr(backend, "scene_columns", None)
+    if scene_columns is None:
+        source = generate_states(story, identify_key_entities(story, questions, backend), backend)
     else:
-        records = list(location_states(story))
+        source = scene_columns(story)
     anchors = extract_locations(story, backend)
-    omniscient = build_omniscient_graph(story, records, anchors)
-    artifacts = StoryArtifacts(story=story, records=records, anchors=anchors, omniscient=omniscient)
-    if location_states is not None:
-        artifacts._backend = backend
+    omniscient = build_omniscient_graph(story, source, anchors)
+    if scene_columns is None:
+        return StoryArtifacts(story=story, records=source, anchors=anchors, omniscient=omniscient)
+    # The records are the scan's, built the first time they are read.
+    artifacts = StoryArtifacts(story=story, records=None, anchors=anchors, omniscient=omniscient)
+    artifacts._scan = source
     return artifacts
 
 

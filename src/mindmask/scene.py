@@ -4,10 +4,14 @@ A scene graph assigns every event of a story to the room where it happens,
 or to the null node (``None``) when the room is unknown. Its ``bits`` holds
 the same graph as an integer: bit i-1 is set when event i has a room.
 
-:func:`build_omniscient_graph` does a story's scene work in one pass over
-its records and one over its events. The first resolves each distinct
-location string once and buckets each event's character moves and object
-records. The second keeps each character's current room, opening and
+:func:`build_omniscient_graph` does a story's scene work in one loop over
+three per-event columns (:class:`mindmask.nkb.EventColumns`): the event's
+movers, each character it moves to a location state, its placements, the
+other location records, and its actors, the characters its text opens
+with. The rule scan gives the columns as it reads each distinct line;
+from any other backend's records one pass buckets them, and the loop
+parses each event's actors from its text. The loop resolves each distinct
+location string once, keeps each character's current room, opening and
 closing runs of one room as the character moves, assigns each event its
 room and collects each room's events as a bitset; an object declaration
 that names no room waits until it ends, then takes its container's room or
@@ -28,9 +32,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 
 from .errors import ValidationError
-from .nkb import LOCATION, EntityStateRecord, LocationAnchor, canonicalize_location
+from .nkb import LOCATION, EntityStateRecord, EventColumns, LocationAnchor, canonicalize_location
 from .story import DIALOGUE_KIND, Story, leading_subjects
 from .textnorm import normalize_place
 
@@ -127,11 +132,39 @@ class _Rooms(dict):
         return room
 
 
+def _columns(story: Story, records: list[EntityStateRecord]) -> EventColumns:
+    """The scene columns of a story's state records, with actors left to the
+    text: each event's character moves (a character's last record at the
+    event wins, whatever its other records) and its other location records.
+    A location record whose entity is named like a character moves that
+    character; the records alone cannot tell a person from an object."""
+    n = len(story.events)
+    characters = story.characters_by_key
+    movers: list[dict[str, str]] = [{} for _ in range(n)]
+    placements: list = [()] * n
+    for r in records:
+        i = r.event_index - 1
+        if not 0 <= i < n:
+            raise ValidationError(f"record references unknown event index {r.event_index}")
+        key, attribute = r.key
+        if attribute == LOCATION:
+            if key in characters:
+                movers[i][key] = r.state
+            elif placements[i]:
+                placements[i].append(r)
+            else:
+                placements[i] = [r]
+    return EventColumns(movers, placements, None)
+
+
 def build_omniscient_graph(
-    story: Story, records: list[EntityStateRecord], anchors: list[LocationAnchor]
+    story: Story, records: list[EntityStateRecord] | EventColumns, anchors: list[LocationAnchor]
 ) -> SceneGraph:
     """Assign each event the room where it occurs, from an all-seeing view.
 
+    `records` are the story's state records, or the scene columns of a rule
+    scan (:meth:`mindmask.nkb.RuleBackend.scene_columns`), which hold the
+    same facts with each event's actors read once per distinct line.
     Events with an acting character take the actor's resolved room (an exit
     keeps the room being exited). An object declaration that names no room
     waits until the one pass over the events ends, then takes its
@@ -141,62 +174,59 @@ def build_omniscient_graph(
     """
     if not anchors:
         raise ValidationError("cannot build a scene graph without location anchors")
+    columns = records if isinstance(records, EventColumns) else _columns(story, records)
     rooms = _Rooms(anchors)
     n = len(story.events)
-    # Each event's character moves, casefolded name to room (a character's
-    # last record at the event wins), and its object location records.
-    moves: list[dict[str, str | None]] = [{} for _ in range(n + 1)]
-    objects: list[list[EntityStateRecord]] = [[] for _ in range(n + 1)]
     current: dict[str, str | None] = dict.fromkeys(story.characters_by_key)  # the room now
-    for r in records:
-        if not 1 <= r.event_index <= n:
-            raise ValidationError(f"record references unknown event index {r.event_index}")
-        key, attribute = r.key
-        if attribute == LOCATION:
-            if key in current:
-                moves[r.event_index][key] = rooms[r.state]
-            else:
-                objects[r.event_index].append(r)
 
     # A character's whereabouts are runs (room, start, end) of one non-null
     # room, held from after event `start`'s records to before event `end`'s;
     # `since` is the start of the open run.
     since: dict[str, int] = {}
     runs: dict[str, list[tuple[str, int, int]]] = {key: [] for key in current}
-    # An event's first acting character (casefolded) is parsed only when no
-    # character moves in it or it has an object's location record. Containers
-    # take rooms anywhere in the story, from their own location records or
-    # from the actor who puts something in them, so a declaration that names
-    # no room waits, with the index of the nearest earlier event that has a
-    # room or waits.
+    # An event's first acting character (casefolded) is read only when no
+    # character moves in it or it has a placement. Containers take rooms
+    # anywhere in the story, from their own location records or from the
+    # actor who puts something in them, so a declaration that names no room
+    # waits, with the index of the nearest earlier event that has a room or
+    # waits.
     containers: dict[str, str] = {}
     waiting: list[tuple[int, str, int]] = []
     room_bits: dict[str, int] = {}  # each room's events as a bitset
     dialogue = story.kind == DIALOGUE_KIND
     assignment: list[str | None] = []
     last = 0
-    for index, event in enumerate(story.events, start=1):
+    events = zip(story.events, columns.movers, columns.placements, columns.actors or repeat(None))
+    for index, (event, moved, here, subjects) in enumerate(events, start=1):
         room: str | None = None
-        moved, here = moves[index], objects[index]
         actor = None
         if here or not moved:
-            for name in leading_subjects(event.text):
-                if (key := name.casefold()) in current:
-                    actor = key
-                    break
-        if moved:
-            # A mover's arrival names the room; when every mover leaves (an
-            # exit), the room being exited is where the first mover by key
-            # stood before, whatever the order of the event's records.
-            for room in moved.values():
-                if room is not None:
-                    break
+            if subjects is None:
+                for name in leading_subjects(event.text):
+                    if (key := name.casefold()) in current:
+                        actor = key
+                        break
             else:
-                room = current[min(moved)]
-            for key, new in moved.items():
+                for key in subjects:
+                    if key in current:
+                        actor = key
+                        break
+        if moved:
+            # A mover's arrival names the room.
+            for key, state in moved.items():
+                new = rooms[state]
+                if room is None:
+                    room = new
                 if current[key] is not None:
                     runs[key].append((current[key], since[key], index))
                 current[key], since[key] = new, index
+            if room is None:
+                # Every mover left (an exit): the room being exited is where
+                # the first mover by key stood before, whatever the order of
+                # the event's records, so the room of its run that ends here.
+                spans = runs[min(moved)]
+                if spans and spans[-1][2] == index:
+                    room = spans[-1][0]
         elif dialogue and event.speaker is not None:
             room = current[event.speaker.casefold()]
         elif actor is not None:
@@ -242,9 +272,23 @@ def build_omniscient_graph(
     return graph
 
 
+def _built_from(graph: SceneGraph, records, anchors: list[LocationAnchor]) -> bool:
+    """Whether `graph` came from :func:`build_omniscient_graph` called with
+    these `records` and `anchors` objects. A graph built from a rule scan's
+    columns was also built from the scan's location records, once they are
+    built."""
+    seen = graph._observations
+    if seen is None or seen[1] is not anchors:
+        return False
+    source = seen[0]
+    return source is records or (
+        isinstance(source, EventColumns) and source.__dict__.get("locations") is records
+    )
+
+
 def build_character_graph(
     story: Story,
-    records: list[EntityStateRecord],
+    records: list[EntityStateRecord] | EventColumns,
     anchors: list[LocationAnchor],
     character: str,
     omniscient: SceneGraph,
@@ -257,16 +301,17 @@ def build_character_graph(
     makes departures self-observed. The witnessed events are the observation
     bitset the omniscient graph carries, so `omniscient` must come from
     :func:`build_omniscient_graph` called with these same `records` and
-    `anchors` objects; any other graph raises :class:`ValidationError`.
+    `anchors` objects; any other graph raises :class:`ValidationError`. A
+    graph built from a rule scan's columns takes the scan, or its location
+    records once they are built.
     """
     if not story.has_character(character):
         raise ValidationError(f"{character!r} is not a character of the story")
     if len(omniscient) != len(story.events):
         raise ValidationError("omniscient graph does not cover the story")
-    seen = omniscient._observations
-    if seen is None or seen[0] is not records or seen[1] is not anchors:
+    if not _built_from(omniscient, records, anchors):
         raise ValidationError("omniscient graph was not built from these records and anchors")
-    return _view(omniscient, seen[2][character.casefold()])
+    return _view(omniscient, omniscient._observations[2][character.casefold()])
 
 
 def mask(g: SceneGraph, gc: SceneGraph) -> SceneGraph:
