@@ -199,12 +199,16 @@ class EventColumns:
     name's that is no character, in record order (``()`` when it has none);
     `actors` holds the casefolded names the event's text opens with as
     agents (:func:`mindmask.story.leading_subjects`), or is None when the
-    scene pass is to parse them from the text itself.
+    scene pass is to parse them from the text itself. `rooms` is the
+    backend's room tables the scene pass resolves location states through,
+    one per anchor set (``frozenset`` of anchors) and kept for the backend's
+    lifetime, or None for a table of the story's own.
     """
 
     movers: list[dict[str, str]]
     placements: list[list[EntityStateRecord] | tuple[()]]
     actors: list[tuple[str, ...]] | None
+    rooms: dict | None = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -341,10 +345,11 @@ def _read_line(text: str) -> tuple:
     return (None, None, None, None, place, None, actors)
 
 
-def _scan(story: Story, lines: dict[str, tuple]) -> _Scan:
+def _scan(story: Story, lines: dict[str, tuple], rooms: dict | None = None) -> _Scan:
     """Read every event against the grammar, once per distinct line a
     backend sees: `lines` maps each stripped line to its :func:`_read_line`
-    reading, and only a line it lacks is matched.
+    reading, and only a line it lacks is matched. `rooms` is the backend's
+    room tables, carried by the scan as :attr:`EventColumns.rooms`.
 
     An event's records come from the first of enter, exit, move, declare
     and, in a dialogue, join, leave or a speaker's first utterance (which
@@ -451,7 +456,7 @@ def _scan(story: Story, lines: dict[str, tuple]) -> _Scan:
         movers.append(moved)
         placements.append(placed)
     names = (CONVERSATION,) if dialogue else tuple(places.values())
-    return _Scan(movers, placements, actors, readings, display, tuple(moves), names, containers)
+    return _Scan(movers, placements, actors, rooms, readings, display, tuple(moves), names, containers)
 
 
 def event_states(backend: StateBackend, story: Story, index: int, targets) -> list[tuple[str, str, str]]:
@@ -475,7 +480,10 @@ class RuleBackend:
     :class:`mindmask.story.LastStory` of the last story scanned. Each
     backend also keeps, from its first scan on, the grammar's reading of
     every distinct line it has scanned, so it matches each line once
-    whatever story repeats it; a new backend starts with none.
+    whatever story repeats it, and one room table per anchor set, carried
+    by each scan as :attr:`EventColumns.rooms`, so the scene pass resolves
+    each location state once per room set whatever story repeats it; a new
+    backend starts with neither.
 
     Outside the protocol, :meth:`scene_columns` gives the scan itself, whose
     :class:`EventColumns` are what the scene pass reads, and
@@ -490,7 +498,8 @@ class RuleBackend:
 
     def __init__(self):
         lines: dict[str, tuple] = {}
-        self._scan_of = LastStory(lambda story: _scan(story, lines))
+        rooms: dict = {}
+        self._scan_of = LastStory(lambda story: _scan(story, lines, rooms))
 
     # -- StateBackend protocol ------------------------------------------------
 

@@ -10,8 +10,9 @@ movers, each character it moves to a location state, its placements, the
 other location records, and its actors, the characters its text opens
 with. The rule scan gives the columns as it reads each distinct line;
 from any other backend's records one pass buckets them, and the loop
-parses each event's actors from its text. The loop resolves each distinct
-location string once, keeps each character's current room, opening and
+parses each event's actors from its text. The loop resolves each location
+string once per room table (its rule backend's for the anchor set, or the
+story's own from records), keeps each character's current room, opening and
 closing runs of one room as the character moves, assigns each event its
 room and collects each room's events as a bitset; an object declaration
 that names no room waits until it ends, then takes its container's room or
@@ -119,8 +120,9 @@ class MaskedView:
 
 
 class _Rooms(dict):
-    """Room name (or None) of each location string of a story, asked of
-    :func:`canonicalize_location` the first time it is looked up."""
+    """Room name (or None) of each location string resolved against one
+    anchor list, asked of :func:`canonicalize_location` the first time it is
+    looked up."""
 
     def __init__(self, anchors: list[LocationAnchor]):
         super().__init__()
@@ -154,7 +156,7 @@ def _columns(story: Story, records: list[EntityStateRecord]) -> EventColumns:
                 placements[i].append(r)
             else:
                 placements[i] = [r]
-    return EventColumns(movers, placements, None)
+    return EventColumns(movers, placements, None, None)
 
 
 def build_omniscient_graph(
@@ -164,7 +166,9 @@ def build_omniscient_graph(
 
     `records` are the story's state records, or the scene columns of a rule
     scan (:meth:`mindmask.nkb.RuleBackend.scene_columns`), which hold the
-    same facts with each event's actors read once per distinct line.
+    same facts with each event's actors read once per distinct line, and
+    carry the backend's room tables, so a location string resolves once per
+    room set for the backend's lifetime (once per story from records).
     Events with an acting character take the actor's resolved room (an exit
     keeps the room being exited). An object declaration that names no room
     waits until the one pass over the events ends, then takes its
@@ -175,7 +179,16 @@ def build_omniscient_graph(
     if not anchors:
         raise ValidationError("cannot build a scene graph without location anchors")
     columns = records if isinstance(records, EventColumns) else _columns(story, records)
-    rooms = _Rooms(anchors)
+    # Resolution depends on the anchor set alone when no alias repeats; a
+    # repeated alias (or anchor) makes it depend on the list, so its own table.
+    tables = columns.rooms
+    if tables is None or len({a.alias for a in anchors}) < len(anchors):
+        rooms = _Rooms(anchors)
+    else:
+        room_set = frozenset(anchors)
+        rooms = tables.get(room_set)
+        if rooms is None:
+            rooms = tables[room_set] = _Rooms(anchors)
     n = len(story.events)
     current: dict[str, str | None] = dict.fromkeys(story.characters_by_key)  # the room now
 

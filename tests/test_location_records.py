@@ -1,9 +1,10 @@
 """The symbolic path builds location records only.
 
-With :class:`RuleBackend`, `prepare_story` takes the backend's location
-records alone, through ``location_states``, and every record a text reader
-needs is generated the first time `StoryArtifacts.augmented` is read. A
-backend with only the three protocol queries keeps the one full-record path.
+With :class:`RuleBackend`, `prepare_story` takes the backend's scan through
+``scene_columns``, whose location records are built only when read, and
+every record a text reader needs is generated the first time
+`StoryArtifacts.augmented` is read. A backend with only the three protocol
+queries keeps the one full-record path.
 """
 
 from __future__ import annotations

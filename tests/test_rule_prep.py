@@ -1,9 +1,11 @@
 """A rule-backend story is prepared with one scan and one scene pass.
 
-``RuleBackend.location_states`` gives the scan's location records in its one
-location order, the emission order, so `prepare_story` runs no merge. The
-backend states every entity whatever the targets, so no key entities are
-asked for, not even when a text reader reads `StoryArtifacts.augmented`.
+`prepare_story` takes the scan itself through ``RuleBackend.scene_columns``
+and builds the graphs from its columns, so it runs no merge; the scan's
+location records, in its one location order, the emission order, are built
+only when read. The backend states every entity whatever the targets, so no
+key entities are asked for, not even when a text reader reads
+`StoryArtifacts.augmented`.
 """
 
 from __future__ import annotations
