@@ -43,16 +43,15 @@ def _add_backend_flags(parser, *, ablations: bool, answerer: bool):
 
 def _remote_flag_error(args) -> str | None:
     """The usage error in the remote flags, if any: a remote backend or
-    answerer needs ``--model`` and ``--base-url`` and nothing else reads them;
-    only --nkb remote reads ``--cache-dir``."""
-    remote = args.nkb == "remote" or args.answerer == "remote"
-    given = {} if remote else {"--model": args.model, "--base-url": args.base_url}
-    if args.nkb != "remote":
-        given["--cache-dir"] = args.cache_dir
-    unread = [flag for flag, value in given.items() if value is not None]
-    if unread:
-        return f"nothing reads {', '.join(unread)} without a remote backend (--nkb remote)"
-    if remote and not (args.model and args.base_url):
+    answerer needs ``--model`` and ``--base-url``, and reads ``--cache-dir``,
+    and nothing else reads them."""
+    if args.nkb != "remote" and args.answerer != "remote":
+        given = {"--model": args.model, "--base-url": args.base_url, "--cache-dir": args.cache_dir}
+        unread = [flag for flag, value in given.items() if value is not None]
+        if unread:
+            flags = ", ".join(unread)
+            return f"nothing reads {flags} without a remote backend (--nkb or --answerer remote)"
+    elif not (args.model and args.base_url):
         return "remote backends need --model and --base-url"
     return None
 
@@ -79,11 +78,11 @@ def _pipeline_config(args) -> PipelineConfig:
         from .remote import ChatClient, RecordCache, RemoteAnswerer, RemoteBackend
 
         client = ChatClient(base_url=args.base_url, model=args.model)
+        cache = RecordCache(args.cache_dir) if args.cache_dir else None
         if args.nkb == "remote":
-            cache = RecordCache(args.cache_dir) if args.cache_dir else None
             cfg.nkb_backend = RemoteBackend(client, cache=cache)
         if args.answerer == "remote":
-            cfg.answer_backend = RemoteAnswerer(client)
+            cfg.answer_backend = RemoteAnswerer(client, cache=cache)
     return cfg
 
 

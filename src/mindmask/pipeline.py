@@ -11,7 +11,10 @@ backend's non-location records, which only those bullets read. That backend
 states every entity whatever the targets, so it is never asked for key
 entities, and a story is prepared with one scan and one scene pass, which
 reads the scan's per-event columns: the characters' location records are
-built only when something reads `StoryArtifacts.records`. Two
+built only when something reads `StoryArtifacts.records`. The remote
+backend is asked for key entities, then gives the scene pass the columns of
+its state rows, read in one pass; its records too are built only when
+something reads them, so its symbolic path merges no record. Two
 ablation switches reproduce the "no knowledge injection" and "no iterative
 masking" variants; with masking off the reader sees the whole story and
 fails on false-belief questions, which is the point.
@@ -33,6 +36,7 @@ from .nkb import (
     LOCATION,
     RuleBackend,
     StateBackend,
+    _Scan,
     extract_locations,
     generate_states,
     identify_key_entities,
@@ -70,14 +74,16 @@ class PipelineConfig:
 
 class _Records:
     """`StoryArtifacts.records` when the constructor was given None: the
-    location records of the artifacts' rule scan, built and kept the first
-    time they are read. Like ``functools.cached_property``, the records
-    kept, or given, are then a plain attribute that hides this."""
+    location records of the artifacts' rule scan, or every record of other
+    columns, built and kept the first time they are read. Like
+    ``functools.cached_property``, the records kept, or given, are then a
+    plain attribute that hides this."""
 
     def __get__(self, artifacts, owner=None):
         if artifacts is None:
             raise AttributeError("records")  # so the field has no default
-        records = artifacts.__dict__["records"] = artifacts._scan.locations
+        scan = artifacts._scan
+        records = artifacts.__dict__["records"] = scan.locations if isinstance(scan, _Scan) else scan.records
         return records
 
 
@@ -85,16 +91,19 @@ class _Records:
 class StoryArtifacts:
     """Everything computable once per story and shared across its questions.
 
-    `records` are the location records the graphs stand for. With a backend
-    that has ``scene_columns`` (the rule backend), :func:`prepare_story`
-    builds the omniscient graph from the scan's columns and keeps the scan
-    in `_scan`; `records` are then the scan's location records, in its one
-    location order (the scene pass reads no order within an event), built
-    the first time they are read (`records=None` asks for that), and every
-    record, content records included, the first time `augmented` is. Such a
-    backend states every entity whatever the targets, so no key entities
-    are asked for. Otherwise `records` hold every record and `augmented`
-    injects those.
+    `records` are the records the graphs stand for. With a backend that has
+    ``scene_columns`` (the rule backend), :func:`prepare_story` builds the
+    omniscient graph from the scan's columns and keeps the scan in `_scan`;
+    `records` are then the scan's location records, in its one location
+    order (the scene pass reads no order within an event), built the first
+    time they are read (`records=None` asks for that), and every record,
+    content records included, the first time `augmented` is. Such a backend
+    states every entity whatever the targets, so no key entities are asked
+    for. With a backend that has ``state_columns`` (the remote backend), the
+    graph is built from the columns of its state rows, kept in `_scan`, and
+    `records`, every record merged, are built from the rows the first time
+    they are read. Otherwise `records` hold every record. Outside a rule
+    scan, `augmented` injects `records`.
     """
 
     story: Story
@@ -138,9 +147,9 @@ class StoryArtifacts:
     def augmented(self) -> list[AugmentedEvent]:
         """The story's events with injected bullets; built, with every record
         they need, the first time a text reader asks."""
-        if self._scan is None:
-            return inject(self.story, self.records)
-        return inject(self.story, merge_states(self._scan.records))
+        if isinstance(self._scan, _Scan):
+            return inject(self.story, merge_states(self._scan.records))
+        return inject(self.story, self.records)
 
     def view_texts(self, with_knowledge: bool) -> list[str]:
         """Numbered event texts, with injected bullets when `with_knowledge`;
@@ -165,20 +174,24 @@ def prepare_story(story: Story, questions: list[ToMQuestion], cfg: PipelineConfi
     """The records, anchors and omniscient graph of a story. A backend with
     ``scene_columns`` gives the scene pass its scan in one call, and the
     records are built from the scan when first read; any other backend is
-    asked for its key entities, then for every record."""
+    asked for its key entities, then a backend with ``state_columns`` for
+    the scene columns of its state rows, whose records are built when first
+    read, and any other for every record."""
     if not questions:
         raise ValidationError("prepare_story needs at least one question")
     backend = cfg.nkb_backend
     scene_columns = getattr(backend, "scene_columns", None)
-    if scene_columns is None:
-        source = generate_states(story, identify_key_entities(story, questions, backend), backend)
-    else:
+    if scene_columns is not None:
         source = scene_columns(story)
+    elif (state_columns := getattr(backend, "state_columns", None)) is not None:
+        source = state_columns(story, identify_key_entities(story, questions, backend))
+    else:
+        source = generate_states(story, identify_key_entities(story, questions, backend), backend)
     anchors = extract_locations(story, backend)
     omniscient = build_omniscient_graph(story, source, anchors)
-    if scene_columns is None:
+    if not isinstance(source, EventColumns):
         return StoryArtifacts(story=story, records=source, anchors=anchors, omniscient=omniscient)
-    # The records are the scan's, built the first time they are read.
+    # The records are the columns', built the first time they are read.
     artifacts = StoryArtifacts(story=story, records=None, anchors=anchors, omniscient=omniscient)
     artifacts._scan = source
     return artifacts

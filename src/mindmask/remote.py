@@ -18,12 +18,13 @@ import os
 import re
 import urllib.error
 import urllib.request
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
 from .errors import BackendError, CacheFormatError, ExtractionError, ProtocolError
-from .nkb import EntityAttribute, event_states, keyed_record
+from .nkb import LOCATION, EntityAttribute, EntityStateRecord, EventColumns, event_states, keyed_record
 from .story import LastStory, Story
 
 log = logging.getLogger(__name__)
@@ -159,6 +160,10 @@ def _are_pairs(value) -> bool:
     )
 
 
+def _is_text(value) -> bool:
+    return type(value) is str
+
+
 def _are_names(value) -> bool:
     return type(value) is list and all(type(name) is str for name in value)
 
@@ -181,7 +186,8 @@ class RecordCache:
     the prompt template and carries digests of the story, the template's own
     input (the targets or the question list), the template text and the
     backend name, so an edited template, other targets or another model
-    misses.
+    misses. An answer entry is a reply's raw text, keyed by digests of its
+    filled prompt, the ``answer_question`` template and the model name.
 
     The first lookup indexes the log: each key's line number, offset and
     length, not its text, so a lookup reads its one line back. Bytes after the
@@ -313,6 +319,96 @@ def _room_names(response: str) -> list[str]:
     return names
 
 
+def _fields(row) -> list | tuple:
+    """A state row as ``[event_index, entity, attribute, state]``; a row
+    cached before state rows were arrays is a dict of those four keys."""
+    if type(row) is dict:
+        return row["event_index"], row["entity"], row["attribute"], row["state"]
+    return row
+
+
+@dataclass(frozen=True)
+class RowColumns(EventColumns):
+    """The scene columns of a story's state rows, filled by
+    :func:`row_columns`, with actors left to the text and no room tables.
+
+    Keeps the rows and the casefolded key of each (entity, attribute) pair
+    they name. `records`, every record as :func:`mindmask.nkb.merge_states`
+    merges the rows' records, and `locations`, its location records, are
+    built the first time each is read.
+    """
+
+    rows: list = field(repr=False)
+    keys: dict[tuple[str, str], tuple[str, str]] = field(repr=False)
+
+    def stated(self) -> list[EntityStateRecord]:
+        """One record a row, in row order, spelled as the row spells it."""
+        keys = self.keys
+        return [keyed_record(i, e, a, s, keys[e, a]) for i, e, a, s in map(_fields, self.rows)]
+
+    @cached_property
+    def records(self) -> list[EntityStateRecord]:
+        """Every record sorted by event and key, the last row for each
+        (event, key) winning, its attribute spelled as its key."""
+        keys = self.keys
+        merged = {}
+        for index, entity, attribute, state in map(_fields, self.rows):
+            merged[index, keys[entity, attribute]] = entity, state
+        return [
+            keyed_record(index, entity, key[1], state, key)
+            for (index, key), (entity, state) in sorted(merged.items())
+        ]
+
+    @cached_property
+    def locations(self) -> list[EntityStateRecord]:
+        return [r for r in self.records if r.key[1] == LOCATION]
+
+
+def row_columns(story: Story, rows: list) -> RowColumns:
+    """The scene columns of ``rows``, state rows of ``story``, in one pass
+    that checks each row's event index and casefolds each distinct (entity,
+    attribute) pair once. A character's location row moves it and any other
+    location row is a placement; as in :func:`mindmask.nkb.merge_states`,
+    the last row for each (event, key) wins, and an event's movers and
+    placements are ordered by key. Only the placements' records are built.
+    """
+    n = len(story.events)
+    characters = story.characters_by_key
+    keys: dict[tuple[str, str], tuple[str, str]] = {}
+    no_movers: dict[str, str] = {}
+    movers = [no_movers] * n
+    placed: dict[int, dict[tuple[str, str], tuple[str, str]]] = {}
+    for row in rows:
+        if type(row) is dict:
+            row = _fields(row)
+        index, entity, attribute, state = row
+        if not 1 <= index <= n:
+            raise ProtocolError(f"backend asserted a state for unknown event {index}")
+        key = keys.get((entity, attribute))
+        if key is None:
+            key = keys[entity, attribute] = (entity.casefold(), attribute.casefold())
+        if key[1] != LOCATION:
+            continue
+        if key[0] in characters:
+            moved = movers[index - 1]
+            if moved is no_movers:
+                moved = movers[index - 1] = {}
+            moved[key[0]] = state
+        elif index in placed:
+            placed[index][key] = entity, state
+        else:
+            placed[index] = {key: (entity, state)}
+    for i, moved in enumerate(movers):
+        if len(moved) > 1:
+            movers[i] = dict(sorted(moved.items()))
+    placements: list = [()] * n
+    for index, here in placed.items():
+        placements[index - 1] = [
+            keyed_record(index, entity, LOCATION, state, key) for key, (entity, state) in sorted(here.items())
+        ]
+    return RowColumns(movers, placements, None, None, rows, keys)
+
+
 class RemoteBackend:
     """State backend that queries a chat model with the shipped prompts.
 
@@ -329,6 +425,12 @@ class RemoteBackend:
     The three prompts of a story share one rendering of its narrative, kept
     in one memo, a :class:`mindmask.story.LastStory`, as
     :class:`mindmask.nkb.RuleBackend` keeps its last scan.
+
+    Outside the protocol, :meth:`state_columns` gives the scene pass a
+    story's state rows as :class:`RowColumns`, filled in one pass over the
+    rows, as the rule backend's ``scene_columns`` gives its scan; the
+    records are built from the rows only when read. ``story_states`` gives
+    one record a row, in row order, from the same rows.
     """
 
     def __init__(self, client: ChatClient, cache: RecordCache | None = None):
@@ -369,26 +471,24 @@ class RemoteBackend:
         return self._reply("extract_locations", story, "", {}, _room_names, _are_names)
 
     def story_states(self, story, targets):
+        return self.state_columns(story, targets).stated()
+
+    event_states = event_states
+
+    def state_columns(self, story, targets) -> RowColumns:
+        """The story's state rows for ``targets`` as scene columns: the
+        cached rows, or a reply's, parsed, checked by :func:`row_columns`
+        and then cached; not a member of
+        :class:`mindmask.nkb.StateBackend`."""
         rows = self.cache.load(story, targets, self.name) if self.cache else None
         fresh = rows is None
         if fresh:
             eoi = "\n".join(f"- {t.render()}" for t in targets)
             rows = self._parse_records(self._ask("generate_states", story, {"eoi list": eoi}))
-        count = len(story.events)
-        records = []
-        for row in rows:
-            if type(row) is dict:  # a row cached before state rows were arrays
-                row = row["event_index"], row["entity"], row["attribute"], row["state"]
-            index, entity, attribute, state = row
-            if not 1 <= index <= count:
-                raise ProtocolError(f"backend asserted a state for unknown event {index}")
-            key = (entity.casefold(), attribute.casefold())
-            records.append(keyed_record(index, entity, attribute, state, key))
+        columns = row_columns(story, rows)
         if fresh and self.cache:
             self.cache.store(story, targets, self.name, rows)
-        return records
-
-    event_states = event_states
+        return columns
 
     # -- internals -------------------------------------------------------------
 
@@ -417,21 +517,38 @@ class RemoteBackend:
 
 
 class RemoteAnswerer:
-    """Final QA step against a chat model; answers come back in answer tags."""
+    """Final QA step against a chat model; answers come back in answer tags.
 
-    def __init__(self, client: ChatClient):
+    With a cache, each reply's raw text is cached under the digests of the
+    ``answer_question`` template, the filled prompt and the model name, so
+    a rerun asks nothing; the reader parses the text on every call. A reply
+    that raises is never cached.
+    """
+
+    def __init__(self, client: ChatClient, cache: RecordCache | None = None):
         self.client = client
+        self.cache = cache
 
     def answer(self, view, question, space) -> str:
         candidates = ""
         if space:
             candidates = "Choose one of: " + ", ".join(space) + ".\n"
+        template = load_prompt("answer_question")
         prompt = fill_prompt(
-            load_prompt("answer_question"),
+            template,
             {
                 "events": "\n".join(view.texts),
                 "question": question.raw,
                 "candidates": candidates,
             },
         )
-        return self.client.complete(prompt)
+        cache = self.cache
+        if cache is None:
+            return self.client.complete(prompt)
+        model = _fixed_digest(self.client.model)
+        key = f"answer_question-{_digest(prompt)}-{_fixed_digest(template)}-{model}".encode()
+        reply = cache.get(key, _is_text)
+        if reply is None:
+            reply = self.client.complete(prompt)
+            cache.put(key, reply)
+        return reply

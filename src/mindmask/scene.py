@@ -8,24 +8,25 @@ the same graph as an integer: bit i-1 is set when event i has a room.
 three per-event columns (:class:`mindmask.nkb.EventColumns`): the event's
 movers, each character it moves to a location state, its placements, the
 other location records, and its actors, the characters its text opens
-with. The rule scan gives the columns as it reads each distinct line;
-from any other backend's records one pass buckets them, and the loop
-parses each event's actors from its text. The loop resolves each location
-string once per room table (its rule backend's for the anchor set, or the
-story's own from records), keeps each character's current room, opening and
-closing runs of one room as the character moves, assigns each event its
-room and collects each room's events as a bitset; an object declaration
-that names no room waits until it ends, then takes its container's room or
-the nearest earlier room. The graph it returns carries one observation
-bitset per character: bit i-1 is set when event i's room is the
-character's room before or after the event, which is an OR over the
-character's runs of the run's room bits under the run's span. A
-character-centric graph is a view of that bitset. Masking one graph by
-another nulls every event the second graph cannot see, which is an integer
-AND, so folding a belief chain's graphs over the omniscient graph leaves
-exactly the events the whole chain observed. :func:`mask_bits` is that fold;
-the symbolic reader reads its integer, and :func:`mask_chain` wraps it in a
-graph view for callers that want rooms or texts.
+with. The rule scan gives the columns as it reads each distinct line, and
+the remote backend as it reads a story's state rows
+(:func:`mindmask.remote.row_columns`); from a direct caller's records one
+pass buckets them. Outside a rule scan the loop parses each event's actors
+from its text. The loop resolves each location string once per room table
+(its rule backend's for the anchor set, or else the story's own), keeps
+each character's current room, opening and closing runs of one room as the
+character moves, assigns each event its room and collects each room's
+events as a bitset; an object declaration that names no room waits until
+it ends, then takes its container's room or the nearest earlier room. The
+graph it returns carries one observation bitset per character: bit i-1 is
+set when event i's room is the character's room before or after the event,
+which is an OR over the character's runs of the run's room bits under the
+run's span. A character-centric graph is a view of that bitset. Masking one
+graph by another nulls every event the second graph cannot see, which is an
+integer AND, so folding a belief chain's graphs over the omniscient graph
+leaves exactly the events the whole chain observed. :func:`mask_bits` is
+that fold; the symbolic reader reads its integer, and :func:`mask_chain`
+wraps it in a graph view for callers that want rooms or texts.
 """
 
 from __future__ import annotations
@@ -135,11 +136,13 @@ class _Rooms(dict):
 
 
 def _columns(story: Story, records: list[EntityStateRecord]) -> EventColumns:
-    """The scene columns of a story's state records, with actors left to the
-    text: each event's character moves (a character's last record at the
-    event wins, whatever its other records) and its other location records.
-    A location record whose entity is named like a character moves that
-    character; the records alone cannot tell a person from an object."""
+    """The scene columns of a direct caller's state records, with actors
+    left to the text: each event's character moves (a character's last
+    record at the event wins, whatever its other records) and its other
+    location records, every one in record order. A location record whose
+    entity is named like a character moves that character; the records
+    alone cannot tell a person from an object. The backends give their
+    columns themselves."""
     n = len(story.events)
     characters = story.characters_by_key
     movers: list[dict[str, str]] = [{} for _ in range(n)]
@@ -164,11 +167,14 @@ def build_omniscient_graph(
 ) -> SceneGraph:
     """Assign each event the room where it occurs, from an all-seeing view.
 
-    `records` are the story's state records, or the scene columns of a rule
-    scan (:meth:`mindmask.nkb.RuleBackend.scene_columns`), which hold the
-    same facts with each event's actors read once per distinct line, and
-    carry the backend's room tables, so a location string resolves once per
-    room set for the backend's lifetime (once per story from records).
+    `records` are the story's state records, or a backend's scene columns:
+    a rule scan's (:meth:`mindmask.nkb.RuleBackend.scene_columns`), which
+    hold the same facts with each event's actors read once per distinct
+    line, and carry the backend's room tables, so a location string resolves
+    once per room set for the backend's lifetime, or a remote backend's
+    (:meth:`mindmask.remote.RemoteBackend.state_columns`), which hold the
+    merged facts of its state rows; otherwise a location string resolves
+    once per story.
     Events with an acting character take the actor's resolved room (an exit
     keeps the room being exited). An object declaration that names no room
     waits until the one pass over the events ends, then takes its
@@ -287,15 +293,17 @@ def build_omniscient_graph(
 
 def _built_from(graph: SceneGraph, records, anchors: list[LocationAnchor]) -> bool:
     """Whether `graph` came from :func:`build_omniscient_graph` called with
-    these `records` and `anchors` objects. A graph built from a rule scan's
-    columns was also built from the scan's location records, once they are
-    built."""
+    these `records` and `anchors` objects. A graph built from a backend's
+    columns (a rule scan, or a remote backend's state rows) was also built
+    from their `locations` and `records`, once they are built."""
     seen = graph._observations
     if seen is None or seen[1] is not anchors:
         return False
     source = seen[0]
     return source is records or (
-        isinstance(source, EventColumns) and source.__dict__.get("locations") is records
+        records is not None
+        and isinstance(source, EventColumns)
+        and any(source.__dict__.get(name) is records for name in ("locations", "records"))
     )
 
 
@@ -315,8 +323,8 @@ def build_character_graph(
     bitset the omniscient graph carries, so `omniscient` must come from
     :func:`build_omniscient_graph` called with these same `records` and
     `anchors` objects; any other graph raises :class:`ValidationError`. A
-    graph built from a rule scan's columns takes the scan, or its location
-    records once they are built.
+    graph built from a backend's columns takes the columns, or their
+    `locations` or `records` once they are built.
     """
     if not story.has_character(character):
         raise ValidationError(f"{character!r} is not a character of the story")

@@ -169,9 +169,10 @@ def test_character_graph_rejects_a_graph_built_from_other_inputs(melon_setup):
 
 @pytest.mark.parametrize("seed", range(1, 21))
 def test_story_work_is_done_once(seed, monkeypatch, recording_answerer):
-    """Each location string resolves once per story. The symbolic reader
-    renders no event and never injects; a text reader gets every event
-    rendered exactly once, from one injection."""
+    """Each location string resolves once: a fresh rule backend starts with
+    no room table, and keeps one per room set. The symbolic reader renders
+    no event and never injects; a text reader gets every event rendered
+    exactly once, from one injection."""
     resolved = Counter()
     resolve = scene.canonicalize_location
 

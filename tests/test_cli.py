@@ -264,13 +264,19 @@ def test_eval_scores_a_valid_subset_size(dataset_path, capsys):
 
 class RemoteReplay(Transport):
     """The chat endpoint: rule-backend replies to the three state prompts,
-    and the first candidate, in answer tags, to each answer prompt."""
+    and the first candidate, in answer tags, to each answer prompt, which it
+    keeps."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.answer_prompts: list[str] = []
 
     def __call__(self, url, headers, payload, timeout):
         prompt = payload["messages"][0]["content"]
         if not prompt.startswith("Read the following events"):
             return super().__call__(url, headers, payload, timeout)
         self.requests.append("answer_question")
+        self.answer_prompts.append(prompt)
         first = prompt.split("Choose one of: ", 1)[1].split(", ", 1)[0].split(".\n", 1)[0]
         return {"choices": [{"message": {"content": f"<answer>{first}</answer>"}}]}
 
@@ -286,16 +292,20 @@ def test_eval_with_a_remote_backend_and_answerer(dataset_path, tmp_path, monkeyp
     ]
     capsys.readouterr()
     assert main(argv) == 0
-    assert capsys.readouterr().out.startswith("questions: 12  skipped (no gold): 0\n")
+    report = capsys.readouterr().out
+    assert report.startswith("questions: 12  skipped (no gold): 0\n")
     assert (cache / remote.LOG_NAME).exists()
-    # Three state prompts a story, one answer prompt a question.
-    assert transport.requests.count("answer_question") == 12
-    assert len(transport.requests) == 3 * 4 + 12
+    # Three state prompts a story, and one answer prompt a distinct prompt:
+    # two of the 12 questions send the same one, answered once.
+    answers = transport.requests.count("answer_question")
+    assert answers == len(set(transport.answer_prompts)) == 11
+    assert len(transport.requests) == 3 * 4 + answers
 
-    # A rerun reads every state reply from the cache; answers are asked again.
+    # A rerun reads every reply, answers included, from the cache.
     transport.requests.clear()
     assert main(argv) == 0
-    assert transport.requests == ["answer_question"] * 12
+    assert transport.requests == []
+    assert capsys.readouterr().out == report
 
 
 def test_answer_notes_a_fully_masked_view(tmp_path, capsys):
@@ -399,7 +409,7 @@ def test_flags_a_command_does_not_read_are_usage_errors(
     [
         ("extract", ["--cache-dir", "c", "--model", "m"], ["--model", "--cache-dir"]),
         ("mask", ["--base-url", "http://llm.test/v1"], ["--base-url"]),
-        ("eval", ["--answerer", "remote", "--model", "m", "--cache-dir", "c"], ["--cache-dir"]),
+        ("eval", ["--cache-dir", "c"], ["--cache-dir"]),
     ],
 )
 def test_remote_flags_without_a_remote_backend_are_usage_errors(

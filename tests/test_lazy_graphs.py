@@ -6,9 +6,12 @@
   as `_eager_view`) gives.
 - The symbolic path (answers, `bits`, `surviving()`, `len()`) must never
   make a room tuple.
-- The per-story place memo asks `canonicalize_location` once per distinct
-  phrase and must give what it gives; the resolver returns None for a
-  phrase no alias can hold before it tests for negation.
+- The place memo, `_Rooms`, asks `canonicalize_location` once per distinct
+  phrase and must give what it gives. It is one table per backend and room
+  set on the rule path, and one per story on the remote path and the
+  records route. The
+  resolver returns None for a phrase no alias can hold before it tests for
+  negation.
 """
 
 from __future__ import annotations

@@ -33,6 +33,7 @@ from mindmask.remote import (
 )
 from mindmask.scene import MaskedView
 from mindmask.story import Story
+from mindmask.worldgen import GrammarConfig, generate_story
 
 
 class FakeTransport:
@@ -319,6 +320,60 @@ def test_remote_answerer_prompt(melon_setup):
     assert q.raw in prompt
     assert "Choose one of: blue pantry, red bucket." in prompt
     assert "<answer>" in prompt
+
+
+def answering_transport(prompts):
+    """A chat endpoint answering each answer prompt with its first
+    candidate, in tags; keeps every prompt."""
+
+    def transport(url, headers, payload, timeout):
+        prompt = payload["messages"][0]["content"]
+        prompts.append(prompt)
+        _, _, candidates = prompt.partition("Choose one of: ")
+        first = candidates.split(".\n", 1)[0].split(", ", 1)[0]
+        return {"choices": [{"message": {"content": f"<answer>{first or 'nowhere'}</answer>"}}]}
+
+    return transport
+
+
+def test_remote_answerer_caches_each_reply_text(tmp_path):
+    # Three stories, four questions each, whose 12 answer prompts differ.
+    items = [generate_story(GrammarConfig(seed=seed, num_characters=4, max_order=3)) for seed in (1, 3, 8)]
+    prompts = []
+    client = ChatClient(base_url="http://llm.test/v1", model="reader", transport=answering_transport(prompts))
+
+    def run():
+        return evaluate(items, PipelineConfig(answer_backend=RemoteAnswerer(client, cache=RecordCache(tmp_path))))
+
+    first = run()
+    assert len(prompts) == len(set(prompts)) == 12
+    prompts.clear()
+    assert run().to_json() == first.to_json()
+    assert prompts == []
+    # The log holds each reply's raw text, one entry a prompt.
+    lines = (tmp_path / LOG_NAME).read_bytes().splitlines()
+    assert len(lines) == 12 and all(line.startswith(b"answer_question-") for line in lines)
+    assert all(json.loads(line.split(b"\t", 1)[1]).startswith("<answer>") for line in lines)
+
+
+def test_remote_answerer_never_caches_a_reply_that_raised(melon_setup, tmp_path):
+    story, q, *_ = melon_setup
+    view = MaskedView(surviving=(1,), texts=("1: a",))
+
+    def refusing(url, headers, payload, timeout):
+        raise BackendError("chat endpoint failed")
+
+    client = ChatClient(base_url="http://llm.test/v1", model="reader", transport=refusing)
+    with pytest.raises(BackendError):
+        RemoteAnswerer(client, cache=RecordCache(tmp_path)).answer(view, q, ())
+    assert not (tmp_path / LOG_NAME).exists()
+    # Another model name misses the entry of the first.
+    first, _ = make_client(["<answer>a</answer>"])
+    RemoteAnswerer(first, cache=RecordCache(tmp_path)).answer(view, q, ())
+    other, transport = make_client(["<answer>b</answer>"])
+    other.model = "other-model"
+    assert RemoteAnswerer(other, cache=RecordCache(tmp_path)).answer(view, q, ()) == "<answer>b</answer>"
+    assert len(transport.requests) == 1
 
 
 def test_prompt_templates_ship_with_placeholders():
