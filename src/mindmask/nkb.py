@@ -199,16 +199,21 @@ class EventColumns:
     name's that is no character, in record order (``()`` when it has none);
     `actors` holds the casefolded names the event's text opens with as
     agents (:func:`mindmask.story.leading_subjects`), or is None when the
-    scene pass is to parse them from the text itself. `rooms` is the
-    backend's room tables the scene pass resolves location states through,
-    one per anchor set (``frozenset`` of anchors) and kept for the backend's
-    lifetime, or None for a table of the story's own.
+    scene pass is to parse them from the text itself. `rooms` is the room
+    tables the scene pass resolves location states through, one per anchor
+    set (``frozenset`` of anchors): a backend's, kept for its lifetime, or a
+    fresh ``{}``.
+
+    The columns a backend hands the scene pass (:class:`_Scan`,
+    :class:`mindmask.remote.RowColumns`) also carry `records`, what the
+    backend's ``story_states`` returns, and `locations`, the location
+    records the graphs stand for, each built the first time it is read.
     """
 
     movers: list[dict[str, str]]
     placements: list[list[EntityStateRecord] | tuple[()]]
     actors: list[tuple[str, ...]] | None
-    rooms: dict | None = field(repr=False, compare=False)
+    rooms: dict = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -220,9 +225,10 @@ class _Scan(EventColumns):
 
     The pass builds the placements' records only. The characters' location
     records, `locations` (every location record in the emission order) and
-    `records` (content records too) are built from the columns, the readings
-    and the notes the first time each is read. A move note is ``(event index,
-    container, object, old container or None)``, with display names.
+    `records` (content records too, what ``RuleBackend.story_states``
+    returns) are built from the columns, the readings and the notes the
+    first time each is read. A move note is ``(event index, container,
+    object, old container or None)``, with display names.
     """
 
     readings: list[tuple] = field(repr=False)
@@ -345,7 +351,7 @@ def _read_line(text: str) -> tuple:
     return (None, None, None, None, place, None, actors)
 
 
-def _scan(story: Story, lines: dict[str, tuple], rooms: dict | None = None) -> _Scan:
+def _scan(story: Story, lines: dict[str, tuple], rooms: dict) -> _Scan:
     """Read every event against the grammar, once per distinct line a
     backend sees: `lines` maps each stripped line to its :func:`_read_line`
     reading, and only a line it lacks is matched. `rooms` is the backend's

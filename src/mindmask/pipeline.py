@@ -13,8 +13,9 @@ entities, and a story is prepared with one scan and one scene pass, which
 reads the scan's per-event columns: the characters' location records are
 built only when something reads `StoryArtifacts.records`. The remote
 backend is asked for key entities, then gives the scene pass the columns of
-its state rows, read in one pass; its records too are built only when
-something reads them, so its symbolic path merges no record. Two
+its state rows, read in one pass; both backends' columns hold the same
+members, and their records are built only when something reads them, so
+neither symbolic path merges a record. Two
 ablation switches reproduce the "no knowledge injection" and "no iterative
 masking" variants; with masking off the reader sees the whole story and
 fails on false-belief questions, which is the point.
@@ -36,7 +37,6 @@ from .nkb import (
     LOCATION,
     RuleBackend,
     StateBackend,
-    _Scan,
     extract_locations,
     generate_states,
     identify_key_entities,
@@ -74,16 +74,14 @@ class PipelineConfig:
 
 class _Records:
     """`StoryArtifacts.records` when the constructor was given None: the
-    location records of the artifacts' rule scan, or every record of other
-    columns, built and kept the first time they are read. Like
-    ``functools.cached_property``, the records kept, or given, are then a
-    plain attribute that hides this."""
+    `locations` of the artifacts' columns, built and kept the first time
+    they are read. Like ``functools.cached_property``, the records kept, or
+    given, are then a plain attribute that hides this."""
 
     def __get__(self, artifacts, owner=None):
         if artifacts is None:
             raise AttributeError("records")  # so the field has no default
-        scan = artifacts._scan
-        records = artifacts.__dict__["records"] = scan.locations if isinstance(scan, _Scan) else scan.records
+        records = artifacts.__dict__["records"] = artifacts._scan.locations
         return records
 
 
@@ -92,18 +90,15 @@ class StoryArtifacts:
     """Everything computable once per story and shared across its questions.
 
     `records` are the records the graphs stand for. With a backend that has
-    ``scene_columns`` (the rule backend), :func:`prepare_story` builds the
-    omniscient graph from the scan's columns and keeps the scan in `_scan`;
-    `records` are then the scan's location records, in its one location
-    order (the scene pass reads no order within an event), built the first
-    time they are read (`records=None` asks for that), and every record,
-    content records included, the first time `augmented` is. Such a backend
-    states every entity whatever the targets, so no key entities are asked
-    for. With a backend that has ``state_columns`` (the remote backend), the
-    graph is built from the columns of its state rows, kept in `_scan`, and
-    `records`, every record merged, are built from the rows the first time
-    they are read. Otherwise `records` hold every record. Outside a rule
-    scan, `augmented` injects `records`.
+    ``scene_columns`` (the rule backend) or ``state_columns`` (the remote
+    backend), :func:`prepare_story` builds the omniscient graph from the
+    backend's columns and keeps them in `_scan`; `records` are then the
+    columns' `locations`, the location records alone, built the first time
+    they are read (`records=None` asks for that), and `augmented` injects
+    ``merge_states`` of the columns' `records`, content records included.
+    A backend with ``scene_columns`` states every entity whatever the
+    targets, so no key entities are asked for. Otherwise `records` hold
+    every record, and `augmented` injects them.
     """
 
     story: Story
@@ -147,9 +142,9 @@ class StoryArtifacts:
     def augmented(self) -> list[AugmentedEvent]:
         """The story's events with injected bullets; built, with every record
         they need, the first time a text reader asks."""
-        if isinstance(self._scan, _Scan):
-            return inject(self.story, merge_states(self._scan.records))
-        return inject(self.story, self.records)
+        if self._scan is None:
+            return inject(self.story, self.records)
+        return inject(self.story, merge_states(self._scan.records))
 
     def view_texts(self, with_knowledge: bool) -> list[str]:
         """Numbered event texts, with injected bullets when `with_knowledge`;
@@ -172,11 +167,10 @@ class QuestionOutcome:
 
 def prepare_story(story: Story, questions: list[ToMQuestion], cfg: PipelineConfig) -> StoryArtifacts:
     """The records, anchors and omniscient graph of a story. A backend with
-    ``scene_columns`` gives the scene pass its scan in one call, and the
-    records are built from the scan when first read; any other backend is
-    asked for its key entities, then a backend with ``state_columns`` for
-    the scene columns of its state rows, whose records are built when first
-    read, and any other for every record."""
+    ``scene_columns`` gives the scene pass its scan in one call; any other
+    backend is asked for its key entities, then a backend with
+    ``state_columns`` for the scene columns of its state rows, and any other
+    for every record. Columns' records are built when first read."""
     if not questions:
         raise ValidationError("prepare_story needs at least one question")
     backend = cfg.nkb_backend
@@ -317,9 +311,10 @@ def parse_answer(llm_text: str, space=None) -> ParsedAnswer:
 
     The innermost, last ``<answer>...</answer>`` span wins. Without a
     complete pair, text after the last opening tag is used when one exists,
-    else the last non-empty line; both fallbacks are flagged. Candidates,
-    when given, match exactly (normalized) or by unique substring; an
-    ambiguous match keeps the raw extraction and is flagged ambiguous.
+    else the last non-empty line, split at line feeds alone; both fallbacks
+    are flagged. Candidates, when given, match exactly (normalized) or by
+    unique substring; an ambiguous match keeps the raw extraction and is
+    flagged ambiguous.
     """
     text = llm_text or ""
     flagged = False
@@ -331,7 +326,7 @@ def parse_answer(llm_text: str, space=None) -> ParsedAnswer:
         extracted = re.sub(r"</answer>.*", "", tail, flags=re.IGNORECASE | re.DOTALL).strip()
         flagged = True
     else:
-        lines = [line.strip() for line in text.splitlines() if line.strip()]
+        lines = [line.strip() for line in text.split("\n") if line.strip()]
         extracted = lines[-1] if lines else ""
         flagged = True
 

@@ -24,7 +24,9 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import BackendError, CacheFormatError, ExtractionError, ProtocolError
-from .nkb import LOCATION, EntityAttribute, EntityStateRecord, EventColumns, event_states, keyed_record
+from .nkb import (
+    LOCATION, EntityAttribute, EntityStateRecord, EventColumns, event_states, keyed_record, merge_states,
+)
 from .story import LastStory, Story
 
 log = logging.getLogger(__name__)
@@ -132,24 +134,30 @@ def _fixed_digest(text: str) -> str:
 _RECORD_KEYS = {"event_index", "entity", "attribute", "state"}
 
 
-def _is_record_row(row) -> bool:
-    """The exact shape `RemoteBackend` stores: ``[event_index, entity,
-    attribute, state]``, an int and three strings. A log written before state
-    rows were arrays holds each as a dict of those four keys instead."""
-    if type(row) is dict and row.keys() == _RECORD_KEYS:
-        row = [row["event_index"], row["entity"], row["attribute"], row["state"]]
-    return (
-        type(row) is list
-        and len(row) == 4
-        and type(row[0]) is int
-        and type(row[1]) is str
-        and type(row[2]) is str
-        and type(row[3]) is str
-    )
+def _fields(row) -> list | tuple:
+    """A state row as ``[event_index, entity, attribute, state]``; a row
+    cached before state rows were arrays is a dict of those four keys."""
+    if type(row) is dict:
+        return row["event_index"], row["entity"], row["attribute"], row["state"]
+    return row
 
 
 def _are_record_rows(value) -> bool:
-    return type(value) is list and all(map(_is_record_row, value))
+    """Whether ``value`` is state rows in the exact shape `RemoteBackend`
+    stores: a list of ``[event_index, entity, attribute, state]`` arrays, an
+    int and three strings each. A log written before state rows were arrays
+    holds each as a dict of those four keys instead."""
+    if type(value) is not list:
+        return False
+    for row in value:
+        if type(row) is dict and row.keys() == _RECORD_KEYS:
+            row = _fields(row)
+        elif type(row) is not list or len(row) != 4:
+            return False
+        index, entity, attribute, state = row
+        if not (type(index) is int and type(entity) is type(attribute) is type(state) is str):
+            return False
+    return True
 
 
 def _are_pairs(value) -> bool:
@@ -319,58 +327,39 @@ def _room_names(response: str) -> list[str]:
     return names
 
 
-def _fields(row) -> list | tuple:
-    """A state row as ``[event_index, entity, attribute, state]``; a row
-    cached before state rows were arrays is a dict of those four keys."""
-    if type(row) is dict:
-        return row["event_index"], row["entity"], row["attribute"], row["state"]
-    return row
-
-
 @dataclass(frozen=True)
 class RowColumns(EventColumns):
     """The scene columns of a story's state rows, filled by
-    :func:`row_columns`, with actors left to the text and no room tables.
+    :func:`row_columns`, with actors left to the text.
 
     Keeps the rows and the casefolded key of each (entity, attribute) pair
-    they name. `records`, every record as :func:`mindmask.nkb.merge_states`
-    merges the rows' records, and `locations`, its location records, are
+    they name. `records`, one record a row in row order, spelled as the row
+    spells it (what ``RemoteBackend.story_states`` returns), and
+    `locations`, the location records of ``merge_states(records)``, are
     built the first time each is read.
     """
 
     rows: list = field(repr=False)
     keys: dict[tuple[str, str], tuple[str, str]] = field(repr=False)
 
-    def stated(self) -> list[EntityStateRecord]:
-        """One record a row, in row order, spelled as the row spells it."""
+    @cached_property
+    def records(self) -> list[EntityStateRecord]:
         keys = self.keys
         return [keyed_record(i, e, a, s, keys[e, a]) for i, e, a, s in map(_fields, self.rows)]
 
     @cached_property
-    def records(self) -> list[EntityStateRecord]:
-        """Every record sorted by event and key, the last row for each
-        (event, key) winning, its attribute spelled as its key."""
-        keys = self.keys
-        merged = {}
-        for index, entity, attribute, state in map(_fields, self.rows):
-            merged[index, keys[entity, attribute]] = entity, state
-        return [
-            keyed_record(index, entity, key[1], state, key)
-            for (index, key), (entity, state) in sorted(merged.items())
-        ]
-
-    @cached_property
     def locations(self) -> list[EntityStateRecord]:
-        return [r for r in self.records if r.key[1] == LOCATION]
+        return merge_states(r for r in self.records if r.key[1] == LOCATION)
 
 
-def row_columns(story: Story, rows: list) -> RowColumns:
-    """The scene columns of ``rows``, state rows of ``story``, in one pass
-    that checks each row's event index and casefolds each distinct (entity,
-    attribute) pair once. A character's location row moves it and any other
-    location row is a placement; as in :func:`mindmask.nkb.merge_states`,
-    the last row for each (event, key) wins, and an event's movers and
-    placements are ordered by key. Only the placements' records are built.
+def row_columns(story: Story, rows: list, rooms: dict) -> RowColumns:
+    """The scene columns of ``rows``, state rows of ``story``, carrying the
+    room tables ``rooms``, in one pass that checks each row's event index
+    and casefolds each distinct (entity, attribute) pair once. A character's
+    location row moves it and any other location row is a placement; as in
+    :func:`mindmask.nkb.merge_states`, the last row for each (event, key)
+    wins, and an event's movers and placements are ordered by key. Only the
+    placements' records are built.
     """
     n = len(story.events)
     characters = story.characters_by_key
@@ -406,7 +395,7 @@ def row_columns(story: Story, rows: list) -> RowColumns:
         placements[index - 1] = [
             keyed_record(index, entity, LOCATION, state, key) for key, (entity, state) in sorted(here.items())
         ]
-    return RowColumns(movers, placements, None, None, rows, keys)
+    return RowColumns(movers, placements, None, rooms, rows, keys)
 
 
 class RemoteBackend:
@@ -424,13 +413,16 @@ class RemoteBackend:
 
     The three prompts of a story share one rendering of its narrative, kept
     in one memo, a :class:`mindmask.story.LastStory`, as
-    :class:`mindmask.nkb.RuleBackend` keeps its last scan.
+    :class:`mindmask.nkb.RuleBackend` keeps its last scan. Like that
+    backend, each backend keeps one room table per anchor set for its
+    lifetime, carried by its columns as :attr:`EventColumns.rooms`, and a
+    new backend starts with none.
 
     Outside the protocol, :meth:`state_columns` gives the scene pass a
     story's state rows as :class:`RowColumns`, filled in one pass over the
     rows, as the rule backend's ``scene_columns`` gives its scan; the
     records are built from the rows only when read. ``story_states`` gives
-    one record a row, in row order, from the same rows.
+    their `records`, one record a row, in row order.
     """
 
     def __init__(self, client: ChatClient, cache: RecordCache | None = None):
@@ -439,6 +431,7 @@ class RemoteBackend:
         self.name = f"remote:{client.model}"
         self.skipped_lines = 0
         self._narrative = LastStory(lambda story: indexed_narrative(story))
+        self._rooms: dict = {}
 
     def _ask(self, template: str, story: Story, slots: dict[str, str]) -> str:
         slots = {"indexed narrative": self._narrative(story), **slots}
@@ -471,7 +464,7 @@ class RemoteBackend:
         return self._reply("extract_locations", story, "", {}, _room_names, _are_names)
 
     def story_states(self, story, targets):
-        return self.state_columns(story, targets).stated()
+        return self.state_columns(story, targets).records
 
     event_states = event_states
 
@@ -485,7 +478,7 @@ class RemoteBackend:
         if fresh:
             eoi = "\n".join(f"- {t.render()}" for t in targets)
             rows = self._parse_records(self._ask("generate_states", story, {"eoi list": eoi}))
-        columns = row_columns(story, rows)
+        columns = row_columns(story, rows, self._rooms)
         if fresh and self.cache:
             self.cache.store(story, targets, self.name, rows)
         return columns

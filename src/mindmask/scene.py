@@ -13,7 +13,8 @@ the remote backend as it reads a story's state rows
 (:func:`mindmask.remote.row_columns`); from a direct caller's records one
 pass buckets them. Outside a rule scan the loop parses each event's actors
 from its text. The loop resolves each location string once per room table
-(its rule backend's for the anchor set, or else the story's own), keeps
+(the columns' table for the anchor set, which a backend keeps for its
+lifetime, or the story's own when an alias repeats), keeps
 each character's current room, opening and closing runs of one room as the
 character moves, assigns each event its room and collects each room's
 events as a bitset; an object declaration that names no room waits until
@@ -141,8 +142,8 @@ def _columns(story: Story, records: list[EntityStateRecord]) -> EventColumns:
     record at the event wins, whatever its other records) and its other
     location records, every one in record order. A location record whose
     entity is named like a character moves that character; the records
-    alone cannot tell a person from an object. The backends give their
-    columns themselves."""
+    alone cannot tell a person from an object. The columns carry fresh
+    room tables; the backends give their columns themselves."""
     n = len(story.events)
     characters = story.characters_by_key
     movers: list[dict[str, str]] = [{} for _ in range(n)]
@@ -159,7 +160,7 @@ def _columns(story: Story, records: list[EntityStateRecord]) -> EventColumns:
                 placements[i].append(r)
             else:
                 placements[i] = [r]
-    return EventColumns(movers, placements, None, None)
+    return EventColumns(movers, placements, None, {})
 
 
 def build_omniscient_graph(
@@ -167,14 +168,13 @@ def build_omniscient_graph(
 ) -> SceneGraph:
     """Assign each event the room where it occurs, from an all-seeing view.
 
-    `records` are the story's state records, or a backend's scene columns:
-    a rule scan's (:meth:`mindmask.nkb.RuleBackend.scene_columns`), which
-    hold the same facts with each event's actors read once per distinct
-    line, and carry the backend's room tables, so a location string resolves
-    once per room set for the backend's lifetime, or a remote backend's
-    (:meth:`mindmask.remote.RemoteBackend.state_columns`), which hold the
-    merged facts of its state rows; otherwise a location string resolves
-    once per story.
+    `records` are the story's state records, or a backend's scene columns,
+    a rule scan's (:meth:`mindmask.nkb.RuleBackend.scene_columns`, with
+    each event's actors read once per distinct line) or a remote backend's
+    (:meth:`mindmask.remote.RemoteBackend.state_columns`). The columns carry
+    the backend's room tables, so a location string resolves once per room
+    set for the backend's lifetime; from records, once per story. A
+    repeated alias (or anchor) always gets a table of the story's own.
     Events with an acting character take the actor's resolved room (an exit
     keeps the room being exited). An object declaration that names no room
     waits until the one pass over the events ends, then takes its
@@ -187,14 +187,13 @@ def build_omniscient_graph(
     columns = records if isinstance(records, EventColumns) else _columns(story, records)
     # Resolution depends on the anchor set alone when no alias repeats; a
     # repeated alias (or anchor) makes it depend on the list, so its own table.
-    tables = columns.rooms
-    if tables is None or len({a.alias for a in anchors}) < len(anchors):
+    if len({a.alias for a in anchors}) < len(anchors):
         rooms = _Rooms(anchors)
     else:
-        room_set = frozenset(anchors)
-        rooms = tables.get(room_set)
-        if rooms is None:
-            rooms = tables[room_set] = _Rooms(anchors)
+        tables, room_set = columns.rooms, frozenset(anchors)
+        if room_set not in tables:
+            tables[room_set] = _Rooms(anchors)
+        rooms = tables[room_set]
     n = len(story.events)
     current: dict[str, str | None] = dict.fromkeys(story.characters_by_key)  # the room now
 
@@ -294,16 +293,13 @@ def build_omniscient_graph(
 def _built_from(graph: SceneGraph, records, anchors: list[LocationAnchor]) -> bool:
     """Whether `graph` came from :func:`build_omniscient_graph` called with
     these `records` and `anchors` objects. A graph built from a backend's
-    columns (a rule scan, or a remote backend's state rows) was also built
-    from their `locations` and `records`, once they are built."""
+    columns was also built from their `locations`, once they are built."""
     seen = graph._observations
     if seen is None or seen[1] is not anchors:
         return False
     source = seen[0]
     return source is records or (
-        records is not None
-        and isinstance(source, EventColumns)
-        and any(source.__dict__.get(name) is records for name in ("locations", "records"))
+        records is not None and isinstance(source, EventColumns) and vars(source).get("locations") is records
     )
 
 
@@ -324,7 +320,7 @@ def build_character_graph(
     :func:`build_omniscient_graph` called with these same `records` and
     `anchors` objects; any other graph raises :class:`ValidationError`. A
     graph built from a backend's columns takes the columns, or their
-    `locations` or `records` once they are built.
+    `locations` once they are built.
     """
     if not story.has_character(character):
         raise ValidationError(f"{character!r} is not a character of the story")

@@ -167,6 +167,16 @@ def test_parse_answer_fallback_last_line():
     assert parsed.flagged
 
 
+@pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85", "\x0c", "\x0b", "\x1c", "\r"])
+def test_parse_answer_fallback_splits_at_line_feeds_alone(separator):
+    # Only a line feed ends a reply line, as in the remote reply readers; a
+    # line separator, a form feed or a lone carriage return stays inside.
+    parsed = parse_answer(f"It is in the basket{separator}(final answer)", ["basket", "box"])
+    assert parsed == ParsedAnswer(value="basket", flagged=True)
+    parsed = parse_answer(f"It is in the box{separator}\n\r\nIt is in the basket\r\n\n", ["basket", "box"])
+    assert parsed == ParsedAnswer(value="basket", flagged=True)
+
+
 def test_parse_answer_nested_takes_innermost():
     parsed = parse_answer("<answer>I believe <answer>red bucket</answer></answer>")
     assert parsed.value == "red bucket"

@@ -81,18 +81,18 @@ def assert_same_graph(graph, reference) -> None:
 def check_rows(story, rows, anchors) -> None:
     """The columns, records and graph of ``rows`` against the reference."""
     merged = merge_states(reference_states(story, rows))
-    columns = row_columns(story, rows)
+    columns = row_columns(story, rows, {})
     reference = _columns(story, merged)
     assert ordered(columns.movers) == ordered(reference.movers)
     assert [identity(placed) for placed in columns.placements] == [
         identity(placed) for placed in reference.placements
     ]
-    assert columns.actors is None and columns.rooms is None
-    assert identity(columns.stated()) == identity(reference_states(story, rows))
+    assert columns.actors is None and columns.rooms == {}
+    assert identity(columns.records) == identity(reference_states(story, rows))
     assert_same_graph(
         build_omniscient_graph(story, columns, anchors), build_omniscient_graph(story, merged, anchors)
     )
-    assert identity(columns.records) == identity(merged)
+    assert identity(merge_states(columns.records)) == identity(merged)
     assert identity(columns.locations) == identity([r for r in merged if r.key[1] == LOCATION])
 
 
@@ -123,7 +123,7 @@ def assert_same_artifacts(artifacts, rows, questions) -> None:
     for q in questions:
         assert identity(artifacts.target_records(q)) == identity(reference.target_records(q))
     assert outcomes(artifacts, questions) == outcomes(reference, questions)
-    assert identity(artifacts.records) == identity(merged)
+    assert identity(artifacts.records) == identity([r for r in merged if r.key[1] == LOCATION])
     assert [a.injected for a in artifacts.augmented] == [a.injected for a in reference.augmented]
     assert artifacts.view_texts(True) == reference.view_texts(True)
 
@@ -261,7 +261,7 @@ def test_a_row_naming_no_event_raises_and_is_never_cached(index, tmp_path):
     log = tmp_path / LOG_NAME
     assert not log.exists() or log.read_bytes() == b""
     with pytest.raises(ProtocolError):
-        row_columns(STORY, as_logged(rows, [True, True]))
+        row_columns(STORY, as_logged(rows, [True, True]), {})
 
 
 def test_a_badly_shaped_cached_row_names_the_log_and_line(tmp_path):

@@ -17,6 +17,9 @@ does.
 - A pass resolves each distinct (room set, phrase) pair once, a second
   pass on the same backend none, and a new backend starts empty; an
   ambiguous phrase logs its warning once per backend and room set.
+- A `RemoteBackend` keeps its tables the same way, its columns carrying
+  them, and over replayed replies builds the graphs the records route
+  builds from the same state rows.
 """
 
 from __future__ import annotations
@@ -29,10 +32,20 @@ from hypothesis import strategies as st
 
 from test_generator_digest import corpus
 from test_lazy_graphs import _PIECES, _ROOMS
+from test_record_log import Transport
 from test_scene_columns import names_an_object_like_a_character
 from mindmask import scene
-from mindmask.nkb import EventColumns, LocationAnchor, RuleBackend, canonicalize_location, extract_locations
+from mindmask.nkb import (
+    EventColumns,
+    LocationAnchor,
+    RuleBackend,
+    canonicalize_location,
+    extract_locations,
+    identify_key_entities,
+    merge_states,
+)
 from mindmask.pipeline import PipelineConfig, answer_question, prepare_story
+from mindmask.remote import ChatClient, RemoteBackend
 from mindmask.scene import build_omniscient_graph
 from mindmask.story import Event, Story
 from mindmask.textnorm import normalize_place
@@ -200,7 +213,11 @@ def _story(lines) -> Story:
 def _warnings(caplog, backend, story) -> int:
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="mindmask.nkb"):
-        build_omniscient_graph(story, backend.scene_columns(story), extract_locations(story, backend))
+        if isinstance(backend, RuleBackend):
+            columns = backend.scene_columns(story)
+        else:
+            columns = backend.state_columns(story, [])
+        build_omniscient_graph(story, columns, extract_locations(story, backend))
     return caplog.text.count("ambiguous place")
 
 
@@ -213,3 +230,74 @@ def test_an_ambiguous_phrase_warns_once_per_backend_and_room_set(caplog):
     # Another room set resolves, and warns, again.
     assert _warnings(caplog, backend, _story(("Ava entered the attic.",) + AMBIGUOUS)) == 1
     assert _warnings(caplog, RuleBackend(), _story(AMBIGUOUS)) == 1
+
+
+# -- the remote backend, with replayed replies -------------------------------------
+
+# Where the remote_replay corpus sits in `corpus(seed)`.
+REMOTE_REPLAY = slice(600, 1000)
+
+
+def _remote(transport) -> RemoteBackend:
+    return RemoteBackend(ChatClient(base_url="http://llm.test/v1", model="test-model", transport=transport))
+
+
+def test_a_remote_backend_resolves_each_room_set_and_phrase_once(monkeypatch):
+    items = corpus(1)[REMOTE_REPLAY]
+    transport = Transport(items)
+    calls = _count_resolutions(monkeypatch)
+    cfg = PipelineConfig(nkb_backend=_remote(transport))
+    _one_pass(items, cfg)
+    assert len(calls) == len(set(calls)) == 6900
+    assert set(calls) == _distinct_pairs(items)
+
+    # The same backend again: every pair is in its tables.
+    calls.clear()
+    _one_pass(items, cfg)
+    assert calls == []
+
+    # A new backend starts empty.
+    _one_pass(items, PipelineConfig(nkb_backend=_remote(transport)))
+    assert len(calls) == 6900
+
+
+def test_a_new_remote_backend_starts_with_empty_tables_and_keeps_them():
+    items = corpus(1)[REMOTE_REPLAY][:3]
+    transport = Transport(items)
+    tables = None
+    for backend in (_remote(transport), _remote(transport)):
+        for n, (story, questions) in enumerate(items):
+            columns = backend.state_columns(story, identify_key_entities(story, questions, backend))
+            if n == 0:
+                assert columns.rooms == {} and columns.rooms is not tables
+                tables = columns.rooms
+            assert columns.rooms is tables
+            anchors = extract_locations(story, backend)
+            build_omniscient_graph(story, columns, anchors)
+            assert frozenset(anchors) in tables
+
+
+@pytest.mark.parametrize("seed", [1, 1009])
+def test_a_remote_backends_tables_build_the_records_routes_graphs(seed):
+    items = corpus(seed)[REMOTE_REPLAY]
+    backend = _remote(Transport(items))
+    for story, questions in items:
+        targets = identify_key_entities(story, questions, backend)
+        columns = backend.state_columns(story, targets)
+        anchors = extract_locations(story, backend)
+        from_rows = build_omniscient_graph(story, columns, anchors)
+        from_records = build_omniscient_graph(story, merge_states(backend.story_states(story, targets)), anchors)
+        assert from_rows.assignment == from_records.assignment
+        assert from_rows.bits == from_records.bits
+        assert from_rows._observations[2] == from_records._observations[2]
+    # The tables were shared: one a room set, fewer than the stories.
+    assert 0 < len(columns.rooms) < len(items)
+
+
+def test_an_ambiguous_phrase_warns_once_per_remote_backend_and_room_set(caplog):
+    stories = [_story(AMBIGUOUS), _story((AMBIGUOUS[2], AMBIGUOUS[0], AMBIGUOUS[1], AMBIGUOUS[3]))]
+    transport = Transport([(story, []) for story in stories])
+    backend = _remote(transport)
+    assert _warnings(caplog, backend, stories[0]) == 1
+    assert _warnings(caplog, backend, stories[1]) == 0
+    assert _warnings(caplog, _remote(transport), stories[0]) == 1

@@ -43,7 +43,7 @@ def assert_reuse_matches_fresh(stories) -> None:
     """One backend over every story in turn scans each as a fresh one does."""
     backend = RuleBackend()
     for story, got in zip(stories, scans_of(backend, stories)):
-        assert_same_scan(got, _scan(story, {}))
+        assert_same_scan(got, _scan(story, {}, {}))
 
 
 def test_reused_backend_matches_fresh_on_digest_corpora():

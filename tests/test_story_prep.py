@@ -137,7 +137,7 @@ def test_negation_regex_matches_the_token_rule(raw):
 
 @pytest.mark.parametrize("story, questions", STORIES)
 def test_scanned_records_equal_dataclass_records(story, questions):
-    for r in _scan(story, {}).records:
+    for r in _scan(story, {}, {}).records:
         built = EntityStateRecord(r.event_index, r.entity, r.attribute, r.state)
         assert type(r) is EntityStateRecord
         assert r == built
@@ -147,7 +147,7 @@ def test_scanned_records_equal_dataclass_records(story, questions):
 
 
 def test_scanned_records_stay_frozen(cupboard_story):
-    record = _scan(cupboard_story, {}).records[0]
+    record = _scan(cupboard_story, {}, {}).records[0]
     with pytest.raises(AttributeError):
         record.state = "in the attic"
 
