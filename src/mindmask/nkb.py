@@ -20,7 +20,8 @@ entity whatever the targets, so the pipeline never asks it for them. Its
 symbolic path runs no record merge and builds no character's location
 record: the scene pass reads the scan's :class:`EventColumns` (each event's
 movers, placements and actors, kept with each distinct line's reading), and
-a character's records are built only when something reads them.
+a character's records are built only when something reads the scan's
+`locations`, the one view of its location records.
 """
 
 from __future__ import annotations
@@ -374,7 +375,8 @@ def _scan(story: Story, lines: dict[str, tuple], rooms: dict) -> _Scan:
     first-mention order, and the scene columns. A character's location
     record is a mover in its event's column, and only an enter, exit, join
     or leave line, or a speaker's first utterance, moves one: an object named
-    like a character is placed, not moved. The pass builds the placements'
+    like a character is placed, not moved, as a move or a declaration places
+    its object (only a move leaves a note). The pass builds the placements'
     records only; :attr:`_Scan.locations` and :attr:`_Scan.records` build the
     rest the first time each is read, and every display name is the entity's
     first-seen spelling, remembered here.
@@ -434,7 +436,8 @@ def _scan(story: Story, lines: dict[str, tuple], rooms: dict) -> _Scan:
                     if key not in characters
                 ]
                 moved = dict.fromkeys([key for key in subjects if key in characters], state)
-        elif verb == _MOVE:
+        elif verb == _MOVE or verb == _DECLARE:
+            # An object put in a container; only a move leaves a note.
             moved = no_movers
             obj_key, cont_key = who.casefold(), where.casefold()
             obj = display.get(obj_key) or first_seen(obj_key, who)
@@ -442,16 +445,9 @@ def _scan(story: Story, lines: dict[str, tuple], rooms: dict) -> _Scan:
             container = display.get(cont_key) or first_seen(cont_key, where)
             old_key = inside.get(obj_key)
             inside[obj_key] = cont_key
-            old = display[old_key] if old_key is not None and old_key != cont_key else None
-            moves.append((i, container, obj, old))
-        elif verb == _DECLARE:
-            moved = no_movers
-            obj_key, cont_key = who.casefold(), where.casefold()
-            obj = display.get(obj_key) or first_seen(obj_key, who)
-            placed = [keyed_record(i, obj, LOCATION, state, (obj_key, LOCATION))]
-            if cont_key not in display:
-                first_seen(cont_key, where)
-            inside[obj_key] = cont_key
+            if verb == _MOVE:
+                old = display[old_key] if old_key is not None and old_key != cont_key else None
+                moves.append((i, container, obj, old))
         elif dialogue and event.speaker is not None and (key := event.speaker.casefold()) not in present:
             present.add(key)
             if key not in display:
@@ -492,14 +488,14 @@ class RuleBackend:
     backend starts with neither.
 
     Outside the protocol, :meth:`scene_columns` gives the scan itself, whose
-    :class:`EventColumns` are what the scene pass reads, and
-    :meth:`location_states` the location records alone, in the scan's one
-    location order. The scan builds only the records of its placements; the
-    characters' location records are built the first time
-    ``location_states`` or ``story_states`` asks for a story, and the content
-    records, from the scan's move notes, the first time ``story_states``
-    does. ``story_states`` gives every record in emission order, whatever
-    the targets: a backend with ``scene_columns`` states every entity.
+    :class:`EventColumns` are what the scene pass reads and whose
+    `locations` are the location records alone, in the scan's one location
+    order. The scan builds only the records of its placements; the
+    characters' location records are built the first time `locations` is
+    read, and the content records, from the scan's move notes, the first
+    time ``story_states`` asks for a story. ``story_states`` gives every
+    record in emission order, whatever the targets: a backend with
+    ``scene_columns`` states every entity.
     """
 
     def __init__(self):
@@ -523,12 +519,6 @@ class RuleBackend:
         each built the first time it is read; not a member of
         :class:`StateBackend`."""
         return self._scan_of(story)
-
-    def location_states(self, story) -> tuple[EntityStateRecord, ...]:
-        """The location records of ``story_states``, the same objects in the
-        scan's one location order, the emission order, with no content
-        record built and no merge run; not a member of :class:`StateBackend`."""
-        return tuple(self._scan_of(story).locations)
 
     def key_entities(self, story, questions):
         """Character locations and container contents; the question-mandated

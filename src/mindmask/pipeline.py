@@ -73,10 +73,10 @@ class PipelineConfig:
 
 
 class _Records:
-    """`StoryArtifacts.records` when the constructor was given None: the
-    `locations` of the artifacts' columns, built and kept the first time
-    they are read. Like ``functools.cached_property``, the records kept, or
-    given, are then a plain attribute that hides this."""
+    """`StoryArtifacts.records` when the constructor was given a backend's
+    columns: their `locations`, built and kept the first time they are read.
+    Like ``functools.cached_property``, the records kept, or given, are then
+    a plain attribute that hides this."""
 
     def __get__(self, artifacts, owner=None):
         if artifacts is None:
@@ -89,20 +89,18 @@ class _Records:
 class StoryArtifacts:
     """Everything computable once per story and shared across its questions.
 
-    `records` are the records the graphs stand for. With a backend that has
-    ``scene_columns`` (the rule backend) or ``state_columns`` (the remote
-    backend), :func:`prepare_story` builds the omniscient graph from the
-    backend's columns and keeps them in `_scan`; `records` are then the
-    columns' `locations`, the location records alone, built the first time
-    they are read (`records=None` asks for that), and `augmented` injects
-    ``merge_states`` of the columns' `records`, content records included.
-    A backend with ``scene_columns`` states every entity whatever the
-    targets, so no key entities are asked for. Otherwise `records` hold
-    every record, and `augmented` injects them.
+    `records` are the records the graphs stand for: a record list, or the
+    :class:`EventColumns` of a backend's ``scene_columns`` (the rule
+    backend) or ``state_columns`` (the remote backend), which are kept in
+    `_scan`. `records` are then the columns' `locations`, the location
+    records alone, built the first time they are read, and `augmented`
+    injects ``merge_states`` of the columns' `records`, content records
+    included. Given a list, `records` hold every record, and `augmented`
+    injects them.
     """
 
     story: Story
-    records: list[EntityStateRecord] = _Records()
+    records: list[EntityStateRecord] | EventColumns = _Records()
     anchors: list
     omniscient: SceneGraph
     _scan: EventColumns | None = field(default=None, init=False)
@@ -111,7 +109,8 @@ class StoryArtifacts:
     _by_target: dict[tuple[str, str], list[EntityStateRecord]] = field(default_factory=dict, init=False)
 
     def __post_init__(self):
-        if self.records is None:
+        if isinstance(self.records, EventColumns):
+            self._scan = self.records
             del self.records  # built from `_scan` when first read
 
     def target_records(self, q: ToMQuestion) -> list[EntityStateRecord]:
@@ -167,10 +166,11 @@ class QuestionOutcome:
 
 def prepare_story(story: Story, questions: list[ToMQuestion], cfg: PipelineConfig) -> StoryArtifacts:
     """The records, anchors and omniscient graph of a story. A backend with
-    ``scene_columns`` gives the scene pass its scan in one call; any other
-    backend is asked for its key entities, then a backend with
-    ``state_columns`` for the scene columns of its state rows, and any other
-    for every record. Columns' records are built when first read."""
+    ``scene_columns`` gives the scene pass its scan in one call, and states
+    every entity, so no key entities are asked for; any other backend is
+    asked for its key entities, then a backend with ``state_columns`` for
+    the scene columns of its state rows, and any other for every record.
+    Columns' records are built when first read."""
     if not questions:
         raise ValidationError("prepare_story needs at least one question")
     backend = cfg.nkb_backend
@@ -182,13 +182,7 @@ def prepare_story(story: Story, questions: list[ToMQuestion], cfg: PipelineConfi
     else:
         source = generate_states(story, identify_key_entities(story, questions, backend), backend)
     anchors = extract_locations(story, backend)
-    omniscient = build_omniscient_graph(story, source, anchors)
-    if not isinstance(source, EventColumns):
-        return StoryArtifacts(story=story, records=source, anchors=anchors, omniscient=omniscient)
-    # The records are the columns', built the first time they are read.
-    artifacts = StoryArtifacts(story=story, records=None, anchors=anchors, omniscient=omniscient)
-    artifacts._scan = source
-    return artifacts
+    return StoryArtifacts(story, source, anchors, build_omniscient_graph(story, source, anchors))
 
 
 def _chain_graphs(artifacts: StoryArtifacts, q: ToMQuestion, cfg: PipelineConfig) -> list[SceneGraph]:

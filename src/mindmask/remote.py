@@ -196,6 +196,8 @@ class RecordCache:
     backend name, so an edited template, other targets or another model
     misses. An answer entry is a reply's raw text, keyed by digests of its
     filled prompt, the ``answer_question`` template and the model name.
+    ``fetch`` reads a reply's entry, or asks for the reply and appends it;
+    state rows, checked before they are stored, use ``load`` and ``store``.
 
     The first lookup indexes the log: each key's line number, offset and
     length, not its text, so a lookup reads its one line back. Bytes after the
@@ -269,6 +271,15 @@ class RecordCache:
         if not check(value):
             kind = key.partition(b"-")[0].decode()
             raise CacheFormatError(f"{self.path}: line {lineno} is not a {kind} reply: {line[:200]!r}")
+        return value
+
+    def fetch(self, key: bytes, check, ask):
+        """The value ``get`` reads under ``key``, or else ``ask()``'s, stored
+        under ``key``; an ``ask`` that raises stores nothing."""
+        value = self.get(key, check)
+        if value is None:
+            value = ask()
+            self.put(key, value)
         return value
 
     def put(self, key: bytes, value) -> None:
@@ -408,8 +419,8 @@ class RemoteBackend:
     being cached as an empty entry. When a cache is configured, all three
     parsed replies are cached: the key entities by story and question list,
     the rooms by story, the state records by story and targets, each also by
-    its prompt template and the backend name. A reply that raises is never
-    cached.
+    its prompt template and the backend name: the first two through
+    ``RecordCache.fetch``. A reply that raises is never cached.
 
     The three prompts of a story share one rendering of its narrative, kept
     in one memo, a :class:`mindmask.story.LastStory`, as
@@ -440,15 +451,12 @@ class RemoteBackend:
     def _reply(self, template, story, part, slots, parse, check):
         """``template``'s parsed reply for ``story``: the cached one, or one
         asked for, parsed and then cached."""
-        cache = self.cache
-        if cache is None:
+        def ask():
             return parse(self._ask(template, story, slots))
-        key = cache.key(template, story, part, self.name)
-        value = cache.get(key, check)
-        if value is None:
-            value = parse(self._ask(template, story, slots))
-            cache.put(key, value)
-        return value
+
+        if self.cache is None:
+            return ask()
+        return self.cache.fetch(self.cache.key(template, story, part, self.name), check, ask)
 
     # -- StateBackend protocol ------------------------------------------------
 
@@ -535,13 +543,9 @@ class RemoteAnswerer:
                 "candidates": candidates,
             },
         )
-        cache = self.cache
-        if cache is None:
-            return self.client.complete(prompt)
+        ask = functools.partial(self.client.complete, prompt)
+        if self.cache is None:
+            return ask()
         model = _fixed_digest(self.client.model)
         key = f"answer_question-{_digest(prompt)}-{_fixed_digest(template)}-{model}".encode()
-        reply = cache.get(key, _is_text)
-        if reply is None:
-            reply = self.client.complete(prompt)
-            cache.put(key, reply)
-        return reply
+        return self.cache.fetch(key, _is_text, ask)

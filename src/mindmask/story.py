@@ -210,7 +210,7 @@ def _events_from_json(raw_events, source: str) -> list[Event]:
 
 
 def parse_story(raw: str | dict) -> Story:
-    """Parse a story document (JSON object/string or plain text).
+    """Parse a story document (JSON object/string, or plain text split at line feeds).
 
     Characters come from the document's declaration when present, otherwise
     from :func:`guess_characters`. Each event's text is interned, so stories
@@ -242,7 +242,7 @@ def parse_story(raw: str | dict) -> Story:
             raise StoryFormatError("story document: 'metadata' must be an object")
         metadata = dict(metadata)
     else:
-        events, kind = _events_from_lines(raw.splitlines())
+        events, kind = _events_from_lines(raw.split("\n"))
 
     if not events:
         raise ValidationError("story has no events")

@@ -275,6 +275,47 @@ def test_replies_that_raise_write_nothing(cupboard_story, cupboard_questions, tm
         assert list(tmp_path.iterdir()) == []
 
 
+def is_list(value) -> bool:
+    return type(value) is list
+
+
+def never():
+    raise AssertionError("asked for a value the log holds")
+
+
+def test_fetch_returns_a_stored_value_without_asking(cupboard_story, tmp_path):
+    cache = RecordCache(tmp_path)
+    key = cache.key("extract_locations", cupboard_story, "", NAME)
+    assert cache.fetch(key, is_list, lambda: ["the den"]) == ["the den"]
+    log = cache.path.read_bytes()
+    assert log == key + b'\t["the den"]\n'
+    for reader in (cache, RecordCache(tmp_path)):
+        assert reader.fetch(key, is_list, never) == ["the den"]
+    assert cache.path.read_bytes() == log
+
+
+def test_an_ask_that_raises_stores_nothing_and_the_next_fetch_asks_again(cupboard_story, tmp_path):
+    cache = RecordCache(tmp_path)
+    cache.store(cupboard_story, TARGETS, NAME, ROWS)
+    log = cache.path.read_bytes()
+    key = cache.key("extract_locations", cupboard_story, "", NAME)
+    replies = [ExtractionError("no rooms"), ["the den"]]
+
+    def ask():
+        reply = replies.pop(0)
+        if isinstance(reply, Exception):
+            raise reply
+        return reply
+
+    with pytest.raises(ExtractionError, match="no rooms"):
+        cache.fetch(key, is_list, ask)
+    assert cache.path.read_bytes() == log
+    assert cache.fetch(key, is_list, ask) == ["the den"]
+    assert replies == []
+    assert cache.path.read_bytes() == log + key + b'\t["the den"]\n'
+    assert RecordCache(tmp_path).fetch(key, is_list, never) == ["the den"]
+
+
 # -- one file, no chat call on a warm rerun --------------------------------------
 
 

@@ -136,7 +136,7 @@ def test_shared_tables_build_the_records_routes_graphs_on_the_benchmark_corpora(
             continue
         anchors = extract_locations(story, backend)
         from_scan = build_omniscient_graph(story, scan, anchors)
-        from_records = build_omniscient_graph(story, list(backend.location_states(story)), anchors)
+        from_records = build_omniscient_graph(story, list(backend.scene_columns(story).locations), anchors)
         assert from_scan.assignment == from_records.assignment
         assert from_scan.bits == from_records.bits
         assert from_scan._observations[2] == from_records._observations[2]
@@ -171,7 +171,7 @@ def _distinct_pairs(items) -> set:
     pairs = set()
     for story, _ in items:
         room_set = frozenset(extract_locations(story, backend))
-        pairs |= {(room_set, r.state) for r in backend.location_states(story)}
+        pairs |= {(room_set, r.state) for r in backend.scene_columns(story).locations}
     return pairs
 
 

@@ -51,12 +51,12 @@ def story_of(lines, characters=(), kind="event") -> Story:
     return Story(events=tuple(events), characters=tuple(characters), kind=kind)
 
 
-# -- location_states is the scan's location records, in emission order --------
+# -- the scan's location records, in emission order ---------------------------
 
 
 @pytest.mark.parametrize("story, questions", STORIES, ids=IDS)
 def test_location_states_are_merged_on_corpora(story, questions):
-    assert identity(RuleBackend().location_states(story)) == identity(scan_locations(story))
+    assert identity(RuleBackend().scene_columns(story).locations) == identity(scan_locations(story))
 
 
 UNSORTED_AND_REPEATED = story_of(
@@ -85,7 +85,7 @@ DIALOGUE_JOINS = story_of(
 
 def test_location_states_merge_a_line_of_unsorted_and_repeated_names():
     story = UNSORTED_AND_REPEATED
-    records = RuleBackend().location_states(story)
+    records = RuleBackend().scene_columns(story).locations
     assert identity(records) == identity(scan_locations(story))
     # Within a line the records keep emission order, one per name as written,
     # repeats included; display names keep their first spelling.
@@ -96,7 +96,7 @@ def test_location_states_merge_a_line_of_unsorted_and_repeated_names():
 
 def test_location_states_merge_dialogue_joins():
     story = DIALOGUE_JOINS
-    records = RuleBackend().location_states(story)
+    records = RuleBackend().scene_columns(story).locations
     assert identity(records) == identity(scan_locations(story))
     assert [r.entity for r in records if r.event_index == 1] == ["Troy", "Armani", "Cynthia"]
     assert [r.entity for r in records if r.event_index == 5] == ["Troy", "Troy", "Armani"]
@@ -149,7 +149,7 @@ def enter_stories(draw) -> Story:
 @PROFILE
 @given(story=enter_stories())
 def test_location_states_are_merged_on_drawn_enter_lines(story):
-    assert identity(RuleBackend().location_states(story)) == identity(scan_locations(story))
+    assert identity(RuleBackend().scene_columns(story).locations) == identity(scan_locations(story))
 
 
 # -- the scene pass reads no record order within an event ----------------------
@@ -160,7 +160,7 @@ def assert_graphs_ignore_record_order(story: Story) -> None:
     from its own records list, both with the same anchors."""
     backend = RuleBackend()
     anchors = build_anchors([*backend.location_names(story), "hall"])
-    emitted = list(backend.location_states(story))
+    emitted = list(backend.scene_columns(story).locations)
     merged = merge_states(emitted)
     built = build_omniscient_graph(story, emitted, anchors)
     reference = build_omniscient_graph(story, merged, anchors)
@@ -206,7 +206,7 @@ def test_graphs_ignore_record_order_where_the_place_normalizes_to_nothing(place)
     assert_graphs_ignore_record_order(story)
     backend = RuleBackend()
     anchors = build_anchors(backend.location_names(story))
-    graph = build_omniscient_graph(story, list(backend.location_states(story)), anchors)
+    graph = build_omniscient_graph(story, list(backend.scene_columns(story).locations), anchors)
     assert graph.assignment == ("hall", "attic", "attic", "hall", "hall")
 
 

@@ -77,8 +77,8 @@ def test_same_line_keeps_each_storys_first_spelling():
     plain = story_of(["Mia entered the hall.", line], ("Mia",))
     assert_reuse_matches_fresh([upper, plain, upper])
     backend = RuleBackend()
-    assert [r.entity for r in backend.location_states(upper)][-1] == "AVA"
-    assert [r.entity for r in backend.location_states(plain)][-1] == "Ava"
+    assert [r.entity for r in backend.scene_columns(upper).locations][-1] == "AVA"
+    assert [r.entity for r in backend.scene_columns(plain).locations][-1] == "Ava"
 
 
 def test_old_container_is_known_in_one_story_only():

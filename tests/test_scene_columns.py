@@ -55,7 +55,7 @@ def assert_columns_agree(story: Story) -> None:
     scan = RuleBackend().scene_columns(story)
     if names_an_object_like_a_character(story, scan):
         return
-    derived = _columns(story, list(RuleBackend().location_states(story)))
+    derived = _columns(story, list(RuleBackend().scene_columns(story).locations))
     assert scan.movers == derived.movers
     assert [identity(placed) for placed in scan.placements] == [
         identity(placed) for placed in derived.placements
@@ -96,7 +96,7 @@ def test_both_routes_build_the_same_graph(story):
     backend = RuleBackend()
     anchors = extract_locations(story, backend)
     from_scan = build_omniscient_graph(story, backend.scene_columns(story), anchors)
-    from_records = build_omniscient_graph(story, list(backend.location_states(story)), anchors)
+    from_records = build_omniscient_graph(story, list(backend.scene_columns(story).locations), anchors)
     assert from_scan.assignment == from_records.assignment
     assert from_scan.bits == from_records.bits
     assert from_scan._observations[2] == from_records._observations[2]
@@ -206,13 +206,12 @@ def reference_locations(story: Story) -> list:
 
 
 def assert_records_as_always(backend: RuleBackend, story: Story) -> None:
-    """``location_states``, ``story_states`` and the prepared records give
+    """The scan's ``locations``, ``story_states`` and the prepared records give
     the records of the scan as it was, in `==`, repr, key and order, with
     every display name its entity's first-seen spelling."""
     want = reference_records(story)
     assert identity(backend.story_states(story, [])) == identity(want)
-    assert identity(backend.location_states(story)) == identity(reference_locations(story))
-    assert isinstance(backend.location_states(story), tuple)
+    assert identity(backend.scene_columns(story).locations) == identity(reference_locations(story))
 
 
 @pytest.mark.parametrize("story, questions", STORIES, ids=IDS)
@@ -274,7 +273,7 @@ def test_character_graph_takes_the_scan_or_its_records_only():
     for records, anchs in (
         (other_scan, anchors),
         (scan, list(anchors)),
-        (list(RuleBackend().location_states(story)), anchors),
+        (list(RuleBackend().scene_columns(story).locations), anchors),
     ):
         with pytest.raises(ValidationError):
             build_character_graph(story, records, anchs, name, omniscient)

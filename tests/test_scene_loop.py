@@ -101,7 +101,7 @@ def assert_matches_reference(story: Story, records) -> tuple | None:
 
 
 def location_records(story: Story) -> list[EntityStateRecord]:
-    return list(RuleBackend().location_states(story))
+    return list(RuleBackend().scene_columns(story).locations)
 
 
 # -- generated, shuffled, doubled and dialogue stories -------------------------

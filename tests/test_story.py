@@ -35,6 +35,23 @@ def test_single_event_story():
     assert story.characters == ("Mia",)
 
 
+# Every separator `str.splitlines` breaks at and a line feed is not.
+NOT_LINE_FEEDS = ["\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("separator", NOT_LINE_FEEDS, ids=[f"U+{ord(s):04X}" for s in NOT_LINE_FEEDS])
+def test_plain_text_splits_at_line_feeds_alone(separator):
+    assert len(f"a{separator}b".splitlines()) == 2
+    joined = f"Ava entered the attic.{separator}Ava exited the attic."
+    story = parse_story(joined + "\nAva entered the hall.")
+    assert [e.text for e in story.events] == [joined, "Ava entered the hall."]
+
+
+def test_plain_text_trims_a_carriage_return_before_a_line_feed():
+    story = parse_story("Ava entered the attic.\r\nAva exited the attic.\r\n")
+    assert [e.text for e in story.events] == ["Ava entered the attic.", "Ava exited the attic."]
+
+
 def test_parse_json_document():
     doc = {
         "kind": "event",
