@@ -3,15 +3,12 @@
 from __future__ import annotations
 
 import json
-import logging
 from collections.abc import Iterable
 from pathlib import Path
 
 from .errors import MindmaskError, StoryFormatError
 from .question import ToMQuestion, parse_question
 from .story import Story, parse_story, serialize_story
-
-log = logging.getLogger(__name__)
 
 DatasetItem = tuple[Story, list[ToMQuestion]]
 
@@ -22,7 +19,8 @@ def load_dataset(path: str | Path) -> list[DatasetItem]:
     U+2028 and U+2029 raw inside strings, and `str.splitlines` would split
     there too. The first malformed line, or the first that is not UTF-8,
     raises :class:`StoryFormatError` whose message starts ``<path>:<line>:``,
-    chained to the underlying error."""
+    chained to the underlying error; so does a question whose declared
+    ``order`` is not the order its text parses to."""
     items: list[DatasetItem] = []
     with open(path, "rb") as handle:
         for lineno, raw in enumerate(handle, start=1):
@@ -33,7 +31,7 @@ def load_dataset(path: str | Path) -> list[DatasetItem]:
             if not line.strip():
                 continue
             try:
-                items.append(_parse_item(json.loads(line), path, lineno))
+                items.append(_parse_item(json.loads(line)))
             except json.JSONDecodeError as exc:
                 raise StoryFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
             except MindmaskError as exc:
@@ -41,7 +39,7 @@ def load_dataset(path: str | Path) -> list[DatasetItem]:
     return items
 
 
-def _parse_item(doc, path, lineno) -> DatasetItem:
+def _parse_item(doc) -> DatasetItem:
     if not isinstance(doc, dict):
         raise StoryFormatError(f"expected a JSON object, got {type(doc).__name__}")
     story = parse_story(doc)
@@ -57,9 +55,9 @@ def _parse_item(doc, path, lineno) -> DatasetItem:
             raise StoryFormatError(f"question {pos}: 'gold' must be a string")
         parsed = parse_question(q["text"], story, gold=gold)
         if "order" in q and q["order"] != parsed.order:
-            log.warning(
-                "%s:%d: declared order %s disagrees with parsed order %s for %r",
-                path, lineno, q["order"], parsed.order, q["text"],
+            raise StoryFormatError(
+                f"question {pos}: declared order {q['order']!r} disagrees with parsed order"
+                f" {parsed.order} for {q['text']!r}"
             )
         questions.append(parsed)
     return story, questions

@@ -103,6 +103,20 @@ def keyed_record(
     return record
 
 
+def keyed_pair(entity: str, attribute: str, key: tuple[str, str]) -> EntityAttribute:
+    """An :class:`EntityAttribute` of ``entity`` and ``attribute`` built with
+    its key in hand, past the dataclass ``__init__`` and its two casefolds,
+    as :func:`keyed_record` builds a record. `key` must be
+    ``(entity.casefold(), attribute.casefold())``. Both backends and
+    `mandated_pairs` build their pairs here."""
+    pair = _new(EntityAttribute)
+    fields = pair.__dict__
+    fields["entity"] = entity
+    fields["attribute"] = attribute
+    fields["key"] = key
+    return pair
+
+
 @dataclass(frozen=True)
 class LocationAnchor:
     """A canonical enterable place and its normalized form, `alias`, which
@@ -523,14 +537,14 @@ class RuleBackend:
     def key_entities(self, story, questions):
         """Character locations and container contents; the question-mandated
         pairs are added by :func:`identify_key_entities`."""
-        pairs = [EntityAttribute(entity=c, attribute=LOCATION) for c in story.characters]
+        pairs = [keyed_pair(c, LOCATION, (key, LOCATION)) for key, c in story.characters_by_key.items()]
         # The first container each questioned entity was declared in carries
         # the content attribute (its emptying is a state change of interest).
         declared = self._scan_of(story).containers
         for q in questions:
             container = declared.get(q.target_entity.casefold())
             if container is not None:
-                pairs.append(EntityAttribute(entity=container, attribute=CONTENT))
+                pairs.append(keyed_pair(container, CONTENT, (container.casefold(), CONTENT)))
         return pairs
 
 
@@ -544,7 +558,7 @@ def mandated_pairs(story: Story, questions: list[ToMQuestion]) -> list[EntityAtt
     for name in names:
         key = name.casefold()
         if key not in pairs:
-            pairs[key] = EntityAttribute(entity=name, attribute=LOCATION)
+            pairs[key] = keyed_pair(name, LOCATION, (key, LOCATION))
     return list(pairs.values())
 
 

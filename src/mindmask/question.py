@@ -35,6 +35,8 @@ _WILL_SEARCH = re.compile(rf"^will ({NAME}) (?:search(?:es)?|looks?) for (?:the 
 _FACT_INITIAL = re.compile(r"^is (?:the )?(.+?) in the begin?ning\s*\?$")
 _FACT_REALLY = re.compile(r"^is (?:the )?(.+?) really\s*\?$")
 _FACT_PLAIN = re.compile(r"^is (?:the )?(.+?)\s*\?$")
+# A belief verb left in a target phrase: a chain step the parser did not read.
+_BELIEF_VERB = re.compile(r"\bthinks?\b", re.IGNORECASE)
 
 
 @dataclass(frozen=True)
@@ -103,7 +105,8 @@ def _canonical_chain(names: list[str], story: Story) -> BeliefChain:
 
 def parse_question(text: str, story: Story, gold: str | None = None) -> ToMQuestion:
     """Parse a question against a story, raising QuestionParseError with the
-    supported template list when nothing matches."""
+    supported template list when nothing matches, and naming the text when
+    the target phrase still holds a belief verb (``think``, ``thinks``)."""
     raw = text.strip()
     if not raw.lower().startswith("where "):
         raise _parse_error(raw)
@@ -111,8 +114,7 @@ def parse_question(text: str, story: Story, gold: str | None = None) -> ToMQuest
 
     m = _WILL_SEARCH.match(rest)
     if m:
-        chain = _canonical_chain([m.group(1)], story)
-        return ToMQuestion(raw=raw, chain=chain, target_entity=m.group(2), gold=gold)
+        return _question(raw, [m.group(1)], m.group(2), story, gold)
 
     if rest.startswith("does "):
         names: list[str] = []
@@ -126,29 +128,30 @@ def parse_question(text: str, story: Story, gold: str | None = None) -> ToMQuest
         if names:
             m = _THINK_TERMINAL.match(remaining)
             if m:
-                return ToMQuestion(
-                    raw=raw, chain=_canonical_chain(names, story), target_entity=m.group(1), gold=gold
-                )
+                return _question(raw, names, m.group(1), story, gold)
             m = _SEARCH_TERMINAL.match(remaining)
             if m:
-                names.append(m.group(1))
-                return ToMQuestion(
-                    raw=raw, chain=_canonical_chain(names, story), target_entity=m.group(2), gold=gold
-                )
+                return _question(raw, [*names, m.group(1)], m.group(2), story, gold)
         raise _parse_error(raw)
 
     if rest.startswith("is "):
         m = _FACT_INITIAL.match(rest)
         if m:
-            return ToMQuestion(raw=raw, chain=None, target_entity=m.group(1), asks_initial=True, gold=gold)
-        m = _FACT_REALLY.match(rest)
+            return _question(raw, [], m.group(1), story, gold, asks_initial=True)
+        m = _FACT_REALLY.match(rest) or _FACT_PLAIN.match(rest)
         if m:
-            return ToMQuestion(raw=raw, chain=None, target_entity=m.group(1), gold=gold)
-        m = _FACT_PLAIN.match(rest)
-        if m:
-            return ToMQuestion(raw=raw, chain=None, target_entity=m.group(1), gold=gold)
+            return _question(raw, [], m.group(1), story, gold)
 
     raise _parse_error(raw)
+
+
+def _question(raw, names, target, story, gold, asks_initial=False) -> ToMQuestion:
+    """The question of the chain ``names`` (none for a factual question)
+    about ``target``, which must hold no belief verb."""
+    chain = _canonical_chain(names, story) if names else None
+    if _BELIEF_VERB.search(target):
+        raise QuestionParseError(f"question {raw!r} has a belief verb left in its target {target!r}")
+    return ToMQuestion(raw=raw, chain=chain, target_entity=target, asks_initial=asks_initial, gold=gold)
 
 
 def _parse_error(raw: str) -> QuestionParseError:

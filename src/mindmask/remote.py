@@ -18,6 +18,7 @@ import os
 import re
 import urllib.error
 import urllib.request
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
@@ -25,7 +26,8 @@ from pathlib import Path
 
 from .errors import BackendError, CacheFormatError, ExtractionError, ProtocolError
 from .nkb import (
-    LOCATION, EntityAttribute, EntityStateRecord, EventColumns, event_states, keyed_record, merge_states,
+    LOCATION, EntityAttribute, EntityStateRecord, EventColumns, event_states, keyed_pair, keyed_record,
+    merge_states,
 )
 from .story import LastStory, Story
 
@@ -200,10 +202,16 @@ class RecordCache:
     state rows, checked before they are stored, use ``load`` and ``store``.
 
     The first lookup indexes the log: each key's line number, offset and
-    length, not its text, so a lookup reads its one line back. Bytes after the
-    last newline are a torn append and never an entry; the next store cuts
-    them off before it appends. A line without a tab has no key and is no
-    entry. One process writes a directory at a time.
+    length, not its text, so a lookup reads its one line back, with one
+    ``pread`` through the one read descriptor the cache holds. The index
+    opens that descriptor, or the append that creates the log hands over
+    its own. An append that finds the log cut, grown or replaced indexes it
+    again, afresh and through a new descriptor when it was cut or replaced;
+    the held one is closed when the cache is dropped. Every append opens
+    the log by its path. Bytes after the last
+    newline are a torn append and never an entry; the next store cuts them
+    off before it appends. A line without a tab has no key and is no entry.
+    One process writes a directory at a time.
     """
 
     def __init__(self, directory: str | Path):
@@ -213,6 +221,8 @@ class RecordCache:
         self._index: dict[bytes, tuple[int, int, int]] | None = None
         self._end = 0  # the offset just past the last indexed line
         self._lines = 0
+        self._fd: int | None = None  # the held read descriptor
+        self._close = None
         self._story_key = LastStory(lambda story: story.key())
 
     def key(self, template: str, story: Story, part: str, backend_name: str) -> bytes:
@@ -226,19 +236,24 @@ class RecordCache:
 
     def _scan(self) -> int:
         """Index the complete lines past the last indexed one and return the
-        log's size. A log shorter than the indexed part was cut or replaced,
-        and is indexed afresh."""
+        log's size. A log that is not the file the held descriptor reads, or
+        is shorter than the indexed part, was replaced or cut: it is indexed
+        afresh, and a descriptor on it is held in the old one's place."""
         if self._index is None:
             self._index = {}
         try:
-            handle = open(self.path, "rb")
+            fd = os.open(self.path, os.O_RDONLY)
         except FileNotFoundError:
             return 0
-        with handle:
-            size = os.fstat(handle.fileno()).st_size
-            if size < self._end:
-                self._index.clear()
-                self._end = self._lines = 0
+        found = os.fstat(fd)
+        held = self._fd
+        if held is not None and found.st_size >= self._end and os.path.samestat(found, os.fstat(held)):
+            os.close(fd)
+        else:
+            self._index.clear()
+            self._end = self._lines = 0
+            self._hold(fd)
+        with open(self._fd, "rb", closefd=False) as handle:
             handle.seek(self._end)
             for line in handle:
                 if line[-1:] != b"\n":
@@ -248,7 +263,14 @@ class RecordCache:
                 if tab > 0:
                     self._index[line[:tab]] = (self._lines, self._end, len(line))
                 self._end += len(line)
-        return size
+        return found.st_size
+
+    def _hold(self, fd: int) -> None:
+        """Read entries through ``fd`` from now on, closing the descriptor
+        held before it; ``fd`` is closed when the cache is dropped."""
+        if self._close is not None:
+            self._close()
+        self._fd, self._close = fd, weakref.finalize(self, os.close, fd)
 
     def get(self, key: bytes, check):
         """The value last stored under ``key``, or None. A line that does not
@@ -259,11 +281,7 @@ class RecordCache:
         if entry is None:
             return None
         lineno, offset, length = entry
-        fd = os.open(self.path, os.O_RDONLY)
-        try:
-            line = os.pread(fd, length, offset)
-        finally:
-            os.close(fd)
+        line = os.pread(self._fd, length, offset)
         try:
             value = json.loads(line[len(key) + 1:])
         except ValueError as exc:
@@ -283,17 +301,25 @@ class RecordCache:
         return value
 
     def put(self, key: bytes, value) -> None:
-        """Append one entry with one write, after cutting off a torn tail."""
+        """Append one entry with one write, after cutting off a torn tail.
+        The append that creates the log keeps its descriptor for reading."""
         line = key + b"\t" + json.dumps(value).encode() + b"\n"
-        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+        fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
         try:
-            if self._index is None or os.fstat(fd).st_size != self._end:
+            found = os.fstat(fd)
+            if (
+                self._index is None or found.st_size != self._end
+                or self._fd is not None and not os.path.samestat(found, os.fstat(self._fd))
+            ):
                 if self._scan() > self._end:
                     os.ftruncate(fd, self._end)
             if os.write(fd, line) != len(line):
                 raise OSError(f"{self.path}: short write")
         finally:
-            os.close(fd)
+            if self._fd is None:
+                self._hold(fd)
+            else:
+                os.close(fd)
         self._lines += 1
         self._index[key] = (self._lines, self._end, len(line))
         self._end += len(line)
@@ -466,7 +492,7 @@ class RemoteBackend:
             "key_entities", story, _digest(question_list), {"question list": question_list},
             _entity_pairs, _are_pairs,
         )
-        return [EntityAttribute(entity=entity, attribute=attribute) for entity, attribute in pairs]
+        return [keyed_pair(e, a, (e.casefold(), a.casefold())) for e, a in pairs]
 
     def location_names(self, story):
         return self._reply("extract_locations", story, "", {}, _room_names, _are_names)

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import json
-import logging
 
 import pytest
 
@@ -123,11 +122,11 @@ def test_well_formed_dataset_loads(tmp_path):
         assert [q.gold for q in questions] == ["box"]
 
 
-def test_declared_order_that_disagrees_is_logged(tmp_path, caplog):
-    doc = {"events": EVENTS, "questions": [{"text": QUESTION, "order": 2}]}
+def test_declared_order_that_disagrees_is_refused(tmp_path):
+    agrees = {"events": EVENTS, "questions": [{"text": QUESTION, "order": 1}]}
+    disagrees = {"events": EVENTS, "questions": [{"text": QUESTION, "order": 2}]}
     path = tmp_path / "orders.jsonl"
-    path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
-    with caplog.at_level(logging.WARNING, logger="mindmask.dataset"):
-        [(_, [question])] = load_dataset(path)
-    assert question.order == 1
-    assert f"{path}:1: declared order 2 disagrees with parsed order 1" in caplog.text
+    path.write_text(json.dumps(agrees) + "\n" + json.dumps(disagrees) + "\n", encoding="utf-8")
+    with pytest.raises(StoryFormatError) as caught:
+        load_dataset(path)
+    assert str(caught.value).startswith(f"{path}:2: question 1: declared order 2 disagrees with parsed order 1")

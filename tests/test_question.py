@@ -68,6 +68,31 @@ def test_unknown_character_rejected(melon_story):
         parse_question("Where does Zorro think the melon is?", melon_story)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "Where does Emma think Lily  thinks the melon is?",  # two spaces
+        "Where does Emma think Lily thinks  William thinks the melon is?",
+        "Where does Emma think that  Lily thinks the melon is?",
+        "Where does Emma think Lily\tthinks the melon is?",
+        "Where does Emma think Lily THINKS the melon is?",
+        "Where does Emma think the melon Lily think is?",
+        "Where is the melon Lily thinks really?",
+        "Where will Emma search for the melon Lily thinks?",
+    ],
+)
+def test_belief_verb_left_in_the_target_is_refused(text, melon_story):
+    with pytest.raises(QuestionParseError, match="belief verb") as caught:
+        parse_question(text, melon_story)
+    assert repr(text) in str(caught.value)
+
+
+def test_belief_verb_inside_a_word_is_a_target(melon_story):
+    q = parse_question("Where does Emma think the thinking cap is?", melon_story)
+    assert q.target_entity == "thinking cap"
+    assert parse_question("Where is the rethinks box?", melon_story).target_entity == "rethinks box"
+
+
 def test_unsupported_template_lists_templates(melon_story):
     with pytest.raises(QuestionParseError, match="supported templates"):
         parse_question("What color is the melon?", melon_story)

@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import dataclasses
 
-from mindmask.nkb import LOCATION, EntityAttribute, EntityStateRecord
+import pytest
+
+from mindmask.nkb import LOCATION, EntityAttribute, EntityStateRecord, keyed_pair
 from mindmask.pipeline import PipelineConfig, answer_question, answer_space_for, prepare_story
 from mindmask.question import parse_question
 from mindmask.remote import ChatClient, RecordCache, RemoteBackend
@@ -87,6 +89,16 @@ def test_key_is_the_casefolded_pair_and_not_part_of_identity():
     pair = EntityAttribute("T-shirt", LOCATION)
     assert pair.key == ("t-shirt", LOCATION)
     assert hash(pair) == hash(EntityAttribute("T-shirt", LOCATION))
+
+
+def test_keyed_pair_is_the_pair_the_dataclass_builds():
+    pair = keyed_pair("T-shirt", "Location", ("t-shirt", "location"))
+    built = EntityAttribute("T-shirt", "Location")
+    assert pair == built and hash(pair) == hash(built) and repr(pair) == repr(built)
+    assert pair.key == built.key
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pair.entity = "ball"
+    assert dataclasses.replace(pair, entity="Box").key == ("box", "location")
 
 
 def test_replace_recomputes_the_key():
