@@ -20,7 +20,7 @@ def load_dataset(path: str | Path) -> list[DatasetItem]:
     there too. The first malformed line, or the first that is not UTF-8,
     raises :class:`StoryFormatError` whose message starts ``<path>:<line>:``,
     chained to the underlying error; so does a question whose declared
-    ``order`` is not the order its text parses to."""
+    ``order`` is not the integer its text parses to (``true`` or ``1.0`` for 1)."""
     items: list[DatasetItem] = []
     with open(path, "rb") as handle:
         for lineno, raw in enumerate(handle, start=1):
@@ -54,9 +54,9 @@ def _parse_item(doc) -> DatasetItem:
         if gold is not None and not isinstance(gold, str):
             raise StoryFormatError(f"question {pos}: 'gold' must be a string")
         parsed = parse_question(q["text"], story, gold=gold)
-        if "order" in q and q["order"] != parsed.order:
+        if "order" in q and (type(q["order"]) is not int or q["order"] != parsed.order):
             raise StoryFormatError(
-                f"question {pos}: declared order {q['order']!r} disagrees with parsed order"
+                f"question {pos}: declared order {json.dumps(q['order'])} disagrees with parsed order"
                 f" {parsed.order} for {q['text']!r}"
             )
         questions.append(parsed)

@@ -11,11 +11,11 @@ backend's non-location records, which only those bullets read. That backend
 states every entity whatever the targets, so it is never asked for key
 entities, and a story is prepared with one scan and one scene pass, which
 reads the scan's per-event columns: the characters' location records are
-built only when something reads `StoryArtifacts.records`. The remote
-backend is asked for key entities, then gives the scene pass the columns of
-its state rows, read in one pass; both backends' columns hold the same
-members, and their records are built only when something reads them, so
-neither symbolic path merges a record. Two
+built only when something first reads `StoryArtifacts.records`, the
+columns' `locations`. The remote backend is asked for key entities, then
+gives the scene pass the columns of its state rows, read in one pass; both
+backends' columns hold the same members, and their records are built only
+when something reads them, so neither symbolic path merges a record. Two
 ablation switches reproduce the "no knowledge injection" and "no iterative
 masking" variants; with masking off the reader sees the whole story and
 fails on false-belief questions, which is the point.
@@ -72,20 +72,6 @@ class PipelineConfig:
     apply_masking: bool = True  # off = the "w/o IM" ablation
 
 
-class _Records:
-    """`StoryArtifacts.records` when the constructor was given a backend's
-    columns: their `locations`, built and kept the first time they are read.
-    Like ``functools.cached_property``, the records kept, or given, are then
-    a plain attribute that hides this."""
-
-    def __get__(self, artifacts, owner=None):
-        if artifacts is None:
-            raise AttributeError("records")  # so the field has no default
-        records = artifacts.__dict__["records"] = artifacts._scan.locations
-        return records
-
-
-@dataclass
 class StoryArtifacts:
     """Everything computable once per story and shared across its questions.
 
@@ -95,23 +81,25 @@ class StoryArtifacts:
     `_scan`. `records` are then the columns' `locations`, the location
     records alone, built the first time they are read, and `augmented`
     injects ``merge_states`` of the columns' `records`, content records
-    included. Given a list, `records` hold every record, and `augmented`
-    injects them.
+    included. Given a list, `records` is that list, holding every record,
+    and `augmented` injects it.
     """
 
-    story: Story
-    records: list[EntityStateRecord] | EventColumns = _Records()
-    anchors: list
-    omniscient: SceneGraph
-    _scan: EventColumns | None = field(default=None, init=False)
-    _char_graphs: dict[str, SceneGraph] = field(default_factory=dict, init=False)
-    _texts: dict[bool, list[str]] = field(default_factory=dict, init=False)
-    _by_target: dict[tuple[str, str], list[EntityStateRecord]] = field(default_factory=dict, init=False)
+    def __init__(
+        self, story: Story, records: list[EntityStateRecord] | EventColumns,
+        anchors: list, omniscient: SceneGraph,
+    ):
+        self.story, self.anchors, self.omniscient = story, anchors, omniscient
+        self._scan = records if isinstance(records, EventColumns) else None
+        if self._scan is None:
+            self.records = records  # hides the property below
+        self._char_graphs: dict[str, SceneGraph] = {}
+        self._texts: dict[bool, list[str]] = {}
+        self._by_target: dict[tuple[str, str], list[EntityStateRecord]] = {}
 
-    def __post_init__(self):
-        if isinstance(self.records, EventColumns):
-            self._scan = self.records
-            del self.records  # built from `_scan` when first read
+    @cached_property
+    def records(self) -> list[EntityStateRecord]:
+        return self._scan.locations
 
     def target_records(self, q: ToMQuestion) -> list[EntityStateRecord]:
         """The location records of the question's target, in record order;
@@ -237,16 +225,17 @@ def run_pipeline(story: Story, q: ToMQuestion, cfg: PipelineConfig | None = None
 
 def symbolic_reader(bits: int, q: ToMQuestion, records: list[EntityStateRecord]) -> str:
     """Deterministic reader: the last surviving state of the question's
-    target, falling back to its initial declaration. `bits` holds the
-    surviving events (bit i-1 for event i), as :func:`scene.mask_bits`
-    gives them; `records` are the target's own, in record order, as
+    target, falling back to its initial declaration; ABSTAIN without one, or
+    when it names no place (".", "the"). `bits` holds the surviving events
+    (bit i-1 for event i), as :func:`scene.mask_bits` gives them; `records`
+    are the target's own, in record order, as
     :meth:`StoryArtifacts.target_records` gives them."""
     if not records:
         return ABSTAIN
     chosen = records[0]
     if not q.asks_initial:
         chosen = next((r for r in reversed(records) if bits >> (r.event_index - 1) & 1), chosen)
-    return _state_to_answer(chosen.state)
+    return _state_to_answer(chosen.state) or ABSTAIN
 
 
 def _state_to_answer(state: str) -> str:

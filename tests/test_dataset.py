@@ -130,3 +130,25 @@ def test_declared_order_that_disagrees_is_refused(tmp_path):
     with pytest.raises(StoryFormatError) as caught:
         load_dataset(path)
     assert str(caught.value).startswith(f"{path}:2: question 1: declared order 2 disagrees with parsed order 1")
+
+
+@pytest.mark.parametrize(
+    "text, order",
+    [
+        (QUESTION, True),
+        (QUESTION, 1.0),
+        ("Where is the ball really?", 0.0),
+        ("Where is the ball really?", False),
+        (QUESTION, "1"),
+    ],
+    ids=["true", "1.0", "0.0", "false", "string"],
+)
+def test_declared_order_that_is_not_an_integer_is_refused(tmp_path, text, order):
+    # Each value equals the parsed order in Python (but the string), and
+    # none is an integer; the message names it as the file writes it.
+    doc = {"events": EVENTS, "questions": [{"text": text, "order": order}]}
+    path = tmp_path / "orders.jsonl"
+    path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+    with pytest.raises(StoryFormatError) as caught:
+        load_dataset(path)
+    assert str(caught.value).startswith(f"{path}:1: question 1: declared order {json.dumps(order)} ")

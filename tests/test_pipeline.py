@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from conftest import CUPBOARD_QUESTIONS
 from mindmask.errors import ValidationError
 from mindmask.pipeline import (
     ABSTAIN,
@@ -437,6 +438,34 @@ class StoryStatesOnly:
     def story_states(self, story, targets):
         self.state_calls.append(story)
         return self.rule.story_states(story, targets)
+
+
+class PlacelessStates(StoryStatesOnly):
+    """The rule backend's records, with every location state of `entity`
+    replaced by `state`, as a remote reply may word it."""
+
+    def __init__(self, entity, state):
+        super().__init__()
+        self.key, self.state = (entity, "location"), state
+
+    def story_states(self, story, targets):
+        return [
+            EntityStateRecord(r.event_index, r.entity, r.attribute, self.state) if r.key == self.key else r
+            for r in super().story_states(story, targets)
+        ]
+
+
+@pytest.mark.parametrize("state", [".", "...", "-", "the", "in the", ""])
+def test_a_state_that_names_no_place_is_an_abstention(cupboard_story, state):
+    # The reader never answers "": such a state gives no candidate either.
+    records = [EntityStateRecord(1, "ball", "location", state)]
+    q = parse_question("Where is the ball really?", cupboard_story)
+    assert symbolic_reader(_bits(1), q, _target_records(records, q)) == ABSTAIN
+    cfg = PipelineConfig(nkb_backend=PlacelessStates("t-shirt", state))
+    for text in CUPBOARD_QUESTIONS:
+        q = parse_question(text, cupboard_story)
+        outcome = answer_question(prepare_story(cupboard_story, [q], cfg), q, cfg)
+        assert (outcome.predicted, outcome.flagged) == (ABSTAIN, True)
 
 
 def test_pipeline_asks_for_states_once_per_story():
